@@ -8,14 +8,12 @@ grids.  All norms act on interior coefficient vectors.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .assembly import (Coefficients, assemble_elasticity, assemble_laplace,
                        assemble_mass, assemble_pressure_mass)
 from .mesh import Mesh, prolong
-from .stepper import RunReport
 
 
 class NormKind(str, Enum):
@@ -90,16 +88,6 @@ class ErrorReport:
     t: float
     absolute: dict = field(default_factory=dict)
     relative: dict = field(default_factory=dict)
-    p_time_integrated_q: Optional[float] = None
-    wall_time: Optional[float] = None
-    picard_mean: Optional[float] = None
-    picard_max: Optional[int] = None
-
-    def attach_run_report(self, report: RunReport):
-        self.wall_time = report.wall_time
-        self.picard_mean = report.picard_mean
-        self.picard_max = report.picard_max
-        return self
 
 
 _DEFAULT_KINDS = (NormKind.A, NormKind.HV, NormKind.C, NormKind.Q, NormKind.HQ,

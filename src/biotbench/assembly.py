@@ -77,21 +77,39 @@ def element_divergence(mesh: Mesh, u_interior: np.ndarray) -> np.ndarray:
     """Elementwise-constant divergence of an interior displacement vector."""
     b, c, area = triangle_geometry(mesh)
     full = mesh.extend_vector(np.asarray(u_interior, dtype=float))
-    ux = full[2 * mesh.triangles]
-    uy = full[2 * mesh.triangles + 1]
-    return ((ux * b).sum(axis=1) + (uy * c).sum(axis=1)) / (2.0 * area)
+    u = full[_element_dofs(mesh)]
+    return ((u[:, 0::2] * b).sum(axis=1) + (u[:, 1::2] * c).sum(axis=1)) / (2.0 * area)
 
 
-def _scalar_csr(mesh, local, interior_only):
-    """Scatter (E,3,3) local matrices into a CSR matrix on scalar nodal dofs."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+def _element_dofs(mesh: Mesh) -> np.ndarray:
+    """(E, 6) displacement dofs per element, interleaved as (x0, y0, x1, y1, x2, y2)."""
+    dof = np.empty((mesh.num_triangles, 6), dtype=np.int64)
+    dof[:, 0::2] = 2 * mesh.triangles
+    dof[:, 1::2] = 2 * mesh.triangles + 1
+    return dof
+
+
+def _space(mesh: Mesh, kind):
+    """Element dof table, global size and interior dofs of the scalar or vector P1 space."""
+    if kind == "scalar":
+        return mesh.triangles, mesh.num_nodes, mesh.interior_nodes
+    return _element_dofs(mesh), 2 * mesh.num_nodes, mesh.interior_displacement_dofs()
+
+
+def _scatter(mesh: Mesh, local, interior_only, rows="scalar", cols="scalar"):
+    """Sum (E, r, c) local matrices into a CSR matrix between two P1 spaces.
+
+    ``rows`` and ``cols`` name the spaces ("scalar" or "vector").  The COO
+    duplicate summation fixes the reduction order, so repeated assemblies
+    are bit-identical; ``interior_only`` drops the Dirichlet dofs.
+    """
+    row_dof, n_rows, row_keep = _space(mesh, rows)
+    col_dof, n_cols, col_keep = _space(mesh, cols)
+    row_idx = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
+    col_idx = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
+    mat = sp.coo_matrix((local.ravel(), (row_idx, col_idx)), shape=(n_rows, n_cols)).tocsr()
     if interior_only:
-        keep = mesh.interior_nodes
-        mat = mat[keep][:, keep]
+        mat = mat[row_keep][:, col_keep]
     mat.sort_indices()
     return mat
 
@@ -112,20 +130,7 @@ def assemble_elasticity(mesh: Mesh, coeffs: Coefficients, interior_only=True) ->
                      [lam, lam + 2 * mu, 0.0],
                      [0.0, 0.0, mu]])
     local = np.einsum("eki,kl,elj,e->eij", B, Dmat, B, area, optimize=True)
-
-    tri = mesh.triangles
-    dof = np.empty((E, 6), dtype=np.int64)
-    dof[:, 0::2] = 2 * tri
-    dof[:, 1::2] = 2 * tri + 1
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 6)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(2 * mesh.num_nodes, 2 * mesh.num_nodes)).tocsr()
-    if interior_only:
-        keep = mesh.interior_displacement_dofs()
-        mat = mat[keep][:, keep]
-    mat.sort_indices()
-    return mat
+    return _scatter(mesh, local, interior_only, rows="vector", cols="vector")
 
 
 def assemble_pressure_mass(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:
@@ -138,7 +143,7 @@ def assemble_mass(mesh: Mesh, interior_only=True) -> sp.csr_matrix:
     _, _, area = triangle_geometry(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * base
-    return _scalar_csr(mesh, local, interior_only)
+    return _scatter(mesh, local, interior_only)
 
 
 def assemble_laplace(mesh: Mesh, interior_only=True) -> sp.csr_matrix:
@@ -146,7 +151,7 @@ def assemble_laplace(mesh: Mesh, interior_only=True) -> sp.csr_matrix:
     b, c, area = triangle_geometry(mesh)
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
         / (4.0 * area)[:, None, None]
-    return _scalar_csr(mesh, local, interior_only)
+    return _scatter(mesh, local, interior_only)
 
 
 def assemble_coupling(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:
@@ -158,19 +163,7 @@ def assemble_coupling(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> s
     local[:, :, 0::2] = b[:, None, :] / 6.0
     local[:, :, 1::2] = c[:, None, :] / 6.0
     local *= coeffs.alpha
-
-    tri = mesh.triangles
-    dof = np.empty((E, 6), dtype=np.int64)
-    dof[:, 0::2] = 2 * tri
-    dof[:, 1::2] = 2 * tri + 1
-    rows = np.repeat(tri, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.num_nodes, 2 * mesh.num_nodes)).tocsr()
-    if interior_only:
-        mat = mat[mesh.interior_nodes][:, mesh.interior_displacement_dofs()]
-    mat.sort_indices()
-    return mat
+    return _scatter(mesh, local, interior_only, cols="vector")
 
 
 def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior,
@@ -186,7 +179,7 @@ def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior
     kappa = coeffs.mobility(s)
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
         * (kappa / (4.0 * area))[:, None, None]
-    return _scalar_csr(mesh, local, interior_only)
+    return _scatter(mesh, local, interior_only)
 
 
 def _edge_midpoints(mesh: Mesh):
@@ -200,15 +193,18 @@ _MIDPOINT_VERTEX_WEIGHTS = 0.5 * np.array([[1.0, 0.0, 1.0],
                                            [0.0, 1.0, 1.0]])
 
 
+def _add_midpoint_load(out, dofs, area, vals):
+    """Add int v q dx to ``out`` from the values of v at the (E, 3) edge midpoints."""
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), dofs.shape)
+    np.add.at(out, dofs, (area / 3.0)[:, None] * (vals @ _MIDPOINT_VERTEX_WEIGHTS.T))
+
+
 def assemble_load_q(mesh: Mesh, g, t: float, interior_only=True) -> np.ndarray:
     """Pressure load vector int g q dx by the edge-midpoint rule."""
     _, _, area = triangle_geometry(mesh)
     mid = _edge_midpoints(mesh)
-    gvals = np.broadcast_to(
-        np.asarray(g(mid[..., 0], mid[..., 1], t), dtype=float), mid.shape[:2])
-    contrib = (area / 3.0)[:, None] * (gvals @ _MIDPOINT_VERTEX_WEIGHTS.T)
     out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.triangles, contrib)
+    _add_midpoint_load(out, mesh.triangles, area, g(mid[..., 0], mid[..., 1], t))
     return mesh.restrict_scalar(out) if interior_only else out
 
 
@@ -216,10 +212,7 @@ def assemble_load_v(mesh: Mesh, f, t: float, interior_only=True) -> np.ndarray:
     """Displacement load vector int f . v dx by the edge-midpoint rule."""
     _, _, area = triangle_geometry(mesh)
     mid = _edge_midpoints(mesh)
-    f1, f2 = f(mid[..., 0], mid[..., 1], t)
     out = np.zeros(2 * mesh.num_nodes)
-    for comp, vals in enumerate((f1, f2)):
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), mid.shape[:2])
-        contrib = (area / 3.0)[:, None] * (vals @ _MIDPOINT_VERTEX_WEIGHTS.T)
-        np.add.at(out, 2 * mesh.triangles + comp, contrib)
+    for comp, vals in enumerate(f(mid[..., 0], mid[..., 1], t)):
+        _add_midpoint_load(out, 2 * mesh.triangles + comp, area, vals)
     return mesh.restrict_vector(out) if interior_only else out

@@ -81,9 +81,12 @@ class ReferenceSpec:
                              scheme=SchemeSpec.parse(obj["scheme"], f"{path}.scheme"))
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _is_positive_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x) and x > 0
+    return _is_number(x) and x > 0
 
 
 @dataclass
@@ -99,7 +102,6 @@ class ExperimentConfig:
     reference: Optional[ReferenceSpec] = None
     norms: list = field(default_factory=lambda: list(ERROR_KEYS))
     output_dir: str = "out"
-    seed: int = 0
     tau_equals_h: bool = False
     workers: int = 1
     snapshots: bool = False
@@ -108,7 +110,7 @@ class ExperimentConfig:
 
 _TOP_LEVEL_OPTIONAL = (
     "schemes", "mesh_levels", "tau_levels", "alpha", "alpha_values", "coefficients",
-    "pairs", "reference", "norms", "output_dir", "seed", "tau_equals_h", "workers",
+    "pairs", "reference", "norms", "output_dir", "tau_equals_h", "workers",
     "snapshots", "timing_repeats",
 )
 
@@ -138,13 +140,14 @@ def parse_config(obj) -> ExperimentConfig:
 
     alpha = obj.get("alpha")
     if alpha is not None:
-        _expect(_is_positive_number(alpha), "config.alpha", "expected a positive number")
+        _expect(_is_number(alpha) and alpha >= 0, "config.alpha",
+                "expected a nonnegative number")
 
     alpha_values = obj.get("alpha_values", [])
     _expect(isinstance(alpha_values, list), "config.alpha_values", "expected a list")
     for i, a in enumerate(alpha_values):
-        _expect(isinstance(a, (int, float)) and not isinstance(a, bool) and a >= 0,
-                f"config.alpha_values[{i}]", "expected a nonnegative number")
+        _expect(_is_number(a) and a >= 0, f"config.alpha_values[{i}]",
+                "expected a nonnegative number")
 
     coefficients = dict(obj.get("coefficients", {}))
     _check_keys(coefficients or {}, "config.coefficients", required=(),
@@ -180,8 +183,7 @@ def parse_config(obj) -> ExperimentConfig:
         _expect(kind in ERROR_KEYS, f"config.norms[{i}]",
                 f"expected one of {list(ERROR_KEYS)}")
 
-    for key, kind_check, desc in (("seed", lambda v: isinstance(v, int), "an integer"),
-                                  ("workers", lambda v: isinstance(v, int) and v >= 1,
+    for key, kind_check, desc in (("workers", lambda v: isinstance(v, int) and v >= 1,
                                    "a positive integer"),
                                   ("timing_repeats", lambda v: isinstance(v, int) and v >= 1,
                                    "a positive integer"),
@@ -195,7 +197,7 @@ def parse_config(obj) -> ExperimentConfig:
         experiment=obj["experiment"], schemes=schemes, mesh_levels=mesh_levels,
         tau_levels=tau_levels, alpha=alpha, alpha_values=alpha_values,
         coefficients=coefficients, pairs=pairs, reference=reference, norms=norms,
-        output_dir=obj.get("output_dir", "out"), seed=obj.get("seed", 0),
+        output_dir=obj.get("output_dir", "out"),
         tau_equals_h=obj.get("tau_equals_h", False), workers=obj.get("workers", 1),
         snapshots=obj.get("snapshots", False),
         timing_repeats=obj.get("timing_repeats", 1),

@@ -31,6 +31,24 @@ def _relative_residual(op, x, rhs):
     return num / den if den > 0 else num
 
 
+def _refined_solve(lu, op, rhs, error, tol, what):
+    """Solve with the factors ``lu`` of ``op``, refining until ``error(x) <= tol``.
+
+    Iterative refinement recovers the last digits on badly scaled data; if
+    two refinement steps do not reach the tolerance the solve has failed.
+    """
+    x = lu.solve(rhs)
+    res = error(x)
+    for _ in range(2):
+        if np.isfinite(res) and res <= tol:
+            break
+        x = x + lu.solve(rhs - op @ x)
+        res = error(x)
+    if not np.isfinite(res) or res > tol:
+        raise SolverFailure(f"{what} failed", res)
+    return x
+
+
 class SpdFactorization:
     """Cached direct factorization of a sparse SPD operator."""
 
@@ -42,17 +60,8 @@ class SpdFactorization:
         rhs = np.asarray(rhs, dtype=float)
         if not rhs.any():
             return np.zeros_like(rhs)
-        x = self._lu.solve(rhs)
-        res = _relative_residual(self.op, x, rhs)
-        # iterative refinement recovers the last digits on badly scaled data
-        for _ in range(2):
-            if np.isfinite(res) and res <= tol:
-                break
-            x = x + self._lu.solve(rhs - self.op @ x)
-            res = _relative_residual(self.op, x, rhs)
-        if not np.isfinite(res) or res > tol:
-            raise SolverFailure("SPD solve failed", res)
-        return x
+        return _refined_solve(self._lu, self.op, rhs,
+                              lambda x: _relative_residual(self.op, x, rhs), tol, "SPD solve")
 
 
 def solve_spd(op, rhs, tol=DEFAULT_TOL) -> np.ndarray:
@@ -69,15 +78,12 @@ class BlockSystem:
     A: sp.spmatrix
     D: sp.spmatrix
     C_plus_tauB: sp.spmatrix
-    tau: float
 
     def __post_init__(self):
         nu, np_ = self.A.shape[0], self.C_plus_tauB.shape[0]
         if self.A.shape != (nu, nu) or self.C_plus_tauB.shape != (np_, np_) \
                 or self.D.shape != (np_, nu):
             raise ValueError("inconsistent block dimensions")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
 
     def monolithic(self) -> sp.csc_matrix:
         return sp.bmat([[self.A, -self.D.T], [self.D, self.C_plus_tauB]], format="csc")
@@ -97,7 +103,6 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, tol=DEFAULT_TOL):
         return np.zeros(nu), np.zeros(K.shape[0] - nu)
     try:
         lu = splu(K)
-        x = lu.solve(rhs)
     except RuntimeError as exc:  # singular factorization
         raise SolverFailure(f"block factorization failed: {exc}") from exc
 
@@ -108,12 +113,5 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, tol=DEFAULT_TOL):
         denom = norm_K * np.linalg.norm(vec) + rhs_norm
         return np.linalg.norm(K @ vec - rhs) / denom
 
-    res = backward_error(x)
-    for _ in range(2):
-        if np.isfinite(res) and res <= tol:
-            break
-        x = x + lu.solve(rhs - K @ x)
-        res = backward_error(x)
-    if not np.isfinite(res) or res > tol:
-        raise SolverFailure("block solve failed", res)
+    x = _refined_solve(lu, K, rhs, backward_error, tol, "block solve")
     return x[:nu], x[nu:]

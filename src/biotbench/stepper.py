@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_permeability_stiffness,
                        assemble_pressure_mass)
-from .linsolve import DEFAULT_TOL, BlockSystem, SpdFactorization, solve_block, solve_spd
+from .linsolve import DEFAULT_TOL, BlockSystem, SpdFactorization, solve_block
 from .mesh import Mesh
 
 SEMI_EXPLICIT = "semi_explicit"
@@ -66,6 +66,8 @@ class StepperConfig:
             raise ValueError(f"T/tau = {steps} is not an integer")
         if not 0.0 < self.picard_tol < 1.0:
             raise ValueError("picard_tol must lie in (0, 1)")
+        if not 0.0 < self.linear_tol < 1.0:
+            raise ValueError("linear_tol must lie in (0, 1)")
         if self.picard_max < 1:
             raise ValueError("picard_max must be at least 1")
 
@@ -79,7 +81,6 @@ class StepReport:
     picard_iterations: int = 0
     final_picard_residual: float = 0.0
     wall_time: float = 0.0
-    factorization_count: int = 0
 
 
 @dataclass
@@ -94,7 +95,7 @@ class RunReport:
     factorization_count: int = 0
 
     @staticmethod
-    def from_steps(wall_time, reports):
+    def from_steps(wall_time, reports, factorization_count):
         iters = [r.picard_iterations for r in reports]
         return RunReport(
             wall_time=wall_time,
@@ -102,16 +103,18 @@ class RunReport:
             picard_mean=float(np.mean(iters)) if iters else 0.0,
             picard_max=max(iters) if iters else 0,
             max_picard_residual=max((r.final_picard_residual for r in reports), default=0.0),
-            factorization_count=sum(r.factorization_count for r in reports),
+            factorization_count=factorization_count,
         )
 
 
 class StepOperators:
-    """Time-independent operators shared by all steps of a run.
+    """Time-independent operators A, C, D shared by the initial solve and all steps of a run.
 
-    The elasticity factorization is built lazily and then reused by every
-    semi-explicit step; the pressure operator C + tau*B(u) changes with u
-    and is refactorized per step.
+    The elasticity factorization is built lazily, once, and then reused by
+    the initial displacement solve and every semi-explicit step; the
+    pressure operator C + tau*B(u) changes with u and is refactorized per
+    step.  ``factorization_count`` is the run's only LU count: the steps
+    add their pressure or block factorizations to it.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients):
@@ -133,20 +136,18 @@ class StepOperators:
         return assemble_permeability_stiffness(self.mesh, self.coeffs, u)
 
 
-def initial_displacement(mesh: Mesh, coeffs: Coefficients, p0, f0=None,
-                         tol=DEFAULT_TOL) -> np.ndarray:
+def initial_displacement(ops: StepOperators, p0, f0=None, tol=DEFAULT_TOL) -> np.ndarray:
     """Consistent initial displacement: solve A u0 = f0 + D^T p0.
 
     The initial pressure determines the displacement through the
     equilibrium equation; ``p0`` is an interior pressure vector and ``f0``
-    an optional assembled interior load vector.
+    an optional assembled interior load vector.  The solve uses the run's
+    shared elasticity factor, which the semi-explicit steps then reuse.
     """
-    A = assemble_elasticity(mesh, coeffs)
-    D = assemble_coupling(mesh, coeffs)
-    rhs = D.T @ np.asarray(p0, dtype=float)
+    rhs = ops.D.T @ np.asarray(p0, dtype=float)
     if f0 is not None:
         rhs = rhs + f0
-    return solve_spd(A, rhs, tol)
+    return ops.a_factor().solve(rhs, tol)
 
 
 def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
@@ -167,7 +168,7 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     p_new = SpdFactorization(pressure_op).solve(rhs_p, cfg.linear_tol)
     ops.factorization_count += 1
 
-    report = StepReport(wall_time=time.perf_counter() - tic, factorization_count=1)
+    report = StepReport(wall_time=time.perf_counter() - tic)
     return State(u_new, p_new, state.t + tau), report
 
 
@@ -215,7 +216,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     iterations = 0
     residual = math.inf
     for _ in range(cfg.picard_max):
-        system = BlockSystem(ops.A, ops.D, ops.C + tau * B_frozen, tau)
+        system = BlockSystem(ops.A, ops.D, ops.C + tau * B_frozen)
         u_j, p_j = solve_block(system, rhs_u, rhs_p, cfg.linear_tol)
         ops.factorization_count += 1
         iterations += 1
@@ -228,8 +229,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
             break
 
     report = StepReport(picard_iterations=iterations, final_picard_residual=residual,
-                        wall_time=time.perf_counter() - tic,
-                        factorization_count=iterations)
+                        wall_time=time.perf_counter() - tic)
     return State(u_j, p_j, state.t + tau), report
 
 
@@ -253,11 +253,11 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
                            factorization_count=2 * cfg.n_steps + 1)
         return states, report
 
+    ops = StepOperators(mesh, coeffs)
     p0_vec = mesh.nodal_scalar(p0, interior=True)
     zero_u = np.zeros(mesh.num_displacement_dofs)
     f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
-    u0 = initial_displacement(mesh, coeffs, p0_vec, f0, cfg.linear_tol)
-    ops = StepOperators(mesh, coeffs)
+    u0 = initial_displacement(ops, p0_vec, f0, cfg.linear_tol)
     step = semi_explicit_step if cfg.scheme == SEMI_EXPLICIT else implicit_picard_step
 
     states = [State(u0, p0_vec, 0.0)]
@@ -271,11 +271,7 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
         states.append(state)
         reports.append(rep)
     wall = time.perf_counter() - tic
-
-    report = RunReport.from_steps(wall, reports)
-    report.factorization_count += ops.factorization_count - sum(
-        r.factorization_count for r in reports)
-    return states, report
+    return states, RunReport.from_steps(wall, reports, ops.factorization_count)
 
 
 def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):

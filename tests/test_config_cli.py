@@ -233,6 +233,19 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert cli.main(["run", "--config", str(config_path)]) == 2
 
 
+def test_alpha_accepts_zero_and_rejects_negative_or_bool(tmp_path, capsys):
+    assert parse_config({"experiment": "ex43", "alpha": 0}).alpha == 0
+    for bad in (-1, True):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"experiment": "ex43", "alpha": bad})
+        assert err.value.path == "config.alpha"
+
+        config_path = tmp_path / "alpha.json"
+        config_path.write_text(json.dumps(base_config(experiment="ex43", alpha=bad)))
+        assert cli.main(["run", "--config", str(config_path)]) == 2
+        assert "config.alpha" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_solver_failure(tmp_path, monkeypatch):
     from biotbench.linsolve import SolverFailure
 

@@ -63,9 +63,7 @@ def _block_parts(n=2):
 def test_block_dimension_validation():
     _, A, C, D, B = _block_parts()
     with pytest.raises(ValueError):
-        BlockSystem(A, D.T, C, 0.5)
-    with pytest.raises(ValueError):
-        BlockSystem(A, D, C, -1.0)
+        BlockSystem(A, D.T, C)
 
 
 def test_block_zero_coupling_decouples():
@@ -75,14 +73,14 @@ def test_block_zero_coupling_decouples():
     rng = np.random.default_rng(1)
     rhs_u = rng.standard_normal(A.shape[0])
     rhs_p = rng.standard_normal(C.shape[0])
-    u, p = solve_block(BlockSystem(A, zero_D, C + tau * B, tau), rhs_u, rhs_p)
+    u, p = solve_block(BlockSystem(A, zero_D, C + tau * B), rhs_u, rhs_p)
     assert np.abs(u - solve_spd(A, rhs_u)).max() < 1e-12
     assert np.abs(p - solve_spd((C + tau * B).tocsr(), rhs_p)).max() < 1e-12
 
 
 def test_block_zero_rhs_gives_zero():
     _, A, C, D, B = _block_parts()
-    u, p = solve_block(BlockSystem(A, D, C + 0.5 * B, 0.5),
+    u, p = solve_block(BlockSystem(A, D, C + 0.5 * B),
                        np.zeros(A.shape[0]), np.zeros(C.shape[0]))
     assert np.all(u == 0.0) and np.all(p == 0.0)
 
@@ -90,7 +88,7 @@ def test_block_zero_rhs_gives_zero():
 def test_block_matches_dense_inverse_oracle():
     _, A, C, D, B = _block_parts(2)
     tau = 0.125
-    system = BlockSystem(A, D, C + tau * B, tau)
+    system = BlockSystem(A, D, C + tau * B)
     rng = np.random.default_rng(3)
     rhs_u = rng.standard_normal(A.shape[0])
     rhs_p = rng.standard_normal(C.shape[0])
@@ -104,7 +102,7 @@ def test_block_matches_dense_inverse_oracle():
 def test_block_monolithic_layout():
     _, A, C, D, B = _block_parts(2)
     tau = 0.5
-    K = BlockSystem(A, D, C + tau * B, tau).monolithic().toarray()
+    K = BlockSystem(A, D, C + tau * B).monolithic().toarray()
     nu = A.shape[0]
     assert np.abs(K[:nu, :nu] - A.toarray()).max() == 0.0
     assert np.abs(K[:nu, nu:] + D.T.toarray()).max() == 0.0

@@ -8,6 +8,7 @@ from biotbench import (Coefficients, Constant, KozenyCarman, StepperConfig,
                        delay_implicit_run, experiment_41_data, experiment_42_data,
                        initial_displacement, run, solve_spd, tau_bound_diagnostic,
                        with_coefficients)
+from biotbench import linsolve, stepper
 from biotbench.assembly import assemble_permeability_stiffness, assemble_pressure_mass
 from biotbench.stepper import StepOperators, picard_residual
 from dense_reference import (dense_coupling, dense_elasticity, dense_mass,
@@ -35,20 +36,20 @@ def zero_p0(x, y):
 def test_initial_displacement_trivial_cases():
     mesh = build_structured_mesh(3)
     co = coeffs()
-    u0 = initial_displacement(mesh, co, np.zeros(mesh.num_pressure_dofs))
+    u0 = initial_displacement(StepOperators(mesh, co), np.zeros(mesh.num_pressure_dofs))
     assert np.all(u0 == 0.0)
 
     co0 = coeffs(alpha=0.0)
     rng = np.random.default_rng(0)
     p0 = rng.standard_normal(mesh.num_pressure_dofs)
-    assert np.all(initial_displacement(mesh, co0, p0) == 0.0)
+    assert np.all(initial_displacement(StepOperators(mesh, co0), p0) == 0.0)
 
 
 def test_initial_displacement_residual_on_consolidation_data():
     prob = experiment_41_data()
     mesh = build_structured_mesh(8)
     p0 = mesh.nodal_scalar(prob.p0, interior=True)
-    u0 = initial_displacement(mesh, prob.coeffs, p0)
+    u0 = initial_displacement(StepOperators(mesh, prob.coeffs), p0)
 
     A = restrict_dense(mesh, dense_elasticity(mesh, prob.coeffs.lam, prob.coeffs.mu),
                        "vector", "vector")
@@ -161,8 +162,8 @@ def test_picard_cap_limits_block_solves():
     traj, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     assert report.picard_mean == 1.0
     assert report.picard_max == 1
-    # one block factorization per step, nothing more
-    assert report.factorization_count == report.n_steps
+    # one block factorization per step plus the displacement one for u0
+    assert report.factorization_count == report.n_steps + 1
 
 
 def test_picard_fixed_point_satisfies_nonlinear_system():
@@ -287,6 +288,9 @@ def test_config_validation():
         StepperConfig(scheme="implicit_picard", tau=0.5, T=1.0, picard_tol=2.0)
     with pytest.raises(ValueError):
         StepperConfig(scheme="implicit_picard", tau=0.5, T=1.0, picard_max=0)
+    for linear_tol in (0.0, 1.0, -1e-12):
+        with pytest.raises(ValueError, match="linear_tol"):
+            StepperConfig(scheme="semi_explicit", tau=0.5, T=1.0, linear_tol=linear_tol)
 
 
 def test_semi_explicit_cost_structure():
@@ -296,6 +300,25 @@ def test_semi_explicit_cost_structure():
     _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     # one pressure factorization per step plus the single displacement one
     assert report.factorization_count == report.n_steps + 1
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
+def test_reported_factorizations_equal_lu_calls(scheme, monkeypatch):
+    calls = []
+
+    def counting(splu):
+        def factor(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+        return factor
+
+    for module in (linsolve, stepper):
+        monkeypatch.setattr(module, "splu", counting(module.splu))
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(8)
+    cfg = StepperConfig(scheme=scheme, tau=0.25, T=1.0, picard_max=3)
+    _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert report.factorization_count == len(calls)
 
 
 # step size diagnostic
