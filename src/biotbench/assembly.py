@@ -11,10 +11,22 @@ plus load vectors, with homogeneous Dirichlet conditions imposed by
 interior-dof compaction.  All element integrals are exact for P1 spaces:
 the dilatation div(u_h) is elementwise constant, so kappa is evaluated
 once per element, and loads use the three edge-midpoint quadrature rule
-(exact for quadratic integrands).  Assembly is vectorized over elements
-with a deterministic reduction, so repeated runs are bit-identical.
+(exact for quadratic integrands).
+
+Everything that depends on the mesh alone is computed once per mesh and
+kept in a cache keyed weakly by the ``Mesh`` object, so it is dropped with
+the mesh: the element geometry, the dof tables, the edge midpoints and,
+per pair of spaces, a scatter plan.  A plan fixes the CSR pattern and
+maps every element-matrix entry to its nonzero slot.  It is built by
+replaying scipy's COO to CSR conversion (a row-stable counting sort, a
+per-row sort on column keys, summation of duplicate runs in order) on
+entry numbers instead of values.  Applying it with one weighted
+``np.bincount`` therefore adds every slot's addends one after another in
+exactly the order ``coo_matrix(...).tocsr()`` adds them, so the operators
+and load vectors are bit-identical to those of a plain COO assembly.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,59 +70,161 @@ class Coefficients:
         return self.kappa_over_nu * lo, self.kappa_over_nu * hi
 
 
+class _MeshData:
+    """What assembly needs of one mesh, computed once.
+
+    Holds no reference to the mesh, so the weakly keyed cache entry dies
+    with it.  The arrays are read-only because every assembly shares them.
+    """
+
+    def __init__(self, mesh: Mesh):
+        pts = mesh.nodes[mesh.triangles]
+        x, y = pts[..., 0], pts[..., 1]
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+        # (E, 6) displacement dofs per element, interleaved as (x0, y0, x1, y1, x2, y2)
+        element_dofs = np.empty((mesh.num_triangles, 6), dtype=np.int64)
+        element_dofs[:, 0::2] = 2 * mesh.triangles
+        element_dofs[:, 1::2] = 2 * mesh.triangles + 1
+        # full dof -> interior unknown number, -1 on the boundary
+        node_map = mesh.interior_index
+        dof_map = np.full(2 * mesh.num_nodes, -1, dtype=np.int64)
+        dof_map[0::2] = np.where(node_map >= 0, 2 * node_map, -1)
+        dof_map[1::2] = np.where(node_map >= 0, 2 * node_map + 1, -1)
+        self.geometry = (b, c, area)
+        # b_i b_j + c_i c_j = 4 area^2 grad lambda_i . grad lambda_j, the grad-grad numerator
+        self.grad_grad = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+        self.midpoints = 0.5 * (pts + np.roll(pts, -1, axis=1))  # edges (0,1),(1,2),(2,0)
+        self.spaces = {"scalar": (mesh.triangles, node_map), "vector": (element_dofs, dof_map)}
+        for arr in (b, c, area, self.grad_grad, self.midpoints, element_dofs, dof_map):
+            arr.flags.writeable = False
+        self.plans = {}
+
+
+_MESH_DATA = weakref.WeakKeyDictionary()
+
+
+def _mesh_data(mesh: Mesh) -> _MeshData:
+    data = _MESH_DATA.get(mesh)
+    if data is None:
+        data = _MESH_DATA[mesh] = _MeshData(mesh)
+    return data
+
+
 def triangle_geometry(mesh: Mesh):
     """Per-element gradient cofactors and areas.
 
     Returns (b, c, area): the P1 basis gradients on element e are
-    grad lambda_i = (b[e,i], c[e,i]) / (2*area[e]).
+    grad lambda_i = (b[e,i], c[e,i]) / (2*area[e]).  The arrays are cached
+    per mesh and read-only.
     """
-    pts = mesh.nodes[mesh.triangles]
-    x, y = pts[..., 0], pts[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    return b, c, area
+    return _mesh_data(mesh).geometry
 
 
 def element_divergence(mesh: Mesh, u_interior: np.ndarray) -> np.ndarray:
     """Elementwise-constant divergence of an interior displacement vector."""
     b, c, area = triangle_geometry(mesh)
     full = mesh.extend_vector(np.asarray(u_interior, dtype=float))
-    u = full[_element_dofs(mesh)]
+    u = full[_mesh_data(mesh).spaces["vector"][0]]
     return ((u[:, 0::2] * b).sum(axis=1) + (u[:, 1::2] * c).sum(axis=1)) / (2.0 * area)
 
 
-def _element_dofs(mesh: Mesh) -> np.ndarray:
-    """(E, 6) displacement dofs per element, interleaved as (x0, y0, x1, y1, x2, y2)."""
-    dof = np.empty((mesh.num_triangles, 6), dtype=np.int64)
-    dof[:, 0::2] = 2 * mesh.triangles
-    dof[:, 1::2] = 2 * mesh.triangles + 1
-    return dof
+def _space(mesh: Mesh, kind, interior_only):
+    """Element dof table of the scalar or vector P1 space, and the map from
+    its dofs to the assembled numbering (-1 for a dropped Dirichlet dof)."""
+    element_dofs, interior_map = _mesh_data(mesh).spaces[kind]
+    if interior_only:
+        return element_dofs, interior_map
+    return element_dofs, np.arange(interior_map.size)
 
 
-def _space(mesh: Mesh, kind):
-    """Element dof table, global size and interior dofs of the scalar or vector P1 space."""
-    if kind == "scalar":
-        return mesh.triangles, mesh.num_nodes, mesh.interior_nodes
-    return _element_dofs(mesh), 2 * mesh.num_nodes, mesh.interior_displacement_dofs()
+@dataclass(frozen=True)
+class _ScatterPlan:
+    """Fixed CSR pattern of one pair of spaces plus the addends of each slot.
+
+    Nonzero k of the pattern is the sum of the next ``counts[k]`` entries
+    of the flattened (E, r, c) element matrices listed in ``perm``, added
+    in the order in which scipy's COO to CSR conversion adds them.
+    Entries in a dropped Dirichlet row or column are not listed.
+    """
+
+    perm: np.ndarray
+    counts: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def _build_plan(mesh: Mesh, rows, cols, interior_only) -> _ScatterPlan:
+    """Replay ``coo_matrix(...).tocsr()``, restriction and sort on entry numbers."""
+    row_dof, row_map = _space(mesh, rows, interior_only)
+    col_dof, col_map = _space(mesh, cols, interior_only)
+    r, c = row_dof.shape[1], col_dof.shape[1]
+    size = row_dof.size * c
+    idx = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+    # coo_tocsr places the entries row by row, keeping their input order
+    # within a row; the c entries of one element row stay together, so a
+    # stable sort of the element rows gives that order
+    row_keys = row_dof.ravel()
+    order = np.argsort(row_keys, kind="stable")
+    indptr = np.zeros(row_map.size + 1, dtype=idx)
+    np.cumsum(np.bincount(row_keys, minlength=row_map.size) * c, out=indptr[1:])
+    entries = (order[:, None] * float(c) + np.arange(c, dtype=float)).ravel()
+    columns = col_dof.astype(idx)[order // r].ravel()
+
+    # tocsr then sorts each row on its column keys alone (not a stable
+    # sort), so the same sort on entry numbers yields the order of values
+    replay = sp.csr_matrix((entries, columns, indptr), shape=(row_map.size, col_map.size))
+    replay.sort_indices()
+    perm = replay.data.astype(idx)
+    columns = replay.indices
+
+    # a run of equal columns within a row is one slot, which
+    # csr_sum_duplicates adds up front to back; every row starts a new run
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(columns[1:], columns[:-1], out=first[1:])
+    first[indptr[:-1][indptr[:-1] < size]] = True
+    starts = np.flatnonzero(first)
+    slots_per_row = np.diff(np.searchsorted(starts, indptr))
+    slot_rows = row_map[np.repeat(np.arange(row_map.size), slots_per_row)]
+    slot_cols = col_map[columns[starts]]
+    keep = (slot_rows >= 0) & (slot_cols >= 0)
+    counts = np.diff(starts, append=size)
+    perm = perm[np.repeat(keep, counts)]
+
+    n_rows = int(np.count_nonzero(row_map >= 0))
+    n_cols = int(np.count_nonzero(col_map >= 0))
+    out_indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(slot_rows[keep], minlength=n_rows), out=out_indptr[1:])
+    return _ScatterPlan(perm=perm, counts=counts[keep].astype(np.int32),
+                        indices=slot_cols[keep].astype(np.int32), indptr=out_indptr,
+                        shape=(n_rows, n_cols))
 
 
 def _scatter(mesh: Mesh, local, interior_only, rows="scalar", cols="scalar"):
     """Sum (E, r, c) local matrices into a CSR matrix between two P1 spaces.
 
-    ``rows`` and ``cols`` name the spaces ("scalar" or "vector").  The COO
-    duplicate summation fixes the reduction order, so repeated assemblies
-    are bit-identical; ``interior_only`` drops the Dirichlet dofs.
+    ``rows`` and ``cols`` name the spaces ("scalar" or "vector");
+    ``interior_only`` drops the Dirichlet dofs.  The mesh's cached scatter
+    plan fixes the pattern, and one weighted ``np.bincount`` adds each
+    slot's addends in the order scipy's COO to CSR conversion would, so
+    the result equals ``coo_matrix(...).tocsr()`` restricted and sorted,
+    bit for bit.  The matrix gets its own copies of the index arrays.
     """
-    row_dof, n_rows, row_keep = _space(mesh, rows)
-    col_dof, n_cols, col_keep = _space(mesh, cols)
-    row_idx = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
-    col_idx = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
-    mat = sp.coo_matrix((local.ravel(), (row_idx, col_idx)), shape=(n_rows, n_cols)).tocsr()
-    if interior_only:
-        mat = mat[row_keep][:, col_keep]
-    mat.sort_indices()
+    plans = _mesh_data(mesh).plans
+    key = (rows, cols, interior_only)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _build_plan(mesh, rows, cols, interior_only)
+    nnz = plan.indices.size
+    data = np.bincount(np.repeat(np.arange(nnz), plan.counts),
+                       weights=local.ravel()[plan.perm], minlength=nnz)
+    mat = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
+    mat.has_canonical_format = True
     return mat
 
 
@@ -148,10 +262,9 @@ def assemble_mass(mesh: Mesh, interior_only=True) -> sp.csr_matrix:
 
 def assemble_laplace(mesh: Mesh, interior_only=True) -> sp.csr_matrix:
     """Unit-coefficient P1 stiffness (grad-grad), used for the H1-type norms."""
-    b, c, area = triangle_geometry(mesh)
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
-        / (4.0 * area)[:, None, None]
-    return _scatter(mesh, local, interior_only)
+    data = _mesh_data(mesh)
+    _, _, area = data.geometry
+    return _scatter(mesh, data.grad_grad / (4.0 * area)[:, None, None], interior_only)
 
 
 def assemble_coupling(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:
@@ -174,17 +287,11 @@ def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior
     permeability is evaluated exactly once per element; no quadrature
     choice arises.
     """
-    b, c, area = triangle_geometry(mesh)
-    s = element_divergence(mesh, u_interior)
-    kappa = coeffs.mobility(s)
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
-        * (kappa / (4.0 * area))[:, None, None]
-    return _scatter(mesh, local, interior_only)
-
-
-def _edge_midpoints(mesh: Mesh):
-    pts = mesh.nodes[mesh.triangles]          # (E, 3, 2)
-    return 0.5 * (pts + np.roll(pts, -1, axis=1))  # midpoints of edges (0,1),(1,2),(2,0)
+    data = _mesh_data(mesh)
+    _, _, area = data.geometry
+    kappa = coeffs.mobility(element_divergence(mesh, u_interior))
+    return _scatter(mesh, data.grad_grad * (kappa / (4.0 * area))[:, None, None],
+                    interior_only)
 
 
 # vertex weights of the edge-midpoint rule: vertex i gets 1/2 on its two edges
@@ -193,26 +300,34 @@ _MIDPOINT_VERTEX_WEIGHTS = 0.5 * np.array([[1.0, 0.0, 1.0],
                                            [0.0, 1.0, 1.0]])
 
 
-def _add_midpoint_load(out, dofs, area, vals):
-    """Add int v q dx to ``out`` from the values of v at the (E, 3) edge midpoints."""
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), dofs.shape)
-    np.add.at(out, dofs, (area / 3.0)[:, None] * (vals @ _MIDPOINT_VERTEX_WEIGHTS.T))
+def _midpoint_load(mesh: Mesh, kind, components, interior_only):
+    """int v q dx over the scalar or vector space from the values of v at the
+    (E, 3) edge midpoints, one value array per component.
+
+    ``np.bincount`` adds each dof's contributions in element order, as
+    ``np.add.at`` on the full vector does.
+    """
+    element_dofs, dof_map = _space(mesh, kind, interior_only)
+    _, _, area = triangle_geometry(mesh)
+    weights = [(area / 3.0)[:, None]
+               * (np.broadcast_to(np.asarray(vals, dtype=float), area.shape + (3,))
+                  @ _MIDPOINT_VERTEX_WEIGHTS.T)
+               for vals in components]
+    # component k of a vector field sits on the dofs 2*node + k
+    dofs = np.concatenate([element_dofs[:, k::len(components)] for k in range(len(components))])
+    n = int(np.count_nonzero(dof_map >= 0))
+    seg = np.where(dof_map >= 0, dof_map, n)[dofs]
+    return np.bincount(seg.ravel(), weights=np.concatenate(weights).ravel(),
+                       minlength=n + 1)[:n]
 
 
 def assemble_load_q(mesh: Mesh, g, t: float, interior_only=True) -> np.ndarray:
     """Pressure load vector int g q dx by the edge-midpoint rule."""
-    _, _, area = triangle_geometry(mesh)
-    mid = _edge_midpoints(mesh)
-    out = np.zeros(mesh.num_nodes)
-    _add_midpoint_load(out, mesh.triangles, area, g(mid[..., 0], mid[..., 1], t))
-    return mesh.restrict_scalar(out) if interior_only else out
+    mid = _mesh_data(mesh).midpoints
+    return _midpoint_load(mesh, "scalar", [g(mid[..., 0], mid[..., 1], t)], interior_only)
 
 
 def assemble_load_v(mesh: Mesh, f, t: float, interior_only=True) -> np.ndarray:
     """Displacement load vector int f . v dx by the edge-midpoint rule."""
-    _, _, area = triangle_geometry(mesh)
-    mid = _edge_midpoints(mesh)
-    out = np.zeros(2 * mesh.num_nodes)
-    for comp, vals in enumerate(f(mid[..., 0], mid[..., 1], t)):
-        _add_midpoint_load(out, 2 * mesh.triangles + comp, area, vals)
-    return mesh.restrict_vector(out) if interior_only else out
+    mid = _mesh_data(mesh).midpoints
+    return _midpoint_load(mesh, "vector", list(f(mid[..., 0], mid[..., 1], t)), interior_only)

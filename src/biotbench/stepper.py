@@ -80,7 +80,6 @@ class StepperConfig:
 class StepReport:
     picard_iterations: int = 0
     final_picard_residual: float = 0.0
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -112,9 +111,10 @@ class StepOperators:
 
     The elasticity factorization is built lazily, once, and then reused by
     the initial displacement solve and every semi-explicit step; the
-    pressure operator C + tau*B(u) changes with u and is refactorized per
-    step.  ``factorization_count`` is the run's only LU count: the steps
-    add their pressure or block factorizations to it.
+    Picard path needs it for the initial solve only and releases it after
+    that.  The pressure operator C + tau*B(u) changes with u and is
+    refactorized per step.  ``factorization_count`` is the run's only LU
+    count: the steps add their pressure or block factorizations to it.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients):
@@ -131,6 +131,10 @@ class StepOperators:
             self._a_factor = SpdFactorization(self.A)
             self.factorization_count += 1
         return self._a_factor
+
+    def release_a_factor(self):
+        """Free the elasticity factor; ``factorization_count`` still counts it."""
+        self._a_factor = None
 
     def permeability_stiffness(self, u):
         return assemble_permeability_stiffness(self.mesh, self.coeffs, u)
@@ -158,7 +162,6 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     pressure by one step, then the flow solve uses the permeability
     evaluated at the new displacement.
     """
-    tic = time.perf_counter()
     tau = cfg.tau
     u_new = ops.a_factor().solve(load_u + ops.D.T @ state.p, cfg.linear_tol)
 
@@ -168,8 +171,7 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     p_new = SpdFactorization(pressure_op).solve(rhs_p, cfg.linear_tol)
     ops.factorization_count += 1
 
-    report = StepReport(wall_time=time.perf_counter() - tic)
-    return State(u_new, p_new, state.t + tau), report
+    return State(u_new, p_new, state.t + tau), StepReport()
 
 
 def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
@@ -206,7 +208,6 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     ``picard_tol`` or after ``picard_max`` iterates; running into the cap is
     not an error (capped variants are legitimate schemes of their own).
     """
-    tic = time.perf_counter()
     tau = cfg.tau
     rhs_u = np.asarray(load_u, dtype=float)
     rhs_p = tau * load_p + ops.D @ state.u + ops.C @ state.p
@@ -228,8 +229,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
         if residual <= cfg.picard_tol:
             break
 
-    report = StepReport(picard_iterations=iterations, final_picard_residual=residual,
-                        wall_time=time.perf_counter() - tic)
+    report = StepReport(picard_iterations=iterations, final_picard_residual=residual)
     return State(u_j, p_j, state.t + tau), report
 
 
@@ -258,7 +258,12 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
     zero_u = np.zeros(mesh.num_displacement_dofs)
     f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
     u0 = initial_displacement(ops, p0_vec, f0, cfg.linear_tol)
-    step = semi_explicit_step if cfg.scheme == SEMI_EXPLICIT else implicit_picard_step
+    if cfg.scheme == SEMI_EXPLICIT:
+        step = semi_explicit_step
+    else:
+        # no Picard iterate solves with A alone, so its factor would only hold memory
+        ops.release_a_factor()
+        step = implicit_picard_step
 
     states = [State(u0, p0_vec, 0.0)]
     reports = []

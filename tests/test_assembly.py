@@ -1,11 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from biotbench import (Coefficients, Constant, KozenyCarman, assemble_coupling,
-                       assemble_elasticity, assemble_laplace, assemble_load_q,
-                       assemble_load_v, assemble_mass,
+from biotbench import (Coefficients, Constant, KozenyCarman, StepperConfig,
+                       assemble_coupling, assemble_elasticity, assemble_laplace,
+                       assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass,
-                       build_structured_mesh, element_divergence)
+                       build_structured_mesh, element_divergence,
+                       error_vs_manufactured, experiment_42_data, run)
+from biotbench import assembly
 from dense_reference import (dense_coupling, dense_elasticity, dense_load_q,
                              dense_load_v, dense_mass,
                              dense_permeability_stiffness, restrict_dense)
@@ -238,3 +244,140 @@ def test_coefficients_validation():
     with pytest.raises(ValueError):
         Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=-1.0, kappa_over_nu=1.0,
                      permeability=KC)
+
+
+# exact agreement with a plain COO assembly
+
+
+def coo_scatter(mesh, local, interior_only, rows, cols):
+    """Sum (E, r, c) local matrices the plain way: COO to CSR, restrict, sort."""
+    def space(kind):
+        if kind == "scalar":
+            return mesh.triangles, mesh.num_nodes, mesh.interior_nodes
+        dofs = np.stack([2 * mesh.triangles, 2 * mesh.triangles + 1], axis=2).reshape(-1, 6)
+        return dofs, 2 * mesh.num_nodes, mesh.interior_displacement_dofs()
+
+    row_dof, n_rows, row_keep = space(rows)
+    col_dof, n_cols, col_keep = space(cols)
+    row_idx = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
+    col_idx = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
+    mat = sp.coo_matrix((local.ravel(), (row_idx, col_idx)), shape=(n_rows, n_cols)).tocsr()
+    if interior_only:
+        mat = mat[row_keep][:, col_keep]
+    mat.sort_indices()
+    return mat
+
+
+def assert_same_csr(mat, ref):
+    assert mat.shape == ref.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(mat, part), getattr(ref, part)), part
+
+
+SPACE_PAIRS = [("scalar", "scalar"), ("vector", "vector"), ("scalar", "vector")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("interior_only", [True, False])
+def test_scatter_equals_coo_assembly_bit_for_bit(n, interior_only):
+    # random element matrices make every difference in summation order visible
+    mesh = build_structured_mesh(n)
+    rng = np.random.default_rng(n)
+    for rows, cols in SPACE_PAIRS:
+        shape = (mesh.num_triangles, 3 if rows == "scalar" else 6, 3 if cols == "scalar" else 6)
+        local = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        mat = assembly._scatter(mesh, local, interior_only, rows, cols)
+        assert_same_csr(mat, coo_scatter(mesh, local, interior_only, rows, cols))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("interior_only", [True, False])
+def test_operators_equal_coo_assembly_bit_for_bit(n, interior_only, monkeypatch):
+    mesh = build_structured_mesh(n)
+    co = unit_coeffs()
+    u = np.random.default_rng(n).standard_normal(mesh.num_displacement_dofs)
+    scattered = []
+    real_scatter = assembly._scatter
+
+    def recording_scatter(mesh, local, interior_only, rows="scalar", cols="scalar"):
+        mat = real_scatter(mesh, local, interior_only, rows, cols)
+        scattered.append((coo_scatter(mesh, local, interior_only, rows, cols), mat.copy()))
+        return mat
+
+    monkeypatch.setattr(assembly, "_scatter", recording_scatter)
+    ops = [assemble_elasticity(mesh, co, interior_only), assemble_coupling(mesh, co, interior_only),
+           assemble_permeability_stiffness(mesh, co, u, interior_only),
+           assemble_mass(mesh, interior_only), assemble_laplace(mesh, interior_only)]
+    C = assemble_pressure_mass(mesh, co, interior_only)
+    assert len(scattered) == 6
+    for (ref, mat), op in zip(scattered, ops):
+        assert_same_csr(mat, ref)
+        assert_same_csr(op, ref)
+    assert_same_csr(C, scattered[-1][0] * (1.0 / co.M))
+
+
+def add_at_load(mesh, components, interior_only):
+    """Edge-midpoint load summed with np.add.at into the full vector, then restricted."""
+    _, _, area = assembly.triangle_geometry(mesh)
+    k = len(components)
+    out = np.zeros(k * mesh.num_nodes)
+    for comp, vals in enumerate(components):
+        dofs = k * mesh.triangles + comp
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), dofs.shape)
+        np.add.at(out, dofs, (area / 3.0)[:, None] * (vals @ assembly._MIDPOINT_VERTEX_WEIGHTS.T))
+    if not interior_only:
+        return out
+    return mesh.restrict_scalar(out) if k == 1 else mesh.restrict_vector(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("interior_only", [True, False])
+def test_loads_equal_add_at_reference_bit_for_bit(n, interior_only):
+    mesh = build_structured_mesh(n)
+    pts = mesh.nodes[mesh.triangles]
+    mid = 0.5 * (pts + np.roll(pts, -1, axis=1))
+    x, y = mid[..., 0], mid[..., 1]
+    g = lambda x, y, t: np.exp(x - y) * np.sin(7.0 * x * y + t)
+    f = lambda x, y, t: (x * y - t, np.cos(5.0 * x) + y ** 3)
+    lq = assemble_load_q(mesh, g, 0.3, interior_only)
+    assert np.array_equal(lq, add_at_load(mesh, [g(x, y, 0.3)], interior_only))
+    lv = assemble_load_v(mesh, f, 0.3, interior_only)
+    assert np.array_equal(lv, add_at_load(mesh, list(f(x, y, 0.3)), interior_only))
+    # a constant source comes back as a scalar and is broadcast over the midpoints
+    lc = assemble_load_q(mesh, lambda x, y, t: 2.0, 0.0, interior_only)
+    assert np.array_equal(lc, add_at_load(mesh, [2.0], interior_only))
+
+
+def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
+    gc.collect()
+    cached_before = len(assembly._MESH_DATA)
+    built = []
+    real_build = assembly._build_plan
+
+    def counting_build(mesh, rows, cols, interior_only):
+        built.append((rows, cols, interior_only))
+        return real_build(mesh, rows, cols, interior_only)
+
+    monkeypatch.setattr(assembly, "_build_plan", counting_build)
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(4)
+    cfg = StepperConfig(scheme="semi_explicit", tau=0.25, T=0.5)
+    trajectory, _ = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    error_vs_manufactured(mesh, prob.coeffs, trajectory, prob.exact_u, prob.exact_p)
+    assert sorted(built) == [("scalar", "scalar", True), ("scalar", "vector", True),
+                             ("vector", "vector", True)]
+
+    # a caller editing a returned matrix in place leaves the shared plan intact
+    L = assemble_laplace(mesh)
+    expected = L.copy()
+    L.indices[:] = 0
+    L.indptr[:] = 0
+    L.data[:] = 0.0
+    assert_same_csr(assemble_laplace(mesh), expected)
+    assert len(built) == 3
+
+    alive = weakref.ref(mesh)
+    del mesh, L
+    gc.collect()
+    assert alive() is None
+    assert len(assembly._MESH_DATA) == cached_before

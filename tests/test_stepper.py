@@ -60,6 +60,26 @@ def test_initial_displacement_residual_on_consolidation_data():
     assert res < 1e-11
 
 
+def test_picard_run_releases_the_elasticity_factor(monkeypatch):
+    # u0 needs the factor of A, no Picard iterate does
+    runs = []
+
+    class RecordingOperators(StepOperators):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(stepper, "StepOperators", RecordingOperators)
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(4)
+    cfg = StepperConfig(scheme="implicit_picard", tau=0.25, T=0.5, picard_max=1)
+    _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    (ops,) = runs
+    assert ops._a_factor is None
+    # the released LU of A still counts, once
+    assert report.factorization_count == cfg.n_steps + 1
+
+
 # semi-explicit scheme
 
 
