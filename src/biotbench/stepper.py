@@ -26,8 +26,8 @@ from scipy.sparse.linalg import splu
 import scipy.sparse as sp
 
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
-                       assemble_load_q, assemble_load_v, assemble_permeability_stiffness,
-                       assemble_pressure_mass)
+                       assemble_load_q, assemble_load_v, assemble_mass,
+                       assemble_permeability_stiffness, assemble_pressure_mass)
 from .linsolve import DEFAULT_TOL, BlockSystem, SpdFactorization, solve_block
 from .mesh import Mesh
 
@@ -80,6 +80,8 @@ class StepperConfig:
 class StepReport:
     picard_iterations: int = 0
     final_picard_residual: float = 0.0
+    #: GMRES iterations summed over the step's block solves
+    linear_iterations: int = 0
 
 
 @dataclass
@@ -92,6 +94,7 @@ class RunReport:
     picard_max: int = 0
     max_picard_residual: float = 0.0
     factorization_count: int = 0
+    linear_iterations: int = 0
 
     @staticmethod
     def from_steps(wall_time, reports, factorization_count):
@@ -103,18 +106,21 @@ class RunReport:
             picard_max=max(iters) if iters else 0,
             max_picard_residual=max((r.final_picard_residual for r in reports), default=0.0),
             factorization_count=factorization_count,
+            linear_iterations=sum(r.linear_iterations for r in reports),
         )
 
 
 class StepOperators:
     """Time-independent operators A, C, D shared by the initial solve and all steps of a run.
 
-    The elasticity factorization is built lazily, once, and then reused by
-    the initial displacement solve and every semi-explicit step; the
-    Picard path needs it for the initial solve only and releases it after
-    that.  The pressure operator C + tau*B(u) changes with u and is
-    refactorized per step.  ``factorization_count`` is the run's only LU
-    count: the steps add their pressure or block factorizations to it.
+    The elasticity factorization is built lazily, once, and then kept for
+    the whole run: the initial displacement solve, every semi-explicit step
+    and every fixed-stress preconditioner of the Picard path use it.  The
+    pressure operator changes with u and is refactorized per step, as
+    C + tau*B(u) on the semi-explicit path and as the fixed-stress
+    C + tau*B(u) + beta*M on the Picard path.  ``factorization_count`` is
+    the run's only LU count: the steps add their pressure factorizations
+    to it.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients):
@@ -124,6 +130,7 @@ class StepOperators:
         self.C = assemble_pressure_mass(mesh, coeffs)
         self.D = assemble_coupling(mesh, coeffs)
         self._a_factor = None
+        self._stabilized_C = None
         self.factorization_count = 0
 
     def a_factor(self) -> SpdFactorization:
@@ -132,9 +139,18 @@ class StepOperators:
             self.factorization_count += 1
         return self._a_factor
 
-    def release_a_factor(self):
-        """Free the elasticity factor; ``factorization_count`` still counts it."""
-        self._a_factor = None
+    def fixed_stress_factor(self, tauB) -> SpdFactorization:
+        """Factor C + tau*B + beta*M with beta = alpha^2/(lam + mu), and count it.
+
+        M is the unscaled P1 mass matrix; beta*M stands in for D A^-1 D^T,
+        the part of the pressure Schur complement that the sweep drops.
+        """
+        if self._stabilized_C is None:
+            co = self.coeffs
+            beta = co.alpha ** 2 / (co.lam + co.mu)
+            self._stabilized_C = self.C + beta * assemble_mass(self.mesh)
+        self.factorization_count += 1
+        return SpdFactorization(self._stabilized_C + tauB)
 
     def permeability_stiffness(self, u):
         return assemble_permeability_stiffness(self.mesh, self.coeffs, u)
@@ -203,10 +219,13 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     """Advance one step of the implicit Euler scheme via Picard iteration.
 
     Starting from the previous state, each iterate solves the linear block
-    system with the permeability frozen at the preceding iterate.  The loop
-    stops once the scaled residual of the nonlinear step system is below
-    ``picard_tol`` or after ``picard_max`` iterates; running into the cap is
-    not an error (capped variants are legitimate schemes of their own).
+    system with the permeability frozen at the preceding iterate, by
+    GMRES warm-started from that iterate.  Its fixed-stress preconditioner
+    uses the run's factor of A and one factor of C + tau*B + beta*M per
+    step, with B at the previous state.  The loop stops once the scaled
+    residual of the nonlinear step system is below ``picard_tol`` or after
+    ``picard_max`` iterates; running into the cap is not an error (capped
+    variants are legitimate schemes of their own).
     """
     tau = cfg.tau
     rhs_u = np.asarray(load_u, dtype=float)
@@ -214,13 +233,16 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
 
     u_j, p_j = state.u, state.p
     B_frozen = ops.permeability_stiffness(u_j)
-    iterations = 0
+    a_factor = ops.a_factor()
+    s_factor = ops.fixed_stress_factor(tau * B_frozen)
+    iterations = linear_iterations = 0
     residual = math.inf
     for _ in range(cfg.picard_max):
         system = BlockSystem(ops.A, ops.D, ops.C + tau * B_frozen)
-        u_j, p_j = solve_block(system, rhs_u, rhs_p, cfg.linear_tol)
-        ops.factorization_count += 1
+        u_j, p_j, steps = solve_block(system, rhs_u, rhs_p, a_factor, s_factor,
+                                      (u_j, p_j), cfg.linear_tol)
         iterations += 1
+        linear_iterations += steps
 
         # residual of the nonlinear step system, permeability at the new iterate
         B_new = ops.permeability_stiffness(u_j)
@@ -229,7 +251,8 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
         if residual <= cfg.picard_tol:
             break
 
-    report = StepReport(picard_iterations=iterations, final_picard_residual=residual)
+    report = StepReport(picard_iterations=iterations, final_picard_residual=residual,
+                        linear_iterations=linear_iterations)
     return State(u_j, p_j, state.t + tau), report
 
 
@@ -244,13 +267,10 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
     """
     if cfg.scheme == DELAY_IMPLICIT:
         tic = time.perf_counter()
-        states = delay_implicit_run(mesh, coeffs, cfg, f, g, p0)
+        states, factorizations = _delay_implicit(mesh, coeffs, cfg, f, g, p0)
         wall = time.perf_counter() - tic
-        # the delay path factorizes the displacement operator afresh per
-        # step (plus once for the initial solve) and the pressure operator
-        # per step
         report = RunReport(wall_time=wall, n_steps=cfg.n_steps,
-                           factorization_count=2 * cfg.n_steps + 1)
+                           factorization_count=factorizations)
         return states, report
 
     ops = StepOperators(mesh, coeffs)
@@ -258,12 +278,7 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
     zero_u = np.zeros(mesh.num_displacement_dofs)
     f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
     u0 = initial_displacement(ops, p0_vec, f0, cfg.linear_tol)
-    if cfg.scheme == SEMI_EXPLICIT:
-        step = semi_explicit_step
-    else:
-        # no Picard iterate solves with A alone, so its factor would only hold memory
-        ops.release_a_factor()
-        step = implicit_picard_step
+    step = semi_explicit_step if cfg.scheme == SEMI_EXPLICIT else implicit_picard_step
 
     states = [State(u0, p0_vec, 0.0)]
     reports = []
@@ -289,6 +304,11 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     ``semi_explicit_step`` (fresh factorizations, its own loop) so the two
     paths can be compared against each other.
     """
+    return _delay_implicit(mesh, coeffs, cfg, f, g, p0)[0]
+
+
+def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
+    """``delay_implicit_run``'s trajectory and the number of LUs it made."""
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
     history = cfg.history if cfg.history is not None else (lambda t: p0_vec)
@@ -307,27 +327,33 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     D = assemble_coupling(mesh, coeffs)
     zero_u = np.zeros(mesh.num_displacement_dofs)
 
+    factorizations = 0
+
     def load_u_at(t):
         return assemble_load_v(mesh, f, t) if f is not None else zero_u
 
+    def factor(op):
+        nonlocal factorizations
+        factorizations += 1
+        return splu(op, permc_spec="MMD_AT_PLUS_A")
+
     # initial displacement from the delayed pressure at -tau
-    u0 = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A").solve(
-        load_u_at(0.0) + D.T @ history(-tau))
+    u0 = factor(sp.csc_matrix(A)).solve(load_u_at(0.0) + D.T @ history(-tau))
 
     pressures = [p0_vec]
     states = [State(u0, p0_vec, 0.0)]
     for n in range(1, cfg.n_steps + 1):
         t_n = n * tau
         delayed = history(t_n - tau) if n == 1 else pressures[n - 1]
-        u_n = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A").solve(
+        u_n = factor(sp.csc_matrix(A)).solve(
             load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float))
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)
-        p_n = splu((C + tau * B).tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        p_n = factor((C + tau * B).tocsc()).solve(rhs)
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))
-    return states
+    return states, factorizations
 
 
 def tau_bound_diagnostic(coeffs: Coefficients, p_bound: float, model=None) -> float:

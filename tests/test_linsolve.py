@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from biotbench import (BlockSystem, Coefficients, KozenyCarman, SolverFailure,
                        assemble_coupling, assemble_elasticity, assemble_laplace,
-                       assemble_permeability_stiffness, assemble_pressure_mass,
-                       build_structured_mesh, solve_block, solve_spd)
+                       assemble_load_q, assemble_load_v, assemble_permeability_stiffness,
+                       assemble_pressure_mass, build_structured_mesh, experiment_41_data,
+                       experiment_42_data, experiment_43_data, initial_displacement,
+                       solve_block, solve_spd)
+from biotbench.linsolve import SpdFactorization
+from biotbench.stepper import StepOperators
 
 CO = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
                   permeability=KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75))
@@ -60,6 +65,10 @@ def _block_parts(n=2):
     return mesh, A, C, D, B
 
 
+def _sweep_factors(A, S):
+    return SpdFactorization(A), SpdFactorization(S.tocsr())
+
+
 def test_block_dimension_validation():
     _, A, C, D, B = _block_parts()
     with pytest.raises(ValueError):
@@ -73,16 +82,20 @@ def test_block_zero_coupling_decouples():
     rng = np.random.default_rng(1)
     rhs_u = rng.standard_normal(A.shape[0])
     rhs_p = rng.standard_normal(C.shape[0])
-    u, p = solve_block(BlockSystem(A, zero_D, C + tau * B), rhs_u, rhs_p)
+    # without coupling the sweep is exact: one GMRES step
+    u, p, steps = solve_block(BlockSystem(A, zero_D, C + tau * B), rhs_u, rhs_p,
+                              *_sweep_factors(A, C + tau * B))
+    assert steps == 1
     assert np.abs(u - solve_spd(A, rhs_u)).max() < 1e-12
     assert np.abs(p - solve_spd((C + tau * B).tocsr(), rhs_p)).max() < 1e-12
 
 
 def test_block_zero_rhs_gives_zero():
     _, A, C, D, B = _block_parts()
-    u, p = solve_block(BlockSystem(A, D, C + 0.5 * B),
-                       np.zeros(A.shape[0]), np.zeros(C.shape[0]))
-    assert np.all(u == 0.0) and np.all(p == 0.0)
+    u, p, steps = solve_block(BlockSystem(A, D, C + 0.5 * B),
+                              np.zeros(A.shape[0]), np.zeros(C.shape[0]),
+                              *_sweep_factors(A, C + 0.5 * B))
+    assert np.all(u == 0.0) and np.all(p == 0.0) and steps == 0
 
 
 def test_block_matches_dense_inverse_oracle():
@@ -92,7 +105,7 @@ def test_block_matches_dense_inverse_oracle():
     rng = np.random.default_rng(3)
     rhs_u = rng.standard_normal(A.shape[0])
     rhs_p = rng.standard_normal(C.shape[0])
-    u, p = solve_block(system, rhs_u, rhs_p)
+    u, p, _ = solve_block(system, rhs_u, rhs_p, *_sweep_factors(A, C + tau * B))
 
     K = system.monolithic().toarray()
     expected = np.linalg.solve(K, np.concatenate([rhs_u, rhs_p]))
@@ -118,3 +131,68 @@ def test_spd_solve_deterministic():
     x1 = solve_spd(L, rhs)
     x2 = solve_spd(L, rhs)
     assert np.all(x1 == x2)
+
+
+# block solves on the first Picard system of each experiment
+
+
+def lu_block_solve(system, rhs_u, rhs_p):
+    """Slow-path oracle: one sparse LU of the monolithic operator, refined twice.
+
+    This is the direct block solve the Krylov one replaced.
+    """
+    K = system.monolithic().tocsc()
+    rhs = np.concatenate([rhs_u, rhs_p])
+    lu = splu(K)
+    x = lu.solve(rhs)
+    for _ in range(2):
+        x = x + lu.solve(rhs - K @ x)
+    nu = system.A.shape[0]
+    return x[:nu], x[nu:]
+
+
+PROBLEMS = {"ex41": experiment_41_data, "ex42": experiment_42_data,
+            "ex43": lambda: experiment_43_data(4.0)}
+
+
+def _first_picard_system(name, n=8, tau=2.0**-5):
+    """Block system, right-hand sides, warm start and factors of step 1's first iterate."""
+    prob = PROBLEMS[name]()
+    mesh = build_structured_mesh(n)
+    ops = StepOperators(mesh, prob.coeffs)
+    zero_u = np.zeros(mesh.num_displacement_dofs)
+    p0 = mesh.nodal_scalar(prob.p0, interior=True)
+    f0 = assemble_load_v(mesh, prob.f, 0.0) if prob.f is not None else zero_u
+    u0 = initial_displacement(ops, p0, f0)
+    tauB = tau * ops.permeability_stiffness(u0)
+    system = BlockSystem(ops.A, ops.D, ops.C + tauB)
+    rhs_u = assemble_load_v(mesh, prob.f, tau) if prob.f is not None else zero_u
+    rhs_p = tau * assemble_load_q(mesh, prob.g, tau) + ops.D @ u0 + ops.C @ p0
+    factors = (ops.a_factor(), ops.fixed_stress_factor(tauB))
+    return system, rhs_u, rhs_p, (u0, p0), factors
+
+
+def _block_deviation(got, expected):
+    return max(np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("name", ["ex41", "ex42", "ex43"])
+def test_block_solve_matches_equilibrated_dense_solve(name):
+    # ex41's blocks differ in scale by about 1e18 (lam ~ 8e8, kappa/nu ~ 8e-10);
+    # an unequilibrated stopping test cannot see the pressure block there
+    system, rhs_u, rhs_p, guess, factors = _first_picard_system(name)
+    u, p, _ = solve_block(system, rhs_u, rhs_p, *factors, guess)
+
+    K = system.monolithic().toarray()
+    s = 1.0 / np.sqrt(np.abs(np.diag(K)))
+    x = s * np.linalg.solve(s[:, None] * K * s, s * np.concatenate([rhs_u, rhs_p]))
+    nu = system.A.shape[0]
+    assert _block_deviation((u, p), (x[:nu], x[nu:])) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["ex42", "ex43"])
+def test_block_solve_matches_monolithic_lu(name):
+    system, rhs_u, rhs_p, guess, factors = _first_picard_system(name)
+    u, p, steps = solve_block(system, rhs_u, rhs_p, *factors, guess)
+    assert steps > 0
+    assert _block_deviation((u, p), lu_block_solve(system, rhs_u, rhs_p)) <= 1e-12

@@ -6,8 +6,8 @@ import pytest
 from biotbench import (Coefficients, Constant, KozenyCarman, StepperConfig,
                        assemble_load_q, assemble_load_v, build_structured_mesh,
                        delay_implicit_run, experiment_41_data, experiment_42_data,
-                       initial_displacement, run, solve_spd, tau_bound_diagnostic,
-                       with_coefficients)
+                       experiment_43_data, initial_displacement, run, solve_spd,
+                       tau_bound_diagnostic, with_coefficients)
 from biotbench import linsolve, stepper
 from biotbench.assembly import assemble_permeability_stiffness, assemble_pressure_mass
 from biotbench.stepper import StepOperators, picard_residual
@@ -60,24 +60,26 @@ def test_initial_displacement_residual_on_consolidation_data():
     assert res < 1e-11
 
 
-def test_picard_run_releases_the_elasticity_factor(monkeypatch):
-    # u0 needs the factor of A, no Picard iterate does
-    runs = []
+def test_picard_run_factors_a_once_and_one_pressure_operator_per_step(monkeypatch):
+    # the A factor serves u0 and every preconditioner; the fixed-stress
+    # pressure operator is factorized per step, not per Picard iterate
+    shapes = []
 
-    class RecordingOperators(StepOperators):
-        def __init__(self, *args):
-            super().__init__(*args)
-            runs.append(self)
+    def counting(splu):
+        def factor(op, *args, **kwargs):
+            shapes.append(op.shape)
+            return splu(op, *args, **kwargs)
+        return factor
 
-    monkeypatch.setattr(stepper, "StepOperators", RecordingOperators)
+    monkeypatch.setattr(linsolve, "splu", counting(linsolve.splu))
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
-    cfg = StepperConfig(scheme="implicit_picard", tau=0.25, T=0.5, picard_max=1)
+    cfg = StepperConfig(scheme="implicit_picard", tau=0.25, T=0.5, picard_max=3)
     _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
-    (ops,) = runs
-    assert ops._a_factor is None
-    # the released LU of A still counts, once
-    assert report.factorization_count == cfg.n_steps + 1
+    assert report.picard_mean > 1.0
+    nu, np_ = mesh.num_displacement_dofs, mesh.num_pressure_dofs
+    assert shapes == [(nu, nu)] + [(np_, np_)] * cfg.n_steps
+    assert report.factorization_count == len(shapes)
 
 
 # semi-explicit scheme
@@ -182,8 +184,21 @@ def test_picard_cap_limits_block_solves():
     traj, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     assert report.picard_mean == 1.0
     assert report.picard_max == 1
-    # one block factorization per step plus the displacement one for u0
+    # one fixed-stress pressure factorization per step plus the displacement one
     assert report.factorization_count == report.n_steps + 1
+
+
+@pytest.mark.parametrize("make_problem", [experiment_42_data, lambda: experiment_43_data(4.0)],
+                         ids=["ex42", "ex43-alpha4"])
+def test_picard_block_solves_take_few_krylov_iterations(make_problem):
+    # a wrong beta or a broken fixed-stress sweep shows here as many more
+    # GMRES iterations per block solve, before it shows as lost time
+    prob = make_problem()
+    mesh = build_structured_mesh(8)
+    cfg = StepperConfig(scheme="implicit_picard", tau=2.0**-5, T=1.0, picard_max=10)
+    _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    block_solves = round(report.picard_mean * report.n_steps)
+    assert 0 < report.linear_iterations <= 20 * block_solves
 
 
 def test_picard_fixed_point_satisfies_nonlinear_system():
