@@ -158,9 +158,8 @@ def parse_config(obj) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("config.coefficients.permeability", str(exc)) from exc
     for key in set(coefficients) - {"permeability"}:
-        _expect(isinstance(coefficients[key], (int, float))
-                and not isinstance(coefficients[key], bool),
-                f"config.coefficients.{key}", "expected a number")
+        _expect(_is_number(coefficients[key]), f"config.coefficients.{key}",
+                "expected a finite number")
 
     pairs = []
     raw_pairs = obj.get("pairs", [])

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass)
-from .linsolve import DEFAULT_TOL, BlockSystem, SpdFactorization, solve_block
+from .linsolve import DEFAULT_TOL, BlockSystem, SolverFailure, SpdFactorization, solve_block
 from .mesh import Mesh
 
 SEMI_EXPLICIT = "semi_explicit"
@@ -118,9 +118,14 @@ class StepOperators:
     and every fixed-stress preconditioner of the Picard path use it.  The
     pressure operator changes with u and is refactorized per step, as
     C + tau*B(u) on the semi-explicit path and as the fixed-stress
-    C + tau*B(u) + beta*M on the Picard path.  ``factorization_count`` is
-    the run's only LU count: the steps add their pressure factorizations
-    to it.
+    C + tau*B(u) + beta*M on the Picard path.  C, M and every B(u) share
+    one CSR pattern (one scatter plan), so each such sum is one numpy
+    addition over the slots, equal bit for bit to scipy's sparse sum.
+    The Picard path's block system is built lazily on its first iterate
+    and then kept: later iterates rewrite its pressure slots in place
+    (``block_system``), so a semi-explicit run never builds it.
+    ``factorization_count`` is the run's only LU count: the steps add
+    their pressure factorizations to it.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients):
@@ -131,6 +136,7 @@ class StepOperators:
         self.D = assemble_coupling(mesh, coeffs)
         self._a_factor = None
         self._stabilized_C = None
+        self._block = None
         self.factorization_count = 0
 
     def a_factor(self) -> SpdFactorization:
@@ -139,7 +145,11 @@ class StepOperators:
             self.factorization_count += 1
         return self._a_factor
 
-    def fixed_stress_factor(self, tauB) -> SpdFactorization:
+    def pressure_operator(self, B, tau) -> sp.csr_matrix:
+        """C + tau*B on the shared pressure pattern."""
+        return _plus_tau_b(self.C, B, tau)
+
+    def fixed_stress_factor(self, B, tau) -> SpdFactorization:
         """Factor C + tau*B + beta*M with beta = alpha^2/(lam + mu), and count it.
 
         M is the unscaled P1 mass matrix; beta*M stands in for D A^-1 D^T,
@@ -150,10 +160,41 @@ class StepOperators:
             beta = co.alpha ** 2 / (co.lam + co.mu)
             self._stabilized_C = self.C + beta * assemble_mass(self.mesh)
         self.factorization_count += 1
-        return SpdFactorization(self._stabilized_C + tauB)
+        return SpdFactorization(_plus_tau_b(self._stabilized_C, B, tau))
+
+    def block_system(self, B, tau) -> BlockSystem:
+        """The run's block system [[A, -D^T], [D, C + tau*B]], with B's values written in.
+
+        Built on the first call; later calls write C + tau*B into the
+        pressure slots of the same operator.  Its pressure block keeps the
+        full shared pattern: a slot that cancels to zero stays an explicit
+        zero, which changes no product.
+        """
+        values = self.C.data + tau * B.data
+        if self._block is None:
+            block = sp.csr_matrix((values, self.C.indices, self.C.indptr), shape=self.C.shape)
+            self._block = BlockSystem(self.A, self.D, block)
+        else:
+            self._block.set_pressure_block(values)
+        return self._block
 
     def permeability_stiffness(self, u):
         return assemble_permeability_stiffness(self.mesh, self.coeffs, u)
+
+
+def _plus_tau_b(base, B, tau) -> sp.csr_matrix:
+    """base + tau*B for two matrices on one CSR pattern, as scipy's sum gives it.
+
+    The slots add as scipy adds them, and a slot that cancels to exactly
+    zero is dropped as scipy drops it, so a factorization sees the same
+    pattern as it would for ``base + tau*B``.
+    """
+    data = base.data + tau * B.data
+    if data.all():
+        return sp.csr_matrix((data, base.indices, base.indptr), shape=base.shape)
+    op = sp.csr_matrix((data, base.indices.copy(), base.indptr.copy()), shape=base.shape)
+    op.eliminate_zeros()
+    return op
 
 
 def initial_displacement(ops: StepOperators, p0, f0=None, tol=DEFAULT_TOL) -> np.ndarray:
@@ -182,9 +223,8 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     u_new = ops.a_factor().solve(load_u + ops.D.T @ state.p, cfg.linear_tol)
 
     B = ops.permeability_stiffness(u_new)
-    pressure_op = (ops.C + tau * B).tocsr()
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new = SpdFactorization(pressure_op).solve(rhs_p, cfg.linear_tol)
+    p_new = SpdFactorization(ops.pressure_operator(B, tau)).solve(rhs_p, cfg.linear_tol)
     ops.factorization_count += 1
 
     return State(u_new, p_new, state.t + tau), StepReport()
@@ -220,12 +260,14 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
 
     Starting from the previous state, each iterate solves the linear block
     system with the permeability frozen at the preceding iterate, by
-    GMRES warm-started from that iterate.  Its fixed-stress preconditioner
-    uses the run's factor of A and one factor of C + tau*B + beta*M per
-    step, with B at the previous state.  The loop stops once the scaled
-    residual of the nonlinear step system is below ``picard_tol`` or after
-    ``picard_max`` iterates; running into the cap is not an error (capped
-    variants are legitimate schemes of their own).
+    GMRES warm-started from that iterate.  The block system is the run's
+    one operator with that iterate's C + tau*B written into its pressure
+    slots.  Its fixed-stress preconditioner uses the run's factor of A and
+    one factor of C + tau*B + beta*M per step, with B at the previous
+    state.  The loop stops once the scaled residual of the nonlinear step
+    system is below ``picard_tol`` or after ``picard_max`` iterates;
+    running into the cap is not an error (capped variants are legitimate
+    schemes of their own).
     """
     tau = cfg.tau
     rhs_u = np.asarray(load_u, dtype=float)
@@ -234,11 +276,11 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     u_j, p_j = state.u, state.p
     B_frozen = ops.permeability_stiffness(u_j)
     a_factor = ops.a_factor()
-    s_factor = ops.fixed_stress_factor(tau * B_frozen)
+    s_factor = ops.fixed_stress_factor(B_frozen, tau)
     iterations = linear_iterations = 0
     residual = math.inf
     for _ in range(cfg.picard_max):
-        system = BlockSystem(ops.A, ops.D, ops.C + tau * B_frozen)
+        system = ops.block_system(B_frozen, tau)
         u_j, p_j, steps = solve_block(system, rhs_u, rhs_p, a_factor, s_factor,
                                       (u_j, p_j), cfg.linear_tol)
         iterations += 1
@@ -335,7 +377,10 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
     def factor(op):
         nonlocal factorizations
         factorizations += 1
-        return splu(op, permc_spec="MMD_AT_PLUS_A")
+        try:
+            return splu(op, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+            raise SolverFailure(f"LU factorization failed: {exc}") from exc
 
     # initial displacement from the delayed pressure at -tau
     u0 = factor(sp.csc_matrix(A)).solve(load_u_at(0.0) + D.T @ history(-tau))

@@ -273,3 +273,47 @@ def test_csv_deterministic_apart_from_timing(tmp_path):
         return lines
 
     assert strip(t1) == strip(t2)
+
+
+@pytest.mark.parametrize("key", ["lam", "M", "kappa_over_nu"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coefficients_rejected(key, value, tmp_path, capsys):
+    # Python's json reads NaN and Infinity, so the schema has to refuse them
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_config(coefficients={key: value}))
+    assert err.value.path == f"config.coefficients.{key}"
+
+    config_path = tmp_path / "coefficients.json"
+    config_path.write_text(json.dumps(base_config(coefficients={key: value})))
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert f"config.coefficients.{key}" in capsys.readouterr().err
+
+
+# M = 1e308 and a denormal kappa/nu leave pressure operators that SuperLU
+# finds exactly singular and a block diagonal whose scaling overflows
+DEGENERATE = {"M": 1e308, "kappa_over_nu": 1e-320}
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
+def test_solver_failure_on_degenerate_coefficients_exits_3(scheme, tmp_path, capsys):
+    config_path = tmp_path / "degenerate.json"
+    config_path.write_text(json.dumps(base_config(
+        schemes=[{"scheme": scheme}], mesh_levels=[4], tau_levels=[0.25],
+        coefficients=DEGENERATE, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["run", "--config", str(config_path)]) == 3
+    assert "solver failure" in capsys.readouterr().err
+
+
+def test_cmd_sweep_alpha_flags_a_solver_failure_as_blowup():
+    config = parse_config({
+        "experiment": "ex43",
+        "schemes": [{"scheme": "semi_explicit"},
+                    {"scheme": "implicit_picard", "picard_max": 3}],
+        "mesh_levels": [4],
+        "tau_levels": [0.25],
+        "alpha_values": [1.0],
+        "coefficients": DEGENERATE,
+    })
+    table, _ = cmd_sweep_alpha(config)
+    (row,) = table.rows
+    assert row["blowup_flag"] is True and row["err_triple"] is None

@@ -4,11 +4,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from biotbench import (BlockSystem, Coefficients, KozenyCarman, SolverFailure,
-                       assemble_coupling, assemble_elasticity, assemble_laplace,
-                       assemble_load_q, assemble_load_v, assemble_permeability_stiffness,
-                       assemble_pressure_mass, build_structured_mesh, experiment_41_data,
-                       experiment_42_data, experiment_43_data, initial_displacement,
-                       solve_block, solve_spd)
+                       StepperConfig, assemble_coupling, assemble_elasticity,
+                       assemble_laplace, assemble_load_q, assemble_load_v,
+                       assemble_permeability_stiffness, assemble_pressure_mass,
+                       build_structured_mesh, experiment_41_data, experiment_42_data,
+                       experiment_43_data, initial_displacement, linsolve, run, solve_block,
+                       solve_spd, stepper)
+from biotbench.assembly import assemble_mass
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
 
@@ -164,11 +166,11 @@ def _first_picard_system(name, n=8, tau=2.0**-5):
     p0 = mesh.nodal_scalar(prob.p0, interior=True)
     f0 = assemble_load_v(mesh, prob.f, 0.0) if prob.f is not None else zero_u
     u0 = initial_displacement(ops, p0, f0)
-    tauB = tau * ops.permeability_stiffness(u0)
-    system = BlockSystem(ops.A, ops.D, ops.C + tauB)
+    B = ops.permeability_stiffness(u0)
+    system = BlockSystem(ops.A, ops.D, ops.C + tau * B)
     rhs_u = assemble_load_v(mesh, prob.f, tau) if prob.f is not None else zero_u
     rhs_p = tau * assemble_load_q(mesh, prob.g, tau) + ops.D @ u0 + ops.C @ p0
-    factors = (ops.a_factor(), ops.fixed_stress_factor(tauB))
+    factors = (ops.a_factor(), ops.fixed_stress_factor(B, tau))
     return system, rhs_u, rhs_p, (u0, p0), factors
 
 
@@ -196,3 +198,126 @@ def test_block_solve_matches_monolithic_lu(name):
     u, p, steps = solve_block(system, rhs_u, rhs_p, *factors, guess)
     assert steps > 0
     assert _block_deviation((u, p), lu_block_solve(system, rhs_u, rhs_p)) <= 1e-12
+
+
+# the run's one block operator and its in-place rewrites, against the
+# per-iterate rebuild they replaced
+
+
+def _fresh_equilibration(K):
+    """Slow-path oracle: scale a copy of K by s = |diag K|^(-1/2) and take its inf-norm."""
+    K = K.copy()
+    s = 1.0 / np.sqrt(np.abs(K.diagonal()))
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    K.data *= s[rows] * s[K.indices]
+    return s, K, np.bincount(rows, weights=np.abs(K.data)).max()
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.indptr.tobytes() == b.indptr.tobytes())
+
+
+@pytest.mark.parametrize("name", ["ex41", "ex42", "ex43"])
+def test_run_block_operator_equals_a_fresh_stack_after_every_rewrite(name):
+    prob = PROBLEMS[name]()
+    mesh = build_structured_mesh(8)
+    ops = StepOperators(mesh, prob.coeffs)
+    tau = 2.0**-5
+    p0 = mesh.nodal_scalar(prob.p0, interior=True)
+    u0 = initial_displacement(ops, p0)
+    rng = np.random.default_rng(11)
+    scale = max(np.abs(u0).max(), 1e-3)
+    displacements = [u0] + [u0 + scale * rng.standard_normal(u0.size) for _ in range(3)]
+    first = None
+    for u in displacements:
+        B = ops.permeability_stiffness(u)
+        system = ops.block_system(B, tau)
+        K = system.monolithic()
+        first = first or (system, K, K.indices)
+        assert system is first[0] and K is first[1] and K.indices is first[2]
+        assert _same_csr(K, BlockSystem(ops.A, ops.D, ops.C + tau * B).monolithic())
+        assert _same_csr(system.C_plus_tauB, ops.C + tau * B)
+
+        s, scaled, norm = system.equilibrated()
+        s_ref, scaled_ref, norm_ref = _fresh_equilibration(K)
+        assert s.tobytes() == s_ref.tobytes()
+        assert _same_csr(scaled, scaled_ref)
+        assert norm == norm_ref
+
+
+def test_in_place_pressure_sums_equal_scipy_sums():
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(8)
+    ops = StepOperators(mesh, prob.coeffs)
+    rng = np.random.default_rng(2)
+    B = ops.permeability_stiffness(1e-2 * rng.standard_normal(mesh.num_displacement_dofs))
+    tau = 2.0**-5
+    op = ops.pressure_operator(B, tau)
+    assert _same_csr(op, (ops.C + tau * B).tocsr()) and op.nnz == ops.C.nnz
+
+    co = prob.coeffs
+    stabilized = ops.C + co.alpha**2 / (co.lam + co.mu) * assemble_mass(mesh)
+    assert _same_csr(ops.fixed_stress_factor(B, tau).op, stabilized + tau * B)
+
+
+def test_in_place_pressure_sum_drops_a_slot_that_cancels_like_scipy():
+    mesh = build_structured_mesh(4)
+    ops = StepOperators(mesh, CO)
+    indices, indptr = ops.C.indices.copy(), ops.C.indptr.copy()
+    tau = 0.5  # a power of two, so tau * (-2 c) is exactly -c
+    B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
+    B.data[7] = -2.0 * ops.C.data[7]
+    expected = ops.C + tau * B
+    assert expected.nnz == ops.C.nnz - 1  # scipy prunes the cancelled slot
+    op = ops.pressure_operator(B, tau)
+    assert _same_csr(op, expected) and op.nnz == expected.nnz
+    # pruning works on copies: C keeps its full pattern
+    assert np.array_equal(ops.C.indices, indices) and np.array_equal(ops.C.indptr, indptr)
+    # and the factorization sees the pattern the delay path's (C + tau*B).tocsc() has
+    assert _same_csr(sp.csc_matrix(op).tocsr(), expected.tocsc().tocsr())
+
+
+def test_picard_run_stacks_its_block_operator_once(monkeypatch):
+    stacks, operators = [], []
+
+    def counting(bmat):
+        def stack(*args, **kwargs):
+            stacks.append(1)
+            return bmat(*args, **kwargs)
+        return stack
+
+    def recording(solve):
+        def wrapped(system, *args, **kwargs):
+            out = solve(system, *args, **kwargs)
+            K = system.monolithic()
+            operators.append((id(K), id(K.indices), id(K.indptr)))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(linsolve.sp, "bmat", counting(linsolve.sp.bmat))
+    monkeypatch.setattr(stepper, "solve_block", recording(stepper.solve_block))
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(4)
+    semi = StepperConfig(scheme="semi_explicit", tau=0.25, T=0.5)
+    run(mesh, prob.coeffs, semi, prob.f, prob.g, prob.p0)
+    assert stacks == []  # a semi-explicit run never builds the block operator
+
+    picard = StepperConfig(scheme="implicit_picard", tau=0.25, T=0.5, picard_max=3)
+    _, report = run(mesh, prob.coeffs, picard, prob.f, prob.g, prob.p0)
+    assert len(operators) == round(report.picard_mean * report.n_steps) > 2
+    assert stacks == [1] and len(set(operators)) == 1
+
+
+def test_block_solve_fails_on_a_zero_diagonal():
+    _, A, C, D, B = _block_parts(2)
+    P = (C + 0.5 * B).tocsr()
+    P.data[P.indices == np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))] = 0.0
+    rhs_u, rhs_p = np.ones(A.shape[0]), np.ones(C.shape[0])
+    factors = _sweep_factors(A, C + 0.5 * B)
+    with pytest.raises(SolverFailure, match="diagonal"):
+        solve_block(BlockSystem(A, D, P), rhs_u, rhs_p, *factors)
+    # a pressure block with no stored entries at all: the diagonal is missing
+    with pytest.raises(SolverFailure, match="diagonal"):
+        solve_block(BlockSystem(A, D, sp.csr_matrix(C.shape)), rhs_u, rhs_p, *factors)
