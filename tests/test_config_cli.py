@@ -9,7 +9,7 @@ from biotbench.config import (CSV_COLUMNS, ConfigError, ResultsTable, SchemeSpec
 from biotbench.experiments import (cmd_compare, cmd_convergence, cmd_run,
                                    cmd_sweep_alpha, simulate)
 from biotbench.analysis import NormKind, error_vs_manufactured
-from biotbench.forcing import experiment_42_data
+from biotbench.forcing import experiment_42_data, with_coefficients
 
 
 def base_config(**extra):
@@ -290,18 +290,37 @@ def test_non_finite_coefficients_rejected(key, value, tmp_path, capsys):
 
 
 # M = 1e308 and a denormal kappa/nu leave pressure operators that SuperLU
-# finds exactly singular and a block diagonal whose scaling overflows
+# finds exactly singular; with alpha = 0 the block system's pressure
+# block is that operator too, so every scheme fails
 DEGENERATE = {"M": 1e308, "kappa_over_nu": 1e-320}
+SINGULAR = {"alpha": 0, **DEGENERATE}
+
+
+def _degenerate_run(tmp_path, scheme, coefficients):
+    config_path = tmp_path / "degenerate.json"
+    config_path.write_text(json.dumps(base_config(
+        schemes=[{"scheme": scheme}], mesh_levels=[4], tau_levels=[0.25],
+        coefficients=coefficients, output_dir=str(tmp_path / "out"))))
+    return cli.main(["run", "--config", str(config_path)])
 
 
 @pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
 def test_solver_failure_on_degenerate_coefficients_exits_3(scheme, tmp_path, capsys):
-    config_path = tmp_path / "degenerate.json"
-    config_path.write_text(json.dumps(base_config(
-        schemes=[{"scheme": scheme}], mesh_levels=[4], tau_levels=[0.25],
-        coefficients=DEGENERATE, output_dir=str(tmp_path / "out"))))
-    assert cli.main(["run", "--config", str(config_path)]) == 3
-    assert "solver failure" in capsys.readouterr().err
+    inputs = [SINGULAR] if scheme == "implicit_picard" else [DEGENERATE, SINGULAR]
+    for coefficients in inputs:
+        assert _degenerate_run(tmp_path, scheme, coefficients) == 3
+        assert "solver failure" in capsys.readouterr().err
+
+
+def test_picard_on_degenerate_coefficients_reaches_T_with_finite_states(tmp_path):
+    # the block system is regular once coupled (alpha = 1): its diagonal
+    # scales to entries of order one, although products s_i * s_j overflow
+    problem = with_coefficients(experiment_42_data(), **DEGENERATE)
+    spec = SchemeSpec(scheme="implicit_picard")
+    _, trajectory, report = simulate(problem, spec, 4, 0.25)
+    assert trajectory[-1].t == problem.T and report.n_steps == len(trajectory) - 1
+    assert all(np.isfinite(s.u).all() and np.isfinite(s.p).all() for s in trajectory)
+    assert _degenerate_run(tmp_path, "implicit_picard", DEGENERATE) == 0
 
 
 def test_cmd_sweep_alpha_flags_a_solver_failure_as_blowup():
