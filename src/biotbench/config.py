@@ -8,12 +8,14 @@ apply to a run stay empty in the CSV.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .analysis import ERROR_KEYS
+from .assembly import Coefficients
+from .forcing import EXPERIMENTS, problem_by_name, with_coefficients
 from .permeability import model_from_config
-from .stepper import IMPLICIT_PICARD, SCHEMES
+from .stepper import IMPLICIT_PICARD, SCHEMES, SEMI_EXPLICIT, StepperConfig
 
 
 class ConfigError(ValueError):
@@ -29,12 +31,31 @@ def _expect(cond, path, message):
         raise ConfigError(path, message)
 
 
-def _check_keys(obj, path, required, optional=()):
+def _check_keys(obj, path, keys, required=()):
     _expect(isinstance(obj, dict), path, "expected an object")
-    unknown = set(obj) - set(required) - set(optional)
+    unknown = set(obj) - set(keys)
     _expect(not unknown, path, f"unknown key(s): {sorted(unknown)}")
     missing = [k for k in required if k not in obj]
     _expect(not missing, path, f"missing required key(s): {missing}")
+
+
+def _check_fields(obj, path, cls):
+    """The keys of obj are fields of cls, and include those without a default."""
+    _check_keys(obj, path, [f.name for f in fields(cls)],
+                [f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING])
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_positive_number(x):
+    return _is_number(x) and x > 0
+
+
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -51,17 +72,15 @@ class SchemeSpec:
 
     @staticmethod
     def parse(obj, path):
-        _check_keys(obj, path, required=("scheme",), optional=("picard_max", "picard_tol"))
-        scheme = obj["scheme"]
-        _expect(scheme in SCHEMES, f"{path}.scheme", f"expected one of {SCHEMES}")
-        spec = SchemeSpec(scheme=scheme,
-                          picard_max=obj.get("picard_max", 10),
-                          picard_tol=obj.get("picard_tol", 1e-9))
-        _expect(isinstance(spec.picard_max, int) and spec.picard_max >= 1,
-                f"{path}.picard_max", "expected a positive integer")
-        _expect(0.0 < spec.picard_tol < 1.0, f"{path}.picard_tol",
-                "expected a value in (0, 1)")
-        return spec
+        _check_fields(obj, path, SchemeSpec)
+        _expect(obj["scheme"] in SCHEMES, f"{path}.scheme", f"expected one of {SCHEMES}")
+        if "picard_max" in obj:
+            _expect(_is_count(obj["picard_max"]), f"{path}.picard_max",
+                    "expected a positive integer")
+        if "picard_tol" in obj:
+            _expect(_is_number(obj["picard_tol"]) and 0.0 < obj["picard_tol"] < 1.0,
+                    f"{path}.picard_tol", "expected a value in (0, 1)")
+        return SchemeSpec(**obj)
 
 
 @dataclass(frozen=True)
@@ -72,30 +91,21 @@ class ReferenceSpec:
 
     @staticmethod
     def parse(obj, path):
-        _check_keys(obj, path, required=("n_ref", "tau_ref", "scheme"))
-        _expect(isinstance(obj["n_ref"], int) and obj["n_ref"] >= 1,
-                f"{path}.n_ref", "expected a positive integer")
+        _check_fields(obj, path, ReferenceSpec)
+        _expect(_is_count(obj["n_ref"]), f"{path}.n_ref", "expected a positive integer")
         _expect(_is_positive_number(obj["tau_ref"]), f"{path}.tau_ref",
                 "expected a positive number")
         return ReferenceSpec(n_ref=obj["n_ref"], tau_ref=float(obj["tau_ref"]),
                              scheme=SchemeSpec.parse(obj["scheme"], f"{path}.scheme"))
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _is_positive_number(x):
-    return _is_number(x) and x > 0
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
-    schemes: list
-    mesh_levels: list
-    tau_levels: list
-    alpha: Optional[float] = None           # experiment parameter (ex43)
+    schemes: list = field(default_factory=list)
+    mesh_levels: list = field(default_factory=list)
+    tau_levels: list = field(default_factory=list)
+    alpha: Optional[float] = None           # coupling coefficient, any experiment
     alpha_values: list = field(default_factory=list)  # sweep values
     coefficients: dict = field(default_factory=dict)  # material overrides
     pairs: list = field(default_factory=list)         # (scheme, tau) for compare
@@ -108,50 +118,38 @@ class ExperimentConfig:
     timing_repeats: int = 1
 
 
-_TOP_LEVEL_OPTIONAL = (
-    "schemes", "mesh_levels", "tau_levels", "alpha", "alpha_values", "coefficients",
-    "pairs", "reference", "norms", "output_dir", "tau_equals_h", "workers",
-    "snapshots", "timing_repeats",
+# checks on the entries of the list-valued keys and on the scalar keys
+_ENTRY_CHECKS = (
+    ("mesh_levels", _is_count, "a positive integer"),
+    ("tau_levels", _is_positive_number, "a positive number"),
+    ("alpha_values", lambda a: _is_number(a) and a >= 0, "a nonnegative number"),
+    ("norms", lambda k: k in ERROR_KEYS, f"one of {list(ERROR_KEYS)}"),
+)
+_SCALAR_CHECKS = (
+    ("alpha", lambda a: a is None or (_is_number(a) and a >= 0), "a nonnegative number"),
+    ("workers", _is_count, "a positive integer"),
+    ("timing_repeats", _is_count, "a positive integer"),
+    ("tau_equals_h", lambda v: isinstance(v, bool), "a boolean"),
+    ("snapshots", lambda v: isinstance(v, bool), "a boolean"),
+    ("output_dir", lambda v: isinstance(v, str), "a string"),
 )
 
-_COEFF_KEYS = ("lam", "mu", "alpha", "M", "kappa_over_nu", "permeability")
+
+def _items(obj, key):
+    """(path, entry) for each entry of the list at obj[key]."""
+    _expect(isinstance(obj[key], list), f"config.{key}", "expected a list")
+    return [(f"config.{key}[{i}]", item) for i, item in enumerate(obj[key])]
 
 
-def parse_config(obj) -> ExperimentConfig:
-    """Validate a decoded JSON document and build an ExperimentConfig."""
-    _check_keys(obj, "config", required=("experiment",), optional=_TOP_LEVEL_OPTIONAL)
-    _expect(obj["experiment"] in ("ex41", "ex42", "ex43"), "config.experiment",
-            "expected one of ['ex41', 'ex42', 'ex43']")
+def _parse_pair(pair, path):
+    _check_keys(pair, path, ("scheme", "tau"), required=("scheme", "tau"))
+    _expect(_is_positive_number(pair["tau"]), f"{path}.tau", "expected a positive number")
+    return SchemeSpec.parse(pair["scheme"], f"{path}.scheme"), float(pair["tau"])
 
-    schemes = [SchemeSpec.parse(s, f"config.schemes[{i}]")
-               for i, s in enumerate(obj.get("schemes", []))]
 
-    mesh_levels = obj.get("mesh_levels", [])
-    _expect(isinstance(mesh_levels, list), "config.mesh_levels", "expected a list")
-    for i, n in enumerate(mesh_levels):
-        _expect(isinstance(n, int) and n >= 1, f"config.mesh_levels[{i}]",
-                "expected a positive integer")
-
-    tau_levels = obj.get("tau_levels", [])
-    _expect(isinstance(tau_levels, list), "config.tau_levels", "expected a list")
-    for i, tau in enumerate(tau_levels):
-        _expect(_is_positive_number(tau), f"config.tau_levels[{i}]",
-                "expected a positive number")
-
-    alpha = obj.get("alpha")
-    if alpha is not None:
-        _expect(_is_number(alpha) and alpha >= 0, "config.alpha",
-                "expected a nonnegative number")
-
-    alpha_values = obj.get("alpha_values", [])
-    _expect(isinstance(alpha_values, list), "config.alpha_values", "expected a list")
-    for i, a in enumerate(alpha_values):
-        _expect(_is_number(a) and a >= 0, f"config.alpha_values[{i}]",
-                "expected a nonnegative number")
-
-    coefficients = dict(obj.get("coefficients", {}))
-    _check_keys(coefficients or {}, "config.coefficients", required=(),
-                optional=_COEFF_KEYS)
+def _parse_coefficients(obj):
+    _check_keys(obj, "config.coefficients", [f.name for f in fields(Coefficients)])
+    coefficients = dict(obj)
     if "permeability" in coefficients:
         try:
             coefficients["permeability"] = model_from_config(coefficients["permeability"])
@@ -160,55 +158,77 @@ def parse_config(obj) -> ExperimentConfig:
     for key in set(coefficients) - {"permeability"}:
         _expect(_is_number(coefficients[key]), f"config.coefficients.{key}",
                 "expected a finite number")
+    return coefficients
 
-    pairs = []
-    raw_pairs = obj.get("pairs", [])
-    _expect(isinstance(raw_pairs, list), "config.pairs", "expected a list")
-    for i, pair in enumerate(raw_pairs):
-        path = f"config.pairs[{i}]"
-        _check_keys(pair, path, required=("scheme", "tau"))
-        _expect(_is_positive_number(pair["tau"]), f"{path}.tau",
-                "expected a positive number")
-        pairs.append((SchemeSpec.parse(pair["scheme"], f"{path}.scheme"),
-                      float(pair["tau"])))
 
-    reference = None
+def _check_runs(config):
+    """Build the problem for each alpha, and check each step size against its T."""
+    _expect("alpha" not in config.coefficients
+            or (config.alpha is None and not config.alpha_values),
+            "config.coefficients.alpha",
+            "alpha is already given by config.alpha or config.alpha_values")
+    for alpha in [config.alpha, *config.alpha_values]:
+        try:
+            problem = with_coefficients(problem_by_name(config.experiment, alpha),
+                                        **config.coefficients)
+        except ValueError as exc:
+            raise ConfigError("config.coefficients", str(exc)) from exc
+
+    steps = [(f"config.tau_levels[{i}]", tau) for i, tau in enumerate(config.tau_levels)]
+    steps += [(f"config.pairs[{i}].tau", tau) for i, (_, tau) in enumerate(config.pairs)]
+    if config.reference is not None:
+        steps.append(("config.reference.tau_ref", config.reference.tau_ref))
+        for i, n in enumerate(config.mesh_levels):
+            _expect(config.reference.n_ref % n == 0, "config.reference.n_ref",
+                    f"expected a multiple of config.mesh_levels[{i}] = {n}")
+    for path, tau in steps:
+        try:
+            StepperConfig(scheme=SEMI_EXPLICIT, tau=tau, T=problem.T)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
+
+
+def parse_config(obj) -> ExperimentConfig:
+    """Validate a decoded JSON document and build an ExperimentConfig.
+
+    Absent keys take the dataclass defaults.  The problem is built for
+    each alpha the config runs, so out-of-range coefficients and step sizes
+    that do not divide T are config errors, found before any run.
+    """
+    _check_fields(obj, "config", ExperimentConfig)
+    names = sorted(EXPERIMENTS)
+    _expect(obj["experiment"] in names, "config.experiment", f"expected one of {names}")
+    values = dict(obj)
+    if "schemes" in obj:
+        values["schemes"] = [SchemeSpec.parse(s, path) for path, s in _items(obj, "schemes")]
+    if "pairs" in obj:
+        values["pairs"] = [_parse_pair(p, path) for path, p in _items(obj, "pairs")]
+    if "coefficients" in obj:
+        values["coefficients"] = _parse_coefficients(obj["coefficients"])
     if obj.get("reference") is not None:
-        reference = ReferenceSpec.parse(obj["reference"], "config.reference")
-
-    norms = obj.get("norms", list(ERROR_KEYS))
-    _expect(isinstance(norms, list) and norms, "config.norms", "expected a nonempty list")
-    for i, kind in enumerate(norms):
-        _expect(kind in ERROR_KEYS, f"config.norms[{i}]",
-                f"expected one of {list(ERROR_KEYS)}")
-
-    for key, kind_check, desc in (("workers", lambda v: isinstance(v, int) and v >= 1,
-                                   "a positive integer"),
-                                  ("timing_repeats", lambda v: isinstance(v, int) and v >= 1,
-                                   "a positive integer"),
-                                  ("tau_equals_h", lambda v: isinstance(v, bool), "a boolean"),
-                                  ("snapshots", lambda v: isinstance(v, bool), "a boolean"),
-                                  ("output_dir", lambda v: isinstance(v, str), "a string")):
+        values["reference"] = ReferenceSpec.parse(obj["reference"], "config.reference")
+    for key, check, desc in _ENTRY_CHECKS:
         if key in obj:
-            _expect(kind_check(obj[key]), f"config.{key}", f"expected {desc}")
+            for path, item in _items(obj, key):
+                _expect(check(item), path, f"expected {desc}")
+    _expect(obj.get("norms") != [], "config.norms", "expected a nonempty list")
+    for key, check, desc in _SCALAR_CHECKS:
+        if key in obj:
+            _expect(check(obj[key]), f"config.{key}", f"expected {desc}")
 
-    return ExperimentConfig(
-        experiment=obj["experiment"], schemes=schemes, mesh_levels=mesh_levels,
-        tau_levels=tau_levels, alpha=alpha, alpha_values=alpha_values,
-        coefficients=coefficients, pairs=pairs, reference=reference, norms=norms,
-        output_dir=obj.get("output_dir", "out"),
-        tau_equals_h=obj.get("tau_equals_h", False), workers=obj.get("workers", 1),
-        snapshots=obj.get("snapshots", False),
-        timing_repeats=obj.get("timing_repeats", 1),
-    )
+    config = ExperimentConfig(**values)
+    _check_runs(config)
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     return parse_config(obj)
 
 

@@ -13,8 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .analysis import (NormCalculator, NormKind, error_vs_manufactured,
-                       error_vs_reference)
+from .analysis import (NormCalculator, NormKind, convergence_order,
+                       error_vs_manufactured, error_vs_reference)
 from .config import (ConfigError, ExperimentConfig, ResultsTable, SchemeSpec,
                      error_columns)
 from .forcing import ProblemData, problem_by_name, with_coefficients
@@ -25,20 +25,20 @@ from .stepper import (IMPLICIT_PICARD, SEMI_EXPLICIT, StepperConfig, run)
 BLOWUP_THRESHOLD = 10.0
 
 
-def build_problem(config: ExperimentConfig) -> ProblemData:
-    problem = problem_by_name(config.experiment, alpha=config.alpha)
+def build_problem(config: ExperimentConfig, alpha=None) -> ProblemData:
+    """The config's problem; a given alpha (a sweep point) replaces config.alpha."""
+    problem = problem_by_name(config.experiment,
+                              alpha=config.alpha if alpha is None else alpha)
     if config.coefficients:
         problem = with_coefficients(problem, **config.coefficients)
     return problem
 
 
-def simulate(problem: ProblemData, spec: SchemeSpec, n: int, tau: float,
-             history=None):
+def simulate(problem: ProblemData, spec: SchemeSpec, n: int, tau: float):
     """Run one (scheme, mesh, step size) combination."""
     mesh = build_structured_mesh(n)
     cfg = StepperConfig(scheme=spec.scheme, tau=tau, T=problem.T,
-                        picard_max=spec.picard_max, picard_tol=spec.picard_tol,
-                        history=history)
+                        picard_max=spec.picard_max, picard_tol=spec.picard_tol)
     trajectory, report = run(mesh, problem.coeffs, cfg, problem.f, problem.g,
                              problem.p0)
     return mesh, trajectory, report
@@ -71,7 +71,8 @@ def _single_row(problem, spec, n, tau, norms, reference=None):
 
 
 def _compute_reference(config, problem):
-    if config.reference is None:
+    """The reference run, when the config gives one and the problem has no exact pair."""
+    if config.reference is None or problem.has_exact:
         return None
     ref = config.reference
     mesh, trajectory, _ = simulate(problem, ref.scheme, ref.n_ref, ref.tau_ref)
@@ -140,12 +141,11 @@ def cmd_convergence(config: ExperimentConfig):
         for n, tau in levels:
             row, _, _ = _single_row(problem, spec, n, tau, config.norms, reference)
             rows.append(row)
-        for col in ("err_u_a", "err_p_c"):
-            order_col = "order_u_a" if col == "err_u_a" else "order_p_c"
+        for col, order_col in (("err_u_a", "order_u_a"), ("err_p_c", "order_p_c")):
             errors = [r.get(col) for r in rows]
             if all(e is not None and e > 0 and math.isfinite(e) for e in errors):
-                for prev, cur in zip(rows[:-1], rows[1:]):
-                    cur[order_col] = math.log2(prev[col] / cur[col])
+                for row, order in zip(rows[1:], convergence_order(errors)):
+                    row[order_col] = order
         for row in rows:
             table.add_row(**row)
         series[spec.label] = rows
@@ -180,14 +180,11 @@ def _sweep_schemes(config):
     return semi[0], impl[0]
 
 
-def _sweep_point(payload):
+def _sweep_point(config, alpha, tau):
     """One (alpha, tau) deviation measurement; picklable for worker pools."""
-    (experiment, alpha, coefficients, n, tau, semi_dict, impl_dict) = payload
-    problem = problem_by_name(experiment, alpha=alpha)
-    if coefficients:
-        problem = with_coefficients(problem, **coefficients)
-    semi = SchemeSpec(**semi_dict)
-    impl = SchemeSpec(**impl_dict)
+    problem = build_problem(config, alpha)
+    semi, impl = _sweep_schemes(config)
+    n = config.mesh_levels[0]
     row = {"scheme": semi.label, "h": 1.0 / n, "tau": tau, "alpha": alpha}
     try:
         mesh, semi_traj, semi_report = simulate(problem, semi, n, tau)
@@ -217,32 +214,27 @@ def cmd_sweep_alpha(config: ExperimentConfig):
     if len(config.mesh_levels) != 1 or not config.tau_levels:
         raise ConfigError("config", "sweep-alpha expects one mesh level and at "
                                     "least one tau level")
-    semi, impl = _sweep_schemes(config)
-    n = config.mesh_levels[0]
-    payloads = [(config.experiment, alpha, config.coefficients, n, tau,
-                 vars(semi), vars(impl))
-                for tau in config.tau_levels for alpha in config.alpha_values]
-
+    _sweep_schemes(config)  # a config error here, not in a worker
+    alphas, taus = zip(*[(alpha, tau) for tau in config.tau_levels
+                         for alpha in config.alpha_values])
+    configs = [config] * len(alphas)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows = list(pool.map(_sweep_point, configs, alphas, taus))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        rows = list(map(_sweep_point, configs, alphas, taus))
 
     table = ResultsTable()
     for row in rows:
         table.add_row(**row)
     table.sort()
 
+    deviation = {(r["alpha"], r["tau"]): r["err_triple"] for r in table.rows}
     lines = [",".join(["alpha"] + [f"tau_{tau:.8g}" for tau in config.tau_levels])]
     for alpha in config.alpha_values:
-        vals = []
-        for tau in config.tau_levels:
-            match = [r for r in table.rows
-                     if r["alpha"] == alpha and r["tau"] == tau]
-            dev = match[0].get("err_triple") if match else None
-            vals.append("" if dev is None else f"{dev:.12g}")
-        lines.append(",".join([f"{alpha:.12g}"] + vals))
+        vals = [deviation[alpha, tau] for tau in config.tau_levels]
+        lines.append(",".join([f"{alpha:.12g}"] +
+                              ["" if dev is None else f"{dev:.12g}" for dev in vals]))
     aux = {"plot_alpha_sweep.csv": "\n".join(lines) + "\n"}
     return table, aux
 

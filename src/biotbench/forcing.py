@@ -10,6 +10,7 @@ tunable coupling coefficient, used to probe the stability boundary of the
 semi-explicit scheme.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -119,15 +120,13 @@ def experiment_42_data() -> ProblemData:
     return manufactured_problem(coeffs)
 
 
-def experiment_43_data(alpha: float) -> ProblemData:
+def experiment_43_data(alpha: float = 1.0) -> ProblemData:
     """Stability benchmark with quadratic clamped permeability and given alpha.
 
     The source is spatially constant and oscillates in time; the initial
     pressure is zero.  alpha = 0 is allowed and fully decouples the
     equations.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     model = QuadraticClamped(kappa0=1.0, rho0=0.4, c_s=0.01, C_s=0.75)
     coeffs = Coefficients(lam=1.0, mu=1.0, alpha=float(alpha), M=1.0,
                           kappa_over_nu=1.0, permeability=model)
@@ -148,27 +147,27 @@ def with_coefficients(problem: ProblemData, **overrides) -> ProblemData:
     Manufactured problems get their forcing re-derived so the exact pair
     stays exact; for the other experiments only the coefficients change.
     """
-    base = problem.coeffs
-    fields = {name: overrides.pop(name, getattr(base, name))
-              for name in ("lam", "mu", "alpha", "M", "kappa_over_nu", "permeability")}
-    if overrides:
-        raise ValueError(f"unknown coefficient override(s): {sorted(overrides)}")
-    coeffs = Coefficients(**fields)
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(Coefficients)}
+    if unknown:
+        raise ValueError(f"unknown coefficient override(s): {sorted(unknown)}")
+    coeffs = dataclasses.replace(problem.coeffs, **overrides)
     if problem.has_exact:
         return manufactured_problem(coeffs, name=problem.name)
-    return ProblemData(name=problem.name, coeffs=coeffs, g=problem.g, p0=problem.p0,
-                       f=problem.f, T=problem.T)
+    return dataclasses.replace(problem, coeffs=coeffs)
 
 
-_EXPERIMENTS = {
-    "ex41": lambda alpha=None: experiment_41_data(),
-    "ex42": lambda alpha=None: experiment_42_data(),
-    "ex43": lambda alpha=None: experiment_43_data(1.0 if alpha is None else alpha),
-}
+EXPERIMENTS = {"ex41": experiment_41_data, "ex42": experiment_42_data,
+               "ex43": experiment_43_data}
 
 
 def problem_by_name(name: str, alpha=None) -> ProblemData:
-    """Look up an experiment by its registry name (ex41, ex42, ex43)."""
-    if name not in _EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}; expected one of {sorted(_EXPERIMENTS)}")
-    return _EXPERIMENTS[name](alpha=alpha)
+    """Look up an experiment by its registry name (ex41, ex42, ex43).
+
+    A given alpha replaces the experiment's coupling coefficient.
+    """
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}")
+    problem = EXPERIMENTS[name]()
+    if alpha is None:
+        return problem
+    return with_coefficients(problem, alpha=float(alpha))

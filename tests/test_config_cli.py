@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import biotbench.cli as cli
+import biotbench.experiments as experiments
 from biotbench.config import (CSV_COLUMNS, ConfigError, ResultsTable, SchemeSpec,
                               parse_config)
 from biotbench.experiments import (cmd_compare, cmd_convergence, cmd_run,
@@ -336,3 +337,102 @@ def test_cmd_sweep_alpha_flags_a_solver_failure_as_blowup():
     table, _ = cmd_sweep_alpha(config)
     (row,) = table.rows
     assert row["blowup_flag"] is True and row["err_triple"] is None
+
+
+SEMI = {"scheme": "semi_explicit"}
+PICARD = {"scheme": "implicit_picard"}
+EX41_N4 = {"experiment": "ex41", "mesh_levels": [4]}
+
+
+def _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path):
+    """cli.main on a config file with this content (None: no file) exits 2 with path."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on a malformed config")
+
+    monkeypatch.setattr(experiments, "simulate", no_run)
+    config_path = tmp_path / "config.json"
+    if isinstance(content, dict):
+        content = json.dumps(content).encode()
+    if content is not None:
+        config_path.write_bytes(content)
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, path", [
+    ({"coefficients": {"lam": -1}}, "config.coefficients"),
+    ({"coefficients": {"mu": 0}}, "config.coefficients"),
+    ({"coefficients": {"M": 0}}, "config.coefficients"),
+    ({"coefficients": {"kappa_over_nu": 0}}, "config.coefficients"),
+    ({"coefficients": {"alpha": -1}}, "config.coefficients"),
+    ({"alpha": 0.5, "coefficients": {"alpha": 1.0}}, "config.coefficients.alpha"),
+    ({"alpha_values": [0.5, 4.0], "coefficients": {"alpha": 1.0}},
+     "config.coefficients.alpha"),
+    ({"tau_levels": [0.3]}, "config.tau_levels[0]"),
+    ({"pairs": [{"scheme": SEMI, "tau": 0.3}]}, "config.pairs[0].tau"),
+    ({**EX41_N4, "reference": {"n_ref": 8, "tau_ref": 0.3, "scheme": SEMI}},
+     "config.reference.tau_ref"),
+    ({**EX41_N4, "reference": {"n_ref": 6, "tau_ref": 0.125, "scheme": SEMI}},
+     "config.reference.n_ref"),
+])
+def test_coefficients_alpha_steps_and_meshes_that_cannot_run_exit_2(extra, path, tmp_path,
+                                                                   capsys, monkeypatch):
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_config(**extra))
+    assert err.value.path == path
+    _config_error_before_any_run(tmp_path, capsys, monkeypatch, base_config(**extra), path)
+
+
+@pytest.mark.parametrize("content, path", [
+    (base_config(mesh_levels=[True]), "config.mesh_levels[0]"),
+    (base_config(schemes=[{**PICARD, "picard_max": True}]),
+     "config.schemes[0].picard_max"),
+    (base_config(schemes=[{**PICARD, "picard_tol": "x"}]),
+     "config.schemes[0].picard_tol"),
+    (base_config(**EX41_N4, reference={"n_ref": True, "tau_ref": 0.125, "scheme": SEMI}),
+     "config.reference.n_ref"),
+    (base_config(workers=True), "config.workers"),
+    (base_config(timing_repeats=True), "config.timing_repeats"),
+    (None, "config"),                                  # no such file
+    (b'{"experiment": "ex42\xff"}', "config"),         # not UTF-8
+])
+def test_config_type_holes_exit_2(content, path, tmp_path, capsys, monkeypatch):
+    _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path)
+
+
+def test_reference_is_not_run_when_the_problem_has_an_exact_solution(monkeypatch):
+    meshes = []
+    simulate = experiments.simulate
+
+    def counted(problem, spec, n, tau):
+        meshes.append(n)
+        return simulate(problem, spec, n, tau)
+
+    monkeypatch.setattr(experiments, "simulate", counted)
+    cmd_run(parse_config(base_config(
+        mesh_levels=[4], reference={"n_ref": 8, "tau_ref": 0.125, "scheme": SEMI})))
+    assert meshes == [4]
+
+
+def test_reference_from_a_config_fills_the_error_columns():
+    config = parse_config(base_config(
+        **EX41_N4, reference={"n_ref": 8, "tau_ref": 0.125, "scheme": SEMI}))
+    table, _ = cmd_run(config)
+    (row,) = table.rows
+    for col in ("err_u_a", "err_u_HV", "err_p_c", "err_p_Q", "err_p_HQ", "err_triple"):
+        assert 0 < row[col] < np.inf
+
+
+def test_sweep_alpha_applies_alpha_to_ex42():
+    config = parse_config(base_config(
+        schemes=[SEMI, PICARD], mesh_levels=[4], alpha_values=[0.5, 4.0]))
+    table, _ = cmd_sweep_alpha(config)
+    low, high = (row["err_triple"] for row in table.rows)
+    assert [row["alpha"] for row in table.rows] == [0.5, 4.0]
+    assert low is not None and high is not None and low != high
+
+
+def test_cmd_run_applies_alpha_to_ex41():
+    table, _ = cmd_run(parse_config(base_config(experiment="ex41", mesh_levels=[4],
+                                                alpha=0.5)))
+    assert table.rows[0]["alpha"] == 0.5

@@ -112,3 +112,17 @@ def test_problem_registry():
 def test_coefficient_override_rejects_unknown_names():
     with pytest.raises(ValueError):
         with_coefficients(experiment_42_data(), nu=2.0)
+
+
+def test_registry_alpha_matches_the_ex43_constructor():
+    # the alpha values of the benchmark's sweep workload
+    for alpha in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        assert problem_by_name("ex43", alpha=alpha).coeffs == experiment_43_data(alpha).coeffs
+
+
+def test_registry_alpha_reaches_every_experiment():
+    for name in ("ex41", "ex42", "ex43"):
+        assert problem_by_name(name, alpha=2.5).coeffs.alpha == 2.5
+    prob = problem_by_name("ex42", alpha=2.5)
+    res_momentum, res_mass = strong_form_residual(prob, 0.3, 0.6, 0.4)
+    assert np.abs(res_momentum).max() < 1e-5 and abs(res_mass) < 1e-5
