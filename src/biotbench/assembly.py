@@ -15,8 +15,10 @@ once per element, and loads use the three edge-midpoint quadrature rule
 
 Everything that depends on the mesh alone is computed once per mesh and
 kept in a cache keyed weakly by the ``Mesh`` object, so it is dropped with
-the mesh: the element geometry, the dof tables, the edge midpoints and,
-per pair of spaces, a scatter plan.  A plan fixes the CSR pattern and
+the mesh: the element geometry, the dof tables, the unique edge midpoints
+with the element->edge map and, per pair of spaces, a scatter plan.  The
+load vectors evaluate the forcing once per mesh edge, on those midpoints,
+and gather the values to the elements.  A plan fixes the CSR pattern and
 maps every element-matrix entry to its nonzero slot.  It is built by
 replaying scipy's COO to CSR conversion (a row-stable counting sort, a
 per-row sort on column keys, summation of duplicate runs in order) on
@@ -96,9 +98,19 @@ class _MeshData:
         self.geometry = (b, c, area)
         # b_i b_j + c_i c_j = 4 area^2 grad lambda_i . grad lambda_j, the grad-grad numerator
         self.grad_grad = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-        self.midpoints = 0.5 * (pts + np.roll(pts, -1, axis=1))  # edges (0,1),(1,2),(2,0)
+        # local edge k of an element joins its vertices k and k+1 (mod 3); an
+        # edge is keyed by its (smaller, larger) node pair
+        start, end = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
+        keys = np.minimum(start, end) * mesh.num_nodes + np.maximum(start, end)
+        _, first, edges = np.unique(keys, return_index=True, return_inverse=True)
+        # 0.5 * (a + b) from one element equals the other element's 0.5 * (b + a)
+        i, j = start[first], end[first]
+        node_x, node_y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        self.x, self.y = 0.5 * (node_x[i] + node_x[j]), 0.5 * (node_y[i] + node_y[j])
+        self.element_edges = edges.reshape(mesh.num_triangles, 3)
         self.spaces = {"scalar": (mesh.triangles, node_map), "vector": (element_dofs, dof_map)}
-        for arr in (b, c, area, self.grad_grad, self.midpoints, element_dofs, dof_map):
+        for arr in (b, c, area, self.grad_grad, self.x, self.y, self.element_edges,
+                    element_dofs, dof_map):
             arr.flags.writeable = False
         self.plans = {}
 
@@ -302,15 +314,19 @@ _MIDPOINT_VERTEX_WEIGHTS = 0.5 * np.array([[1.0, 0.0, 1.0],
 
 def _midpoint_load(mesh: Mesh, kind, components, interior_only):
     """int v q dx over the scalar or vector space from the values of v at the
-    (E, 3) edge midpoints, one value array per component.
+    unique edge midpoints, one value array (or scalar) per component.
 
+    Each element gathers its three edge values through the element->edge
+    map, so the weights are those of the element-local rule, and
     ``np.bincount`` adds each dof's contributions in element order, as
     ``np.add.at`` on the full vector does.
     """
+    data = _mesh_data(mesh)
     element_dofs, dof_map = _space(mesh, kind, interior_only)
-    _, _, area = triangle_geometry(mesh)
+    _, _, area = data.geometry
+    edges = data.element_edges
     weights = [(area / 3.0)[:, None]
-               * (np.broadcast_to(np.asarray(vals, dtype=float), area.shape + (3,))
+               * (np.broadcast_to(np.asarray(vals, dtype=float), data.x.shape)[edges]
                   @ _MIDPOINT_VERTEX_WEIGHTS.T)
                for vals in components]
     # component k of a vector field sits on the dofs 2*node + k
@@ -322,12 +338,14 @@ def _midpoint_load(mesh: Mesh, kind, components, interior_only):
 
 
 def assemble_load_q(mesh: Mesh, g, t: float, interior_only=True) -> np.ndarray:
-    """Pressure load vector int g q dx by the edge-midpoint rule."""
-    mid = _mesh_data(mesh).midpoints
-    return _midpoint_load(mesh, "scalar", [g(mid[..., 0], mid[..., 1], t)], interior_only)
+    """Pressure load vector int g q dx by the edge-midpoint rule; g is
+    evaluated once, on the mesh's unique edge midpoints."""
+    data = _mesh_data(mesh)
+    return _midpoint_load(mesh, "scalar", [g(data.x, data.y, t)], interior_only)
 
 
 def assemble_load_v(mesh: Mesh, f, t: float, interior_only=True) -> np.ndarray:
-    """Displacement load vector int f . v dx by the edge-midpoint rule."""
-    mid = _mesh_data(mesh).midpoints
-    return _midpoint_load(mesh, "vector", list(f(mid[..., 0], mid[..., 1], t)), interior_only)
+    """Displacement load vector int f . v dx by the edge-midpoint rule; f is
+    evaluated once, on the mesh's unique edge midpoints."""
+    data = _mesh_data(mesh)
+    return _midpoint_load(mesh, "vector", list(f(data.x, data.y, t)), interior_only)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .analysis import ERROR_KEYS
 from .assembly import Coefficients
-from .forcing import EXPERIMENTS, problem_by_name, with_coefficients
+from .forcing import EXPERIMENTS, problem_by_name
 from .permeability import model_from_config
 from .stepper import IMPLICIT_PICARD, SCHEMES, SEMI_EXPLICIT, StepperConfig
 
@@ -22,8 +22,13 @@ class ConfigError(ValueError):
     """Invalid configuration; carries the path of the offending field."""
 
     def __init__(self, path, message):
-        super().__init__(f"{path}: {message}")
+        # both arguments stay in args, so the error pickles (a sweep worker
+        # sends it back to the parent) and is rebuilt whole
+        super().__init__(path, message)
         self.path = path
+
+    def __str__(self):
+        return f"{self.path}: {self.args[1]}"
 
 
 def _expect(cond, path, message):
@@ -169,8 +174,8 @@ def _check_runs(config):
             "alpha is already given by config.alpha or config.alpha_values")
     for alpha in [config.alpha, *config.alpha_values]:
         try:
-            problem = with_coefficients(problem_by_name(config.experiment, alpha),
-                                        **config.coefficients)
+            problem = problem_by_name(config.experiment,
+                                      **{"alpha": alpha, **config.coefficients})
         except ValueError as exc:
             raise ConfigError("config.coefficients", str(exc)) from exc
 

@@ -17,7 +17,7 @@ from .analysis import (NormCalculator, NormKind, convergence_order,
                        error_vs_manufactured, error_vs_reference)
 from .config import (ConfigError, ExperimentConfig, ResultsTable, SchemeSpec,
                      error_columns)
-from .forcing import ProblemData, problem_by_name, with_coefficients
+from .forcing import ProblemData, problem_by_name
 from .linsolve import SolverFailure
 from .mesh import build_structured_mesh
 from .stepper import (IMPLICIT_PICARD, SEMI_EXPLICIT, StepperConfig, run)
@@ -26,12 +26,13 @@ BLOWUP_THRESHOLD = 10.0
 
 
 def build_problem(config: ExperimentConfig, alpha=None) -> ProblemData:
-    """The config's problem; a given alpha (a sweep point) replaces config.alpha."""
-    problem = problem_by_name(config.experiment,
-                              alpha=config.alpha if alpha is None else alpha)
-    if config.coefficients:
-        problem = with_coefficients(problem, **config.coefficients)
-    return problem
+    """The config's problem; a given alpha (a sweep point) replaces config.alpha.
+
+    alpha and the coefficient overrides reach ``problem_by_name`` in one
+    call, so the f and g it returns are the ones the runs call.
+    """
+    alpha = config.alpha if alpha is None else alpha
+    return problem_by_name(config.experiment, **{"alpha": alpha, **config.coefficients})
 
 
 def simulate(problem: ProblemData, spec: SchemeSpec, n: int, tau: float):

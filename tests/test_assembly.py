@@ -10,7 +10,8 @@ from biotbench import (Coefficients, Constant, KozenyCarman, StepperConfig,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass,
                        build_structured_mesh, element_divergence,
-                       error_vs_manufactured, experiment_42_data, run)
+                       error_vs_manufactured, experiment_41_data,
+                       experiment_42_data, run)
 from biotbench import assembly
 from dense_reference import (dense_coupling, dense_elasticity, dense_load_q,
                              dense_load_v, dense_mass,
@@ -346,6 +347,65 @@ def test_loads_equal_add_at_reference_bit_for_bit(n, interior_only):
     # a constant source comes back as a scalar and is broadcast over the midpoints
     lc = assemble_load_q(mesh, lambda x, y, t: 2.0, 0.0, interior_only)
     assert np.array_equal(lc, add_at_load(mesh, [2.0], interior_only))
+
+
+def element_midpoints(mesh):
+    """The (E, 3) element-local edge midpoints, edges (0,1), (1,2), (2,0)."""
+    pts = mesh.nodes[mesh.triangles]
+    mid = 0.5 * (pts + np.roll(pts, -1, axis=1))
+    return mid[..., 0], mid[..., 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_unique_edge_midpoints_match_the_element_local_ones(n):
+    mesh = build_structured_mesh(n)
+    data = assembly._mesh_data(mesh)
+    x, y, edges = data.x, data.y, data.element_edges
+    assert x.shape == y.shape == (3 * n * n + 2 * n,)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert not any(arr.flags.writeable for arr in (x, y, edges, data.grad_grad, *data.geometry))
+    assert len(set(zip(x.tolist(), y.tolist()))) == x.size
+    local_x, local_y = element_midpoints(mesh)
+    assert np.array_equal(x[edges], local_x) and np.array_equal(y[edges], local_y)
+    # an interior edge is shared by two elements, a boundary edge belongs to one
+    refs = np.bincount(edges.ravel(), minlength=x.size)
+    on_boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
+    assert np.count_nonzero(on_boundary) == 4 * n
+    assert np.all(refs[on_boundary] == 1) and np.all(refs[~on_boundary] == 2)
+
+
+def test_forcing_is_called_once_per_load_on_the_edge_midpoints():
+    mesh = build_structured_mesh(5)
+    n_edges = 3 * 5 * 5 + 2 * 5
+    shapes = []
+
+    def g(x, y, t):
+        shapes.append((x.shape, y.shape))
+        return x * y + t
+
+    def f(x, y, t):
+        shapes.append((x.shape, y.shape))
+        return x + t, y
+
+    assemble_load_q(mesh, g, 0.1)
+    assert shapes == [((n_edges,), (n_edges,))]
+    assemble_load_v(mesh, f, 0.1)
+    assert shapes == [((n_edges,), (n_edges,))] * 2
+
+
+def test_experiment_loads_equal_add_at_reference_on_element_midpoints():
+    # the reference feeds the forcing strided (E, 3) arrays, the assembly
+    # contiguous edge arrays: numpy's vectorised sin/cos/exp must agree on both
+    mesh = build_structured_mesh(64)
+    x, y = element_midpoints(mesh)
+    ex41, ex42 = experiment_41_data(), experiment_42_data()
+    for t in (0.0, 0.03125, 0.5, 0.96875, 1.0):
+        assert np.array_equal(assemble_load_q(mesh, ex42.g, t),
+                              add_at_load(mesh, [ex42.g(x, y, t)], True))
+        assert np.array_equal(assemble_load_v(mesh, ex42.f, t),
+                              add_at_load(mesh, list(ex42.f(x, y, t)), True))
+        assert np.array_equal(assemble_load_q(mesh, ex41.g, t),
+                              add_at_load(mesh, [ex41.g(x, y, t)], True))
 
 
 def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):

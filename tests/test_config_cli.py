@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import biotbench.cli as cli
 import biotbench.experiments as experiments
+import biotbench.stepper as stepper
 from biotbench.config import (CSV_COLUMNS, ConfigError, ResultsTable, SchemeSpec,
                               parse_config)
 from biotbench.experiments import (cmd_compare, cmd_convergence, cmd_run,
@@ -436,3 +440,68 @@ def test_cmd_run_applies_alpha_to_ex41():
     table, _ = cmd_run(parse_config(base_config(experiment="ex41", mesh_levels=[4],
                                                 alpha=0.5)))
     assert table.rows[0]["alpha"] == 0.5
+
+
+def test_config_error_survives_pickling():
+    # a sweep worker sends its exception to the parent pickled
+    err = pickle.loads(pickle.dumps(ConfigError("config.x", "bad")))
+    assert type(err) is ConfigError
+    assert err.path == "config.x"
+    assert str(err) == "config.x: bad"
+
+
+def wrap_forcing(monkeypatch, wrap):
+    """Wrap f and g of every problem the drivers build, the way the
+    benchmark's forcing spans do: around ``experiments.problem_by_name``."""
+    build = experiments.problem_by_name
+
+    def wrapped_build(*args, **kwargs):
+        problem = build(*args, **kwargs)
+        return dataclasses.replace(problem, **{key: wrap(fn) for key, fn in
+                                               (("f", problem.f), ("g", problem.g))
+                                               if fn is not None})
+
+    monkeypatch.setattr(experiments, "problem_by_name", wrapped_build)
+
+
+def test_build_problem_keeps_a_wrapped_forcing_under_coefficient_overrides(monkeypatch):
+    wrapped = []
+
+    def wrap(fn):
+        def forcing(*args):
+            return fn(*args)
+        wrapped.append(forcing)
+        return forcing
+
+    wrap_forcing(monkeypatch, wrap)
+    problem = experiments.build_problem(parse_config(base_config(coefficients={"mu": 2.0})))
+    assert problem.coeffs.mu == 2.0
+    assert problem.g in wrapped and problem.f in wrapped
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
+@pytest.mark.parametrize("coefficients", [{}, {"mu": 2.0}])
+def test_run_reaches_the_load_and_forcing_bindings(scheme, coefficients, tmp_path,
+                                                   monkeypatch):
+    # the benchmark's traced mode counts the calls through these names
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(stepper, "assemble_load_v",
+                        counting("load_v", stepper.assemble_load_v))
+    monkeypatch.setattr(stepper, "assemble_load_q",
+                        counting("load_q", stepper.assemble_load_q))
+    wrap_forcing(monkeypatch, lambda fn: counting("forcing", fn))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(
+        schemes=[{"scheme": scheme}], mesh_levels=[4], tau_levels=[0.25],
+        coefficients=coefficients)))
+    assert cli.main(["run", "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 0
+    n_steps = 4
+    assert calls == {"load_v": n_steps + 1, "load_q": n_steps, "forcing": 2 * n_steps + 1}

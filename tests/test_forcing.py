@@ -126,3 +126,45 @@ def test_registry_alpha_reaches_every_experiment():
     prob = problem_by_name("ex42", alpha=2.5)
     res_momentum, res_mass = strong_form_residual(prob, 0.3, 0.6, 0.4)
     assert np.abs(res_momentum).max() < 1e-5 and abs(res_mass) < 1e-5
+
+
+def eight_trig_forcing(coeffs):
+    """ex42's f and g with each trig product written out, eight sin/cos calls apiece."""
+    PI = np.pi
+    lam, mu, alpha, M = coeffs.lam, coeffs.mu, coeffs.alpha, coeffs.M
+
+    def f(x, y, t):
+        S = np.sin(PI * x) * np.sin(PI * y)
+        CC = np.cos(PI * x) * np.cos(PI * y)
+        body = PI**2 / 6.0 * np.exp(-t) * ((3 * mu + lam) * S - (lam + mu) * CC)
+        f1 = body + alpha * PI * t * np.cos(PI * x) * np.sin(PI * y)
+        f2 = body + alpha * PI * t * np.sin(PI * x) * np.cos(PI * y)
+        return f1, f2
+
+    def g(x, y, t):
+        S = np.sin(PI * x) * np.sin(PI * y)
+        CC = np.cos(PI * x) * np.cos(PI * y)
+        C1 = np.cos(PI * x) * np.sin(PI * y)
+        C2 = np.sin(PI * x) * np.cos(PI * y)
+        ew = np.exp(-t)
+        s = PI / 6.0 * ew * (C1 + C2)                      # dilatation
+        m = coeffs.kappa_over_nu * coeffs.permeability.eval(s)
+        dm = coeffs.kappa_over_nu * coeffs.permeability.derivative(s)
+        storage = -alpha * PI / 6.0 * ew * (C1 + C2) + S / M
+        diffusion = 2.0 * PI**2 * t * m * S \
+            - dm * PI**3 * t / 6.0 * ew * (CC - S) * (C1 + C2)
+        return storage + diffusion
+
+    return f, g
+
+
+@pytest.mark.parametrize("overrides", [{}, {"alpha": 4, "mu": 2}])
+def test_shared_trig_factors_leave_the_forcing_bit_identical(overrides):
+    prob = with_coefficients(experiment_42_data(), **overrides)
+    f_ref, g_ref = eight_trig_forcing(prob.coeffs)
+    x, y = np.random.default_rng(42).uniform(0.0, 1.0, (2, 2000))
+    for t in (0.0, 0.03125, 0.4, 1.0):
+        f1, f2 = prob.f(x, y, t)
+        r1, r2 = f_ref(x, y, t)
+        assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
+        assert np.array_equal(prob.g(x, y, t), g_ref(x, y, t))
