@@ -16,13 +16,14 @@ once per element, and loads use the three edge-midpoint quadrature rule
 Everything that depends on the mesh alone is computed once per mesh and
 kept in a cache keyed weakly by the ``Mesh`` object, so it is dropped with
 the mesh: the element geometry, the dof tables, the unique edge midpoints
-with the element->edge map and, per pair of spaces, a scatter plan.  The
-load vectors evaluate the forcing once per mesh edge, on those midpoints,
-and gather the values to the elements.  A plan fixes the CSR pattern and
-maps every element-matrix entry to its nonzero slot.  It is built by
-replaying scipy's COO to CSR conversion (a row-stable counting sort, a
-per-row sort on column keys, summation of duplicate runs in order) on
-entry numbers instead of values.  Applying it with one weighted
+with the element->edge map, per pair of spaces a scatter plan and, per
+space, the dof each load addend goes to.  The load vectors evaluate the
+forcing once per mesh edge, on those midpoints, and gather the values to
+the elements.  A plan fixes the CSR pattern and maps every element-matrix
+entry to its nonzero slot.  It is built by replaying scipy's COO to CSR
+conversion (a row-stable counting sort, a per-row sort on column keys,
+summation of duplicate runs in order) on entry numbers instead of
+values.  Applying it with one weighted
 ``np.bincount`` therefore adds every slot's addends one after another in
 exactly the order ``coo_matrix(...).tocsr()`` adds them, so the operators
 and load vectors are bit-identical to those of a plain COO assembly.
@@ -113,6 +114,7 @@ class _MeshData:
                     element_dofs, dof_map):
             arr.flags.writeable = False
         self.plans = {}
+        self.loads = {}
 
 
 _MESH_DATA = weakref.WeakKeyDictionary()
@@ -322,19 +324,33 @@ def _midpoint_load(mesh: Mesh, kind, components, interior_only):
     ``np.add.at`` on the full vector does.
     """
     data = _mesh_data(mesh)
-    element_dofs, dof_map = _space(mesh, kind, interior_only)
     _, _, area = data.geometry
     edges = data.element_edges
     weights = [(area / 3.0)[:, None]
                * (np.broadcast_to(np.asarray(vals, dtype=float), data.x.shape)[edges]
                   @ _MIDPOINT_VERTEX_WEIGHTS.T)
                for vals in components]
-    # component k of a vector field sits on the dofs 2*node + k
-    dofs = np.concatenate([element_dofs[:, k::len(components)] for k in range(len(components))])
-    n = int(np.count_nonzero(dof_map >= 0))
-    seg = np.where(dof_map >= 0, dof_map, n)[dofs]
-    return np.bincount(seg.ravel(), weights=np.concatenate(weights).ravel(),
-                       minlength=n + 1)[:n]
+    seg, n = _load_targets(mesh, kind, interior_only)
+    return np.bincount(seg, weights=np.concatenate(weights).ravel(), minlength=n + 1)[:n]
+
+
+def _load_targets(mesh: Mesh, kind, interior_only):
+    """The assembled dof each load addend goes to, flattened in the order
+    ``_midpoint_load`` stacks its weights, and the dof count n; an addend
+    on a dropped Dirichlet dof goes to n.  Cached per mesh."""
+    loads = _mesh_data(mesh).loads
+    key = (kind, interior_only)
+    targets = loads.get(key)
+    if targets is None:
+        element_dofs, dof_map = _space(mesh, kind, interior_only)
+        components = element_dofs.shape[1] // 3
+        # component k of a vector field sits on the dofs 2*node + k
+        dofs = np.concatenate([element_dofs[:, k::components] for k in range(components)])
+        n = int(np.count_nonzero(dof_map >= 0))
+        seg = np.where(dof_map >= 0, dof_map, n)[dofs].ravel()
+        seg.flags.writeable = False
+        targets = loads[key] = (seg, n)
+    return targets
 
 
 def assemble_load_q(mesh: Mesh, g, t: float, interior_only=True) -> np.ndarray:

@@ -7,14 +7,13 @@ apply to a run stay empty in the CSV.
 """
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .analysis import ERROR_KEYS
 from .assembly import Coefficients
 from .forcing import EXPERIMENTS, problem_by_name
-from .permeability import model_from_config
+from .permeability import is_finite_number, model_from_config
 from .stepper import IMPLICIT_PICARD, SCHEMES, SEMI_EXPLICIT, StepperConfig
 
 
@@ -51,12 +50,8 @@ def _check_fields(obj, path, cls):
                  if f.default is MISSING and f.default_factory is MISSING])
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _is_positive_number(x):
-    return _is_number(x) and x > 0
+    return is_finite_number(x) and x > 0
 
 
 def _is_count(x):
@@ -83,7 +78,7 @@ class SchemeSpec:
             _expect(_is_count(obj["picard_max"]), f"{path}.picard_max",
                     "expected a positive integer")
         if "picard_tol" in obj:
-            _expect(_is_number(obj["picard_tol"]) and 0.0 < obj["picard_tol"] < 1.0,
+            _expect(is_finite_number(obj["picard_tol"]) and 0.0 < obj["picard_tol"] < 1.0,
                     f"{path}.picard_tol", "expected a value in (0, 1)")
         return SchemeSpec(**obj)
 
@@ -127,11 +122,11 @@ class ExperimentConfig:
 _ENTRY_CHECKS = (
     ("mesh_levels", _is_count, "a positive integer"),
     ("tau_levels", _is_positive_number, "a positive number"),
-    ("alpha_values", lambda a: _is_number(a) and a >= 0, "a nonnegative number"),
+    ("alpha_values", lambda a: is_finite_number(a) and a >= 0, "a nonnegative number"),
     ("norms", lambda k: k in ERROR_KEYS, f"one of {list(ERROR_KEYS)}"),
 )
 _SCALAR_CHECKS = (
-    ("alpha", lambda a: a is None or (_is_number(a) and a >= 0), "a nonnegative number"),
+    ("alpha", lambda a: a is None or (is_finite_number(a) and a >= 0), "a nonnegative number"),
     ("workers", _is_count, "a positive integer"),
     ("timing_repeats", _is_count, "a positive integer"),
     ("tau_equals_h", lambda v: isinstance(v, bool), "a boolean"),
@@ -161,7 +156,7 @@ def _parse_coefficients(obj):
         except ValueError as exc:
             raise ConfigError("config.coefficients.permeability", str(exc)) from exc
     for key in set(coefficients) - {"permeability"}:
-        _expect(_is_number(coefficients[key]), f"config.coefficients.{key}",
+        _expect(is_finite_number(coefficients[key]), f"config.coefficients.{key}",
                 "expected a finite number")
     return coefficients
 

@@ -6,7 +6,8 @@ global bounds, pointwise derivative, and a Lipschitz constant.  Models are
 immutable value types; all evaluations are vectorized and pure.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -181,26 +182,40 @@ class QuadraticClamped:
 PermeabilityModel = Union[Constant, KozenyCarman, NetworkInspired, QuadraticClamped]
 
 _MODEL_KINDS = {
-    "constant": (Constant, ("kappa",)),
-    "kozeny_carman": (KozenyCarman, ("kappa0", "rho0", "c_s", "C_s")),
-    "network": (NetworkInspired, ("kappa0", "rho0", "rho_hat", "delta")),
-    "quadratic_clamped": (QuadraticClamped, ("kappa0", "rho0", "c_s", "C_s")),
+    "constant": Constant,
+    "kozeny_carman": KozenyCarman,
+    "network": NetworkInspired,
+    "quadratic_clamped": QuadraticClamped,
 }
 
 
+def is_finite_number(x):
+    """A finite int or float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def model_from_config(obj: dict) -> PermeabilityModel:
-    """Build a model from a config mapping with a ``kind`` tag; strict keys."""
+    """Build a model from a config mapping with a ``kind`` tag.
+
+    Strict: the keys are exactly ``kind`` and the fields of the kind's
+    class, and every field is a finite number (not a bool or a string).
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("permeability config must be an object with a 'kind' tag")
     kind = obj["kind"]
     if kind not in _MODEL_KINDS:
         raise ValueError(f"unknown permeability kind {kind!r}; "
                          f"expected one of {sorted(_MODEL_KINDS)}")
-    cls, fields = _MODEL_KINDS[kind]
-    extra = set(obj) - {"kind", *fields}
+    cls = _MODEL_KINDS[kind]
+    names = [f.name for f in fields(cls)]
+    extra = set(obj) - {"kind", *names}
     if extra:
         raise ValueError(f"unknown permeability field(s) {sorted(extra)} for kind {kind!r}")
-    missing = [f for f in fields if f not in obj]
+    missing = [name for name in names if name not in obj]
     if missing:
         raise ValueError(f"missing permeability field(s) {missing} for kind {kind!r}")
-    return cls(**{f: float(obj[f]) for f in fields})
+    for name in names:
+        if not is_finite_number(obj[name]):
+            raise ValueError(f"permeability field {name!r} of kind {kind!r} must be a "
+                             f"finite number, got {obj[name]!r}")
+    return cls(**{name: float(obj[name]) for name in names})

@@ -17,6 +17,7 @@ Three paths over an equidistant grid t_n = n*tau:
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -59,17 +60,20 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.tau <= 0 or self.T < 0:
-            raise ValueError("require tau > 0 and T >= 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau!r}")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError(f"T must be finite and >= 0, got {self.T!r}")
         steps = self.T / self.tau
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"T/tau = {steps} is not an integer")
         if not 0.0 < self.picard_tol < 1.0:
             raise ValueError("picard_tol must lie in (0, 1)")
         if not 0.0 < self.linear_tol < 1.0:
             raise ValueError("linear_tol must lie in (0, 1)")
-        if self.picard_max < 1:
-            raise ValueError("picard_max must be at least 1")
+        cap = self.picard_max
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"picard_max must be an integer >= 1, got {cap!r}")
 
     @property
     def n_steps(self) -> int:
@@ -113,19 +117,21 @@ class RunReport:
 class StepOperators:
     """Time-independent operators A, C, D shared by the initial solve and all steps of a run.
 
-    The elasticity factorization is built lazily, once, and then kept for
-    the whole run: the initial displacement solve, every semi-explicit step
-    and every fixed-stress preconditioner of the Picard path use it.  The
-    pressure operator changes with u and is refactorized per step, as
-    C + tau*B(u) on the semi-explicit path and as the fixed-stress
-    C + tau*B(u) + beta*M on the Picard path.  C, M and every B(u) share
-    one CSR pattern (one scatter plan), so each such sum is one numpy
-    addition over the slots, equal bit for bit to scipy's sparse sum.
-    The Picard path's block system is built lazily on its first iterate
-    and then kept: later iterates rewrite its pressure slots in place
-    (``block_system``), so a semi-explicit run never builds it.
-    ``factorization_count`` is the run's only LU count: the steps add
-    their pressure factorizations to it.
+    A semi-explicit or Picard run forms, factors and counts its SPD
+    operators here.  ``factor`` is the one place an ``SpdFactorization`` is
+    built and ``factorization_count`` grows, so the count is the run's LUs.
+    The elasticity factor is built lazily, once, and kept for the whole
+    run: the initial displacement solve, every semi-explicit step and every
+    fixed-stress preconditioner of the Picard path use it.  The pressure
+    operator changes with u and is refactorized per step, as C + tau*B(u)
+    on the semi-explicit path and as the fixed-stress C + tau*B(u) + beta*M
+    on the Picard path.  A factored operator is scipy's sum, the same
+    expression the delay path factors, so both see one pattern (a slot
+    that cancels to zero is pruned in both).  The Picard path's block
+    system is the one operator rewritten in place: built lazily on its
+    first iterate and then kept, later iterates write C + tau*B into its
+    pressure slots, which C and every B(u) share (``block_system``).  A
+    semi-explicit run never builds it.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients):
@@ -139,15 +145,19 @@ class StepOperators:
         self._block = None
         self.factorization_count = 0
 
+    def factor(self, op) -> SpdFactorization:
+        """Factor an SPD operator of this run, and count it."""
+        self.factorization_count += 1
+        return SpdFactorization(op)
+
     def a_factor(self) -> SpdFactorization:
         if self._a_factor is None:
-            self._a_factor = SpdFactorization(self.A)
-            self.factorization_count += 1
+            self._a_factor = self.factor(self.A)
         return self._a_factor
 
     def pressure_operator(self, B, tau) -> sp.csr_matrix:
-        """C + tau*B on the shared pressure pattern."""
-        return _plus_tau_b(self.C, B, tau)
+        """C + tau*B, scipy's sum, as the delay path forms it."""
+        return self.C + tau * B
 
     def fixed_stress_factor(self, B, tau) -> SpdFactorization:
         """Factor C + tau*B + beta*M with beta = alpha^2/(lam + mu), and count it.
@@ -159,8 +169,7 @@ class StepOperators:
             co = self.coeffs
             beta = co.alpha ** 2 / (co.lam + co.mu)
             self._stabilized_C = self.C + beta * assemble_mass(self.mesh)
-        self.factorization_count += 1
-        return SpdFactorization(_plus_tau_b(self._stabilized_C, B, tau))
+        return self.factor(self._stabilized_C + tau * B)
 
     def block_system(self, B, tau) -> BlockSystem:
         """The run's block system [[A, -D^T], [D, C + tau*B]], with B's values written in.
@@ -180,21 +189,6 @@ class StepOperators:
 
     def permeability_stiffness(self, u):
         return assemble_permeability_stiffness(self.mesh, self.coeffs, u)
-
-
-def _plus_tau_b(base, B, tau) -> sp.csr_matrix:
-    """base + tau*B for two matrices on one CSR pattern, as scipy's sum gives it.
-
-    The slots add as scipy adds them, and a slot that cancels to exactly
-    zero is dropped as scipy drops it, so a factorization sees the same
-    pattern as it would for ``base + tau*B``.
-    """
-    data = base.data + tau * B.data
-    if data.all():
-        return sp.csr_matrix((data, base.indices, base.indptr), shape=base.shape)
-    op = sp.csr_matrix((data, base.indices.copy(), base.indptr.copy()), shape=base.shape)
-    op.eliminate_zeros()
-    return op
 
 
 def initial_displacement(ops: StepOperators, p0, f0=None, tol=DEFAULT_TOL) -> np.ndarray:
@@ -224,8 +218,7 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new = SpdFactorization(ops.pressure_operator(B, tau)).solve(rhs_p, cfg.linear_tol)
-    ops.factorization_count += 1
+    p_new = ops.factor(ops.pressure_operator(B, tau)).solve(rhs_p, cfg.linear_tol)
 
     return State(u_new, p_new, state.t + tau), StepReport()
 
@@ -343,14 +336,20 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     supplied by the history function on [-tau, 0] and by the computed
     trajectory afterwards.  The history must match the initial pressure at
     both endpoints of [-tau, 0].  Written independently of
-    ``semi_explicit_step`` (fresh factorizations, its own loop) so the two
-    paths can be compared against each other.
+    ``semi_explicit_step`` so the two paths can be compared against each
+    other: its own loop and its own factorizations, one of A per run and
+    one of C + tau*B per step.
     """
     return _delay_implicit(mesh, coeffs, cfg, f, g, p0)[0]
 
 
 def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
-    """``delay_implicit_run``'s trajectory and the number of LUs it made."""
+    """``delay_implicit_run``'s trajectory and the number of LUs it made.
+
+    The path calls ``splu`` itself rather than through ``StepOperators``:
+    one LU of A for u0 and every step, one of C + tau*B per step, so
+    n_steps + 1 in all.
+    """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
     history = cfg.history if cfg.history is not None else (lambda t: p0_vec)
@@ -360,7 +359,7 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
         value = np.asarray(history(endpoint), dtype=float)
         if value.shape != p0_vec.shape:
             raise ValueError("history values must be interior pressure vectors")
-        if np.max(np.abs(value - p0_vec), initial=0.0) > 1e-12 * scale:
+        if not np.max(np.abs(value - p0_vec), initial=0.0) <= 1e-12 * scale:
             raise ValueError(
                 f"history function must equal the initial pressure at t={endpoint}")
 
@@ -382,16 +381,17 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
         except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
             raise SolverFailure(f"LU factorization failed: {exc}") from exc
 
+    # one factor of A serves u0 and every step
+    a_lu = factor(sp.csc_matrix(A))
     # initial displacement from the delayed pressure at -tau
-    u0 = factor(sp.csc_matrix(A)).solve(load_u_at(0.0) + D.T @ history(-tau))
+    u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau))
 
     pressures = [p0_vec]
     states = [State(u0, p0_vec, 0.0)]
     for n in range(1, cfg.n_steps + 1):
         t_n = n * tau
         delayed = history(t_n - tau) if n == 1 else pressures[n - 1]
-        u_n = factor(sp.csc_matrix(A)).solve(
-            load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float))
+        u_n = a_lu.solve(load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float))
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)

@@ -441,3 +441,24 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     gc.collect()
     assert alive() is None
     assert len(assembly._MESH_DATA) == cached_before
+
+
+@pytest.mark.parametrize("interior_only", [True, False])
+def test_loads_on_one_mesh_reuse_one_index_array(interior_only, monkeypatch):
+    targets = []
+    real_bincount = np.bincount
+
+    def recording(x, *args, **kwargs):
+        targets.append(x)
+        return real_bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(assembly.np, "bincount", recording)
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(4)
+    for t in (0.25, 0.5):
+        assemble_load_v(mesh, prob.f, t, interior_only)
+    for t in (0.25, 0.5):
+        assemble_load_q(mesh, prob.g, t, interior_only)
+    assert len(targets) == 4
+    assert targets[0] is targets[1] and targets[2] is targets[3]
+    assert not targets[0].flags.writeable and not targets[2].flags.writeable

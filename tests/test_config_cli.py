@@ -404,6 +404,23 @@ def test_config_type_holes_exit_2(content, path, tmp_path, capsys, monkeypatch):
     _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path)
 
 
+@pytest.mark.parametrize("permeability", [
+    {"kind": "constant", "kappa": "2.5"},
+    {"kind": "constant", "kappa": True},
+    {"kind": "constant", "kappa": float("nan")},
+    {"kind": "constant", "kappa": float("inf")},
+    {"kind": "kozeny_carman", "kappa0": 1.0, "rho0": "0.5", "c_s": -0.75, "C_s": 0.75},
+], ids=["string", "bool", "nan", "inf", "kozeny_carman-string"])
+def test_permeability_fields_that_are_not_finite_numbers_exit_2(permeability, tmp_path,
+                                                                  capsys, monkeypatch):
+    content = base_config(coefficients={"permeability": permeability})
+    with pytest.raises(ConfigError) as err:
+        parse_config(content)
+    assert err.value.path == "config.coefficients.permeability"
+    _config_error_before_any_run(tmp_path, capsys, monkeypatch, content,
+                                 "config.coefficients.permeability")
+
+
 def test_reference_is_not_run_when_the_problem_has_an_exact_solution(monkeypatch):
     meshes = []
     simulate = experiments.simulate

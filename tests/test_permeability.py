@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -160,3 +163,17 @@ def test_model_from_config_roundtrip_and_strictness():
         model_from_config({"kind": "constant", "kappa": 1.0, "extra": 2})
     with pytest.raises(ValueError):
         model_from_config({"kind": "nope"})
+
+
+@pytest.mark.parametrize("kind, model", [("constant", Constant(kappa=3.0)),
+                                         ("kozeny_carman", KC), ("network", NET),
+                                         ("quadratic_clamped", QUAD)])
+def test_model_from_config_requires_finite_numbers_in_every_field(kind, model):
+    obj = {"kind": kind, **dataclasses.asdict(model)}
+    assert model_from_config(obj) == model
+    for field in dataclasses.fields(model):
+        if getattr(model, field.name) == 1.0:
+            assert model_from_config({**obj, field.name: 1}) == model  # an int is a number
+        for bad in ("2.5", True, False, None, [1.0], math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"'{field.name}'"):
+                model_from_config({**obj, field.name: bad})

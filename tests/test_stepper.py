@@ -299,6 +299,72 @@ def test_delay_rejects_history_violating_endpoint_conditions():
         delay_implicit_run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
 
 
+def test_delay_rejects_a_nan_history_before_any_factorization(monkeypatch):
+    # a NaN deviation compares false against the tolerance in either direction
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(4)
+    p0 = mesh.nodal_scalar(prob.p0, interior=True)
+
+    def history(t):
+        value = p0.copy()
+        value[0] = math.nan
+        return value
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factorized with a NaN history")
+
+    monkeypatch.setattr(stepper, "splu", no_factor)
+    cfg = StepperConfig(scheme="delay_implicit", tau=0.25, T=0.5, history=history)
+    with pytest.raises(ValueError, match="history"):
+        delay_implicit_run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+
+
+def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(monkeypatch):
+    # unit coefficients and kappa = C[0, 1] / tau: on every axis-parallel
+    # interior edge tau*B = -C exactly, and scipy's sum prunes the slot
+    mesh = build_structured_mesh(4)
+    tau = 0.25
+    C = assemble_pressure_mass(mesh, coeffs())
+    co = coeffs(model=Constant(kappa=C[0, 1] / tau))
+    prob = experiment_42_data()
+    n_p = mesh.num_pressure_dofs
+    operands = []
+
+    def recording(splu):
+        def factor(op, *args, **kwargs):
+            if op.shape == (n_p, n_p):
+                operands[-1].append(op)
+            return splu(op, *args, **kwargs)
+        return factor
+
+    for module in (linsolve, stepper):
+        monkeypatch.setattr(module, "splu", recording(module.splu))
+    for scheme in ("semi_explicit", "delay_implicit"):
+        operands.append([])
+        cfg = StepperConfig(scheme=scheme, tau=tau, T=1.0)
+        run(mesh, co, cfg, prob.f, prob.g, prob.p0)
+    semi, delay = ([(op.data.tobytes(), op.indices.tobytes(), op.indptr.tobytes())
+                    for op in ops] for ops in operands)
+    assert len(semi) == len(delay) == cfg.n_steps
+    assert semi == delay
+    assert all(op.nnz < C.nnz for ops in operands for op in ops)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("tau", {"tau": math.inf, "T": 1.0}),
+    ("tau", {"tau": math.nan, "T": 1.0}),
+    ("T", {"tau": 0.5, "T": math.inf}),
+    ("T", {"tau": 0.5, "T": math.nan}),
+    ("picard_max", {"tau": 0.5, "T": 1.0, "picard_max": 2.5}),
+    ("picard_max", {"tau": 0.5, "T": 1.0, "picard_max": True}),
+    ("picard_max", {"tau": 0.5, "T": 1.0, "picard_max": False}),
+], ids=["tau-inf", "tau-nan", "T-inf", "T-nan", "picard_max-2.5", "picard_max-True",
+        "picard_max-False"])
+def test_config_rejects_non_finite_and_non_integral_values(field, kwargs):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        StepperConfig(scheme="implicit_picard", **kwargs)
+
+
 # run-level behavior
 
 
