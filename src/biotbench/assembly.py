@@ -158,14 +158,15 @@ def _space(mesh: Mesh, kind, interior_only):
 class _ScatterPlan:
     """Fixed CSR pattern of one pair of spaces plus the addends of each slot.
 
-    Nonzero k of the pattern is the sum of the next ``counts[k]`` entries
-    of the flattened (E, r, c) element matrices listed in ``perm``, added
-    in the order in which scipy's COO to CSR conversion adds them.
-    Entries in a dropped Dirichlet row or column are not listed.
+    Nonzero k of the pattern is the sum of the entries of the flattened
+    (E, r, c) element matrices listed in ``perm`` at the positions where
+    the nondecreasing ``slots`` equals k, added in the order in which
+    scipy's COO to CSR conversion adds them.  Entries in a dropped
+    Dirichlet row or column are not listed.
     """
 
     perm: np.ndarray
-    counts: np.ndarray
+    slots: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple
@@ -214,7 +215,10 @@ def _build_plan(mesh: Mesh, rows, cols, interior_only) -> _ScatterPlan:
     n_cols = int(np.count_nonzero(col_map >= 0))
     out_indptr = np.zeros(n_rows + 1, dtype=np.int32)
     np.cumsum(np.bincount(slot_rows[keep], minlength=n_rows), out=out_indptr[1:])
-    return _ScatterPlan(perm=perm, counts=counts[keep].astype(np.int32),
+    slots = np.repeat(np.arange(np.count_nonzero(keep)), counts[keep])
+    for arr in (perm, slots):
+        arr.flags.writeable = False
+    return _ScatterPlan(perm=perm, slots=slots,
                         indices=slot_cols[keep].astype(np.int32), indptr=out_indptr,
                         shape=(n_rows, n_cols))
 
@@ -235,8 +239,7 @@ def _scatter(mesh: Mesh, local, interior_only, rows="scalar", cols="scalar"):
     if plan is None:
         plan = plans[key] = _build_plan(mesh, rows, cols, interior_only)
     nnz = plan.indices.size
-    data = np.bincount(np.repeat(np.arange(nnz), plan.counts),
-                       weights=local.ravel()[plan.perm], minlength=nnz)
+    data = np.bincount(plan.slots, weights=local.ravel()[plan.perm], minlength=nnz)
     mat = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
     mat.has_canonical_format = True
     return mat

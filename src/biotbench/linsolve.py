@@ -2,17 +2,21 @@
 
 SPD systems (the elasticity operator A and the pressure operators
 C + tau*B) are factorized once by sparse LU and the factors cached by the
-caller; each solve is verified post hoc by an independent matrix-vector
-residual, with iterative refinement.  The coupled two-by-two block systems
-of the implicit/Picard path are solved by right-preconditioned GMRES on
-the monolithic operator, equilibrated symmetrically by its diagonal inside
-each matrix-vector product.  The preconditioner is one fixed-stress
-sweep: back-solves with the factor of A, then with that of a stabilized
-pressure operator, both kept by the caller, so a block solve factorizes
-nothing.  It is verified by the normwise backward error of the
-equilibrated system.  A Picard run owns one block operator: its CSR
-pattern is built on the first iterate, and later iterates rewrite only
-the pressure block's values, in place, with no sparse constructor.
+caller; each solve is verified post hoc by the normwise backward error of
+an independent matrix-vector residual, with iterative refinement.  The
+coupled two-by-two block systems of the implicit/Picard path are solved
+by right-preconditioned GMRES on the monolithic operator, equilibrated
+symmetrically by its diagonal inside each matrix-vector product.  The
+preconditioner is one fixed-stress sweep: back-solves with the factor of
+A, then with that of a stabilized pressure operator, both kept by the
+caller, so a block solve factorizes nothing.  It is verified by the
+normwise backward error of the equilibrated system, either against a
+fixed tolerance or, for the inner solves of an outer iteration, against a
+forcing term: a fixed fraction of the backward error at its warm start.
+A Picard run owns one block operator: its CSR pattern, the slots of its
+diagonal and its absolute values are built on the first iterate, and
+later iterates rewrite only the pressure block's values, in place, with
+no sparse constructor.
 """
 
 from dataclasses import dataclass
@@ -26,20 +30,16 @@ DEFAULT_TOL = 1e-12
 #: a block solve runs at most this many GMRES cycles of at most this many steps
 _GMRES_CYCLES = 3
 _GMRES_RESTART = 60
+#: GMRES aims at this fraction of the backward error a block solve verifies
+_GMRES_AIM = 0.005
 
 
 class SolverFailure(RuntimeError):
-    """A linear solve did not reach the requested relative residual."""
+    """A linear solve did not reach the requested normwise backward error."""
 
-    def __init__(self, message, residual=float("nan")):
-        super().__init__(f"{message} (achieved relative residual {residual:.3e})")
-        self.residual = residual
-
-
-def _relative_residual(op, x, rhs):
-    num = np.linalg.norm(op @ x - rhs)
-    den = np.linalg.norm(rhs)
-    return num / den if den > 0 else num
+    def __init__(self, message, error=float("nan")):
+        super().__init__(f"{message} (achieved backward error {error:.3e})")
+        self.error = error
 
 
 class SpdFactorization:
@@ -51,26 +51,43 @@ class SpdFactorization:
             self._lu = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
             raise SolverFailure(f"LU factorization failed: {exc}") from exc
+        # ||op||_inf kept as two factors, peak * ratio: the norm itself may
+        # overflow a double where the solve and its residual do not
+        magnitudes = np.abs(self.op.data)
+        self._peak = float(magnitudes.max(initial=0.0)) or 1.0
+        scaled = sp.csr_matrix((magnitudes / self._peak, self.op.indices, self.op.indptr),
+                               shape=self.op.shape)
+        self._ratio = float((scaled @ np.ones(self.op.shape[1])).max(initial=0.0))
+
+    def _backward_error(self, x, rhs):
+        """||op x - rhs|| / (||op||_inf ||x|| + ||rhs||), the normwise backward error."""
+        num = np.linalg.norm(self.op @ x - rhs)
+        return num / (self._ratio * (self._peak * np.linalg.norm(x)) + np.linalg.norm(rhs))
 
     def solve(self, rhs, tol=DEFAULT_TOL):
-        """Solve, refining until the relative residual is at most ``tol``.
+        """Solve, refining until the normwise backward error is at most ``tol``.
 
-        Iterative refinement recovers the last digits on badly scaled data;
-        if two refinement steps do not reach the tolerance the solve has
-        failed.
+        The backward error ||op x - rhs|| / (||op||_inf ||x|| + ||rhs||),
+        with ||op||_inf computed once per factor, is what a backward-stable
+        solve attains whatever the condition of the operator; the relative
+        residual ||op x - rhs|| / ||rhs|| grows with it and is not a test a
+        correct solve always passes on fine meshes.  Iterative refinement
+        recovers the last digits on badly scaled data; if two refinement
+        steps do not reach the tolerance, or the error is not finite (a
+        singular or overflowing operator), the solve has failed.
         """
         rhs = np.asarray(rhs, dtype=float)
         if not rhs.any():
             return np.zeros_like(rhs)
         x = self._lu.solve(rhs)
-        res = _relative_residual(self.op, x, rhs)
+        err = self._backward_error(x, rhs)
         for _ in range(2):
-            if np.isfinite(res) and res <= tol:
+            if np.isfinite(err) and err <= tol:
                 break
             x = x + self._lu.solve(rhs - self.op @ x)
-            res = _relative_residual(self.op, x, rhs)
-        if not np.isfinite(res) or res > tol:
-            raise SolverFailure("SPD solve failed", res)
+            err = self._backward_error(x, rhs)
+        if not np.isfinite(err) or err > tol:
+            raise SolverFailure("SPD solve failed", err)
         return x
 
     def back_solve(self, rhs):
@@ -90,11 +107,14 @@ class BlockSystem:
     """Monolithic operator K = [[A, -D^T], [D, C + tau*B]] in the unknowns (u, p).
 
     K is stacked once, when the system is built, and kept: its CSR
-    pattern and a mask of the pressure block's slots are fixed from then
-    on.  ``set_pressure_block`` rewrites the pressure slots in place, so a
-    Picard run owns one system (``StepOperators.block_system``) and no
-    iterate stacks or transposes a block.  The blocks are used as CSR,
-    and the system owns the pressure block's ``data``.
+    pattern, a mask of the pressure block's slots and the slots of its
+    diagonal are fixed from then on, and |K| is kept beside it on the
+    same index arrays.  ``set_pressure_block`` rewrites the pressure slots
+    of K and of |K| in place, so a Picard run owns one system
+    (``StepOperators.block_system``) and no iterate stacks or transposes a
+    block or takes an absolute value outside the pressure block.  The
+    blocks are used as CSR, and the system owns the pressure block's
+    ``data``.
     """
 
     A: sp.spmatrix
@@ -108,26 +128,44 @@ class BlockSystem:
             raise ValueError("inconsistent block dimensions")
         self.A, self.D = self.A.tocsr(), self.D.tocsr()
         self.C_plus_tauB = self.C_plus_tauB.tocsr()
+        # its slot order is the order set_pressure_block writes in
+        self.C_plus_tauB.sum_duplicates()
         # with all four blocks in CSR, bmat stacks index arrays instead of
         # going through COO, and each row keeps its blocks' slot order
         blocks = [[self.A, -self.D.T.tocsr()], [self.D, self.C_plus_tauB]]
-        self._K = sp.bmat(blocks, format="csr")
+        K = self._K = sp.bmat(blocks, format="csr")
+        K.sum_duplicates()  # at most one slot per diagonal entry
         # the rows of p are the last slots; in each, D's slots come first
-        self._tail = self._K.indptr[nu]
-        self._pressure_mask = self._K.indices[self._tail:] >= nu
+        self._tail = K.indptr[nu]
+        self._pressure_mask = K.indices[self._tail:] >= nu
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        self._diagonal_slots = np.flatnonzero(K.indices == rows)
+        self._diagonal_rows = rows[self._diagonal_slots]
+        self._abs_K = sp.csr_matrix((np.abs(K.data), K.indices, K.indptr), shape=K.shape)
 
     def monolithic(self) -> sp.csr_matrix:
         """K itself: the same object on every call, with the current values."""
         return self._K
 
+    def abs_monolithic(self) -> sp.csr_matrix:
+        """|K|, entrywise: the same object on every call, on K's index arrays."""
+        return self._abs_K
+
+    def abs_diagonal(self) -> np.ndarray:
+        """|diag K|, read off the cached |K| (zero where K stores no diagonal entry)."""
+        d = np.zeros(self._K.shape[0])
+        d[self._diagonal_rows] = self._abs_K.data[self._diagonal_slots]
+        return d
+
     def set_pressure_block(self, values):
         """Write new values of the pressure block, in its own slot order, into K in place."""
         self.C_plus_tauB.data[:] = values
         self._K.data[self._tail:][self._pressure_mask] = values
+        self._abs_K.data[self._tail:][self._pressure_mask] = np.abs(values)
 
 
 def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
-                s_factor: SpdFactorization, guess=None, tol=DEFAULT_TOL):
+                s_factor: SpdFactorization, guess=None, tol=DEFAULT_TOL, reduction=None):
     """Solve the coupled block system by fixed-stress preconditioned GMRES.
 
     ``a_factor`` factorizes the elasticity block A and ``s_factor`` a
@@ -143,11 +181,17 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
     each product as s * (K @ (s * y)); no scaled copy of K is formed.
     The verified quantity is the normwise backward error
     ||SKSy - Sb|| / (||SKS||_inf*||y|| + ||Sb||), where ||SKS||_inf is
-    the largest entry of s * (|K| @ s); |K| is the one sparse matrix a
-    solve allocates.  GMRES aims at a hundredth of ``tol``; up to three
-    cycles may run.  A zero, missing or non-finite
-    diagonal entry, or Krylov quantities that go non-finite, raise
-    SolverFailure.
+    the largest entry of s * (|K| @ s); |diag K| and |K| are the system's
+    cached ones, so a solve allocates no sparse matrix.  The solve is
+    verified against ``tol`` or, given a ``reduction``, against the
+    forcing term max(tol, reduction * e0), where e0 is the backward error
+    at the starting guess: an inner solve of an outer iteration then does
+    only the work the outer residual needs.  GMRES aims at ``_GMRES_AIM``
+    (a two-hundredth) of that target, further than the normwise test
+    needs, because the pressure part of the equilibrated solution can be
+    far smaller than the displacement part and lags it; up to three
+    cycles may run.  A zero, missing or non-finite diagonal entry, or
+    Krylov quantities that go non-finite, raise SolverFailure.
     """
     nu = system.A.shape[0]
     K = system.monolithic()
@@ -155,12 +199,12 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
     if not rhs.any():
         return np.zeros(nu), np.zeros(K.shape[0] - nu), 0
 
-    d = np.abs(K.diagonal())
+    d = system.abs_diagonal()
     if not np.all((d > 0.0) & (d < np.inf)):
         raise SolverFailure("block operator has a zero or non-finite diagonal")
     s = 1.0 / np.sqrt(d)
     with np.errstate(over="ignore"):  # reported just below
-        norm_K = (s * (abs(K) @ s)).max()
+        norm_K = (s * (system.abs_monolithic() @ s)).max()
     if not np.isfinite(norm_K):
         raise SolverFailure("equilibrated block operator is not finite")
     b = s * rhs
@@ -180,11 +224,13 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
         return norm_K * np.linalg.norm(y) + norm_b
 
     r = b - op(y)
+    if reduction is not None:  # the forcing term
+        tol = max(tol, reduction * np.linalg.norm(r) / scale(y))
     iterations = 0
     for _ in range(_GMRES_CYCLES):
-        if np.linalg.norm(r) <= 0.01 * tol * scale(y):
+        if np.linalg.norm(r) <= _GMRES_AIM * tol * scale(y):
             break
-        y, steps = _gmres_cycle(op, sweep, r, y, 0.01 * tol * scale(y))
+        y, steps = _gmres_cycle(op, sweep, r, y, _GMRES_AIM * tol * scale(y))
         iterations += steps
         r = b - op(y)
         if np.linalg.norm(r) <= tol * scale(y):

@@ -49,6 +49,27 @@ def test_invalid_tolerance_rejected():
         solve_spd(sp.eye(2, format="csr"), np.ones(2), tol=0.0)
 
 
+def test_spd_solve_verifies_the_backward_error_not_the_relative_residual():
+    # b = T v for the smoothest eigenvector v of tridiag(-1, 2, -1), whose
+    # eigenvalue is about (pi/N)^2: ||b|| is so small against ||T|| ||x||
+    # that a backward-stable solve leaves a relative residual of about
+    # 3e-11, while its normwise backward error is at roundoff level
+    N = 2000
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(N, N), format="csr")
+    v = np.sin(np.pi * np.arange(1, N + 1) / (N + 1))
+    b = T @ v
+    x = solve_spd(T, b)
+    assert np.linalg.norm(T @ x - b) / (4.0 * np.linalg.norm(x) + np.linalg.norm(b)) <= 1e-12
+    # the condition number is about 1.6e6
+    assert np.linalg.norm(x - v) / np.linalg.norm(v) <= 1e-8
+
+
+def test_spd_solve_accepts_an_operator_whose_norm_overflows():
+    # ||op||_inf = 2.5e308 is not a double, but the solve and its residual are
+    op = sp.csr_matrix(np.array([[1e308, 1e308], [1e308, 1.5e308]]))
+    assert np.array_equal(solve_spd(op, np.ones(2)), [1e-308, 0.0])
+
+
 def test_solver_failure_carries_residual():
     # a singular operator cannot meet any tolerance
     op = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -174,6 +195,51 @@ def _first_picard_system(name, n=8, tau=2.0**-5):
     return system, rhs_u, rhs_p, (u0, p0), factors
 
 
+def _second_picard_system(name, n=8, tau=2.0**-5):
+    """Step 1's second iterate: B frozen at the first iterate, which is the warm start."""
+    system, rhs_u, rhs_p, guess, factors = _first_picard_system(name, n, tau)
+    first = solve_block(system, rhs_u, rhs_p, *factors, guess)[:2]
+    ops = StepOperators(build_structured_mesh(n), PROBLEMS[name]().coeffs)
+    B = ops.permeability_stiffness(first[0])
+    return BlockSystem(ops.A, ops.D, ops.C + tau * B), rhs_u, rhs_p, first, factors
+
+
+def _backward_error(system, rhs_u, rhs_p, u, p):
+    """The equilibrated normwise backward error, from a fresh diagonal and |K|."""
+    K = system.monolithic()
+    s = 1.0 / np.sqrt(np.abs(K.diagonal()))
+    b, y = s * np.concatenate([rhs_u, rhs_p]), np.concatenate([u, p]) / s
+    norm_K = (s * (abs(K) @ s)).max()
+    return np.linalg.norm(b - s * (K @ (s * y))) / (norm_K * np.linalg.norm(y)
+                                                     + np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("name", ["ex41", "ex42", "ex43"])
+def test_forcing_term_bounds_the_verified_error(name):
+    system, rhs_u, rhs_p, guess, factors = _second_picard_system(name)
+    initial = _backward_error(system, rhs_u, rhs_p, *guess)
+    exact = solve_block(system, rhs_u, rhs_p, *factors, guess)
+    assert _backward_error(system, rhs_u, rhs_p, *exact[:2]) <= linsolve.DEFAULT_TOL
+    for reduction in (1e-1, 1e-2, 1e-6):
+        u, p, steps = solve_block(system, rhs_u, rhs_p, *factors, guess,
+                                  reduction=reduction)
+        target = max(linsolve.DEFAULT_TOL, reduction * initial)
+        assert _backward_error(system, rhs_u, rhs_p, u, p) <= target
+        assert steps <= exact[2]
+    if name == "ex42":
+        # the saving the Picard path relies on
+        assert solve_block(system, rhs_u, rhs_p, *factors, guess,
+                           reduction=1e-2)[2] < exact[2]
+
+
+def test_forcing_term_solve_fails_when_its_target_is_not_reached(monkeypatch):
+    system, rhs_u, rhs_p, guess, factors = _second_picard_system("ex42")
+    monkeypatch.setattr(linsolve, "_GMRES_CYCLES", 1)
+    monkeypatch.setattr(linsolve, "_GMRES_RESTART", 1)  # one Krylov step in all
+    with pytest.raises(SolverFailure, match="block solve failed"):
+        solve_block(system, rhs_u, rhs_p, *factors, guess, reduction=1e-2)
+
+
 def _block_deviation(got, expected):
     return max(np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(got, expected))
 
@@ -230,6 +296,9 @@ def test_run_block_operator_equals_a_fresh_stack_after_every_rewrite(name):
         assert system is first[0] and K is first[1] and K.indices is first[2]
         assert _same_csr(K, BlockSystem(ops.A, ops.D, ops.C + tau * B).monolithic())
         assert _same_csr(system.C_plus_tauB, ops.C + tau * B)
+        # the cached equilibration data follows every rewrite
+        assert np.array_equal(system.abs_diagonal(), np.abs(K.diagonal()))
+        assert _same_csr(system.abs_monolithic(), abs(K))
 
 
 def test_in_place_pressure_sums_equal_scipy_sums():
@@ -243,7 +312,7 @@ def test_in_place_pressure_sums_equal_scipy_sums():
     assert _same_csr(op, (ops.C + tau * B).tocsr()) and op.nnz == ops.C.nnz
 
     co = prob.coeffs
-    stabilized = ops.C + co.alpha**2 / (co.lam + co.mu) * assemble_mass(mesh)
+    stabilized = ops.C + co.alpha**2 / (2.0 * (co.lam + co.mu)) * assemble_mass(mesh)
     assert _same_csr(ops.fixed_stress_factor(B, tau).op, stabilized + tau * B)
 
 

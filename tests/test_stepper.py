@@ -219,6 +219,67 @@ def test_picard_fixed_point_satisfies_nonlinear_system():
     assert res <= 2e-10
 
 
+ORACLE_PROBLEMS = {"ex41": experiment_41_data, "ex42": experiment_42_data,
+                   "ex43-alpha0.5": lambda: experiment_43_data(0.5),
+                   "ex43-alpha4": lambda: experiment_43_data(4.0)}
+
+
+def _picard_run_by_step(prob, mesh, picard_max, monkeypatch):
+    """A Picard run's trajectory and its per-step Picard counts."""
+    counts = []
+    step = stepper.implicit_picard_step
+
+    def counting(*args):
+        state, report = step(*args)
+        counts.append(report.picard_iterations)
+        return state, report
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper, "implicit_picard_step", counting)
+        cfg = StepperConfig(scheme="implicit_picard", tau=2.0**-5, T=prob.T,
+                            picard_max=picard_max, picard_tol=1e-9)
+        trajectory, _ = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    return trajectory, counts
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
+def test_forcing_term_keeps_picard_counts_and_states_of_exact_inner_solves(name, monkeypatch):
+    # the oracle solves every iterate to linear_tol
+    prob = ORACLE_PROBLEMS[name]()
+    mesh = build_structured_mesh(16)
+    solve = stepper.solve_block
+
+    def exact(system, rhs_u, rhs_p, a_factor, s_factor, guess, tol, reduction=None):
+        return solve(system, rhs_u, rhs_p, a_factor, s_factor, guess, tol)
+
+    for picard_max in (1, 2, 10):
+        got, counts = _picard_run_by_step(prob, mesh, picard_max, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "solve_block", exact)
+            expected, oracle_counts = _picard_run_by_step(prob, mesh, picard_max, monkeypatch)
+        assert counts == oracle_counts
+        if picard_max <= 2:  # every iterate is a step's first or its last allowed
+            assert all(np.array_equal(a.u, b.u) and np.array_equal(a.p, b.p)
+                       for a, b in zip(got, expected))
+        for field in ("u", "p"):
+            a, b = getattr(got[-1], field), getattr(expected[-1], field)
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "delay_implicit"])
+def test_decoupled_runs_never_reach_the_block_solver(scheme, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"a {scheme} run called the block solver")
+
+    monkeypatch.setattr(stepper, "solve_block", forbidden)
+    monkeypatch.setattr(StepOperators, "block_system", forbidden)
+    prob = experiment_42_data()
+    cfg = StepperConfig(scheme=scheme, tau=0.25, T=1.0)
+    trajectory, report = run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g,
+                             prob.p0)
+    assert len(trajectory) == report.n_steps + 1 == 5
+
+
 def test_constant_permeability_caps_agree():
     prob = experiment_42_data()
     probc = with_coefficients(prob, permeability=Constant(kappa=0.5))
