@@ -4,6 +4,11 @@ Each driver turns a validated config into a ResultsTable; all numbers in a
 row come straight from the library operations (the drivers add bookkeeping
 only).  Auxiliary outputs (log-log plot series, nodal snapshots) are
 returned as text payloads for the CLI to write.
+
+A driver whose runs share a mesh owns one study for the length of its
+call, so they share one discretization: the mesh and the operators that
+do not change between them (see ``simulate``).  ``run`` without a
+reference run shares nothing.
 """
 
 import io
@@ -20,7 +25,8 @@ from .config import (ConfigError, ExperimentConfig, ResultsTable, SchemeSpec,
 from .forcing import ProblemData, problem_by_name
 from .linsolve import SolverFailure
 from .mesh import build_structured_mesh
-from .stepper import (IMPLICIT_PICARD, SEMI_EXPLICIT, StepperConfig, run)
+from .stepper import (IMPLICIT_PICARD, SEMI_EXPLICIT, SharedOperators, StepperConfig,
+                      run)
 
 BLOWUP_THRESHOLD = 10.0
 
@@ -35,13 +41,26 @@ def build_problem(config: ExperimentConfig, alpha=None) -> ProblemData:
     return problem_by_name(config.experiment, **{"alpha": alpha, **config.coefficients})
 
 
-def simulate(problem: ProblemData, spec: SchemeSpec, n: int, tau: float):
-    """Run one (scheme, mesh, step size) combination."""
-    mesh = build_structured_mesh(n)
+def simulate(problem: ProblemData, spec: SchemeSpec, n: int, tau: float, study=None):
+    """Run one (scheme, mesh, step size) combination.
+
+    A ``study`` is a dict from mesh level n to the ``SharedOperators`` that
+    the runs of one driver call share.  A level it lacks is built here, so
+    the first run on a mesh builds it and each operator is built by the
+    first run that needs it.  A driver makes its study empty and drops it
+    when it returns, so nothing outlives the call.
+    """
+    if study is None:
+        mesh, shared = build_structured_mesh(n), None
+    else:
+        if n not in study:
+            study[n] = SharedOperators(build_structured_mesh(n))
+        shared = study[n]
+        mesh = shared.mesh
     cfg = StepperConfig(scheme=spec.scheme, tau=tau, T=problem.T,
                         picard_max=spec.picard_max, picard_tol=spec.picard_tol)
     trajectory, report = run(mesh, problem.coeffs, cfg, problem.f, problem.g,
-                             problem.p0)
+                             problem.p0, shared)
     return mesh, trajectory, report
 
 
@@ -59,8 +78,8 @@ def _row_errors(problem, mesh, trajectory, norms, reference=None):
     return {}
 
 
-def _single_row(problem, spec, n, tau, norms, reference=None):
-    mesh, trajectory, report = simulate(problem, spec, n, tau)
+def _single_row(problem, spec, n, tau, norms, reference=None, study=None):
+    mesh, trajectory, report = simulate(problem, spec, n, tau, study)
     row = {"scheme": spec.label, "h": 1.0 / n, "tau": tau,
            "alpha": problem.coeffs.alpha, "wall_time_s": report.wall_time,
            "blowup_flag": False}
@@ -71,12 +90,12 @@ def _single_row(problem, spec, n, tau, norms, reference=None):
     return row, trajectory, mesh
 
 
-def _compute_reference(config, problem):
+def _compute_reference(config, problem, study):
     """The reference run, when the config gives one and the problem has no exact pair."""
     if config.reference is None or problem.has_exact:
         return None
     ref = config.reference
-    mesh, trajectory, _ = simulate(problem, ref.scheme, ref.n_ref, ref.tau_ref)
+    mesh, trajectory, _ = simulate(problem, ref.scheme, ref.n_ref, ref.tau_ref, study)
     return mesh, trajectory
 
 
@@ -97,10 +116,13 @@ def cmd_run(config: ExperimentConfig):
         raise ConfigError("config", "run expects exactly one scheme, one mesh level "
                                     "and one tau level")
     problem = build_problem(config)
-    reference = _compute_reference(config, problem)
+    # a lone run shares nothing, so its factor of A dies with the run
+    study = {} if config.reference is not None and not problem.has_exact else None
+    reference = _compute_reference(config, problem, study)
     spec = config.schemes[0]
     n, tau = config.mesh_levels[0], config.tau_levels[0]
-    row, trajectory, mesh = _single_row(problem, spec, n, tau, config.norms, reference)
+    row, trajectory, mesh = _single_row(problem, spec, n, tau, config.norms, reference,
+                                        study)
 
     table = ResultsTable()
     table.add_row(**row)
@@ -132,7 +154,8 @@ def cmd_convergence(config: ExperimentConfig):
     if not config.schemes:
         raise ConfigError("config.schemes", "at least one scheme is required")
     problem = build_problem(config)
-    reference = _compute_reference(config, problem)
+    study = {}
+    reference = _compute_reference(config, problem, study)
     levels = _convergence_levels(config)
 
     table = ResultsTable()
@@ -140,7 +163,8 @@ def cmd_convergence(config: ExperimentConfig):
     for spec in config.schemes:
         rows = []
         for n, tau in levels:
-            row, _, _ = _single_row(problem, spec, n, tau, config.norms, reference)
+            row, _, _ = _single_row(problem, spec, n, tau, config.norms, reference,
+                                    study)
             rows.append(row)
         for col, order_col in (("err_u_a", "order_u_a"), ("err_p_c", "order_p_c")):
             errors = [r.get(col) for r in rows]
@@ -181,15 +205,19 @@ def _sweep_schemes(config):
     return semi[0], impl[0]
 
 
-def _sweep_point(config, alpha, tau):
-    """One (alpha, tau) deviation measurement; picklable for worker pools."""
+def _sweep_point(config, alpha, tau, study=None):
+    """One (alpha, tau) deviation measurement; picklable for worker pools.
+
+    Its two runs share ``study``, or a study of their own when none is given.
+    """
     problem = build_problem(config, alpha)
     semi, impl = _sweep_schemes(config)
     n = config.mesh_levels[0]
+    study = {} if study is None else study
     row = {"scheme": semi.label, "h": 1.0 / n, "tau": tau, "alpha": alpha}
     try:
-        mesh, semi_traj, semi_report = simulate(problem, semi, n, tau)
-        _, impl_traj, _ = simulate(problem, impl, n, tau)
+        mesh, semi_traj, semi_report = simulate(problem, semi, n, tau, study)
+        _, impl_traj, _ = simulate(problem, impl, n, tau, study)
         calc = NormCalculator(mesh, problem.coeffs)
         du = semi_traj[-1].u - impl_traj[-1].u
         dp = semi_traj[-1].p - impl_traj[-1].p
@@ -220,10 +248,12 @@ def cmd_sweep_alpha(config: ExperimentConfig):
                          for alpha in config.alpha_values])
     configs = [config] * len(alphas)
     if config.workers > 1:
+        # each point's two runs share a study in their worker
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_sweep_point, configs, alphas, taus))
     else:
-        rows = list(map(_sweep_point, configs, alphas, taus))
+        study = {}
+        rows = [_sweep_point(config, alpha, tau, study) for alpha, tau in zip(alphas, taus)]
 
     table = ResultsTable()
     for row in rows:
@@ -248,13 +278,15 @@ def cmd_compare(config: ExperimentConfig):
         raise ConfigError("config.mesh_levels", "compare expects exactly one mesh level")
     problem = build_problem(config)
     n = config.mesh_levels[0]
+    study = {}
 
     table = ResultsTable()
     timings = {}
     for spec, tau in config.pairs:
         walls = []
         for _ in range(config.timing_repeats):
-            row, trajectory, mesh = _single_row(problem, spec, n, tau, config.norms)
+            row, trajectory, mesh = _single_row(problem, spec, n, tau, config.norms,
+                                                study=study)
             walls.append(row["wall_time_s"])
         row["wall_time_s"] = statistics.median(walls)
         timings[(spec.label, tau)] = row["wall_time_s"]

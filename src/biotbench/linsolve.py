@@ -43,12 +43,17 @@ class SolverFailure(RuntimeError):
 
 
 class SpdFactorization:
-    """Cached direct factorization of a sparse SPD operator."""
+    """Cached direct factorization of a sparse SPD operator.
 
-    def __init__(self, op):
+    ``lu`` is the sparse LU routine, called as scipy's ``splu``; by
+    default this module's ``splu``, looked up when the factor is built.
+    """
+
+    def __init__(self, op, lu=None):
         self.op = op.tocsr()
+        lu = splu if lu is None else lu
         try:
-            self._lu = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
+            self._lu = lu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
             raise SolverFailure(f"LU factorization failed: {exc}") from exc
         # ||op||_inf kept as two factors, peak * ratio: the norm itself may

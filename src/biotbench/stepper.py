@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass)
-from .linsolve import DEFAULT_TOL, BlockSystem, SolverFailure, SpdFactorization, solve_block
+from .linsolve import DEFAULT_TOL, BlockSystem, SpdFactorization, solve_block
 from .mesh import Mesh
 
 #: forcing term of the Picard inner solves: an iterate that is neither the
@@ -102,11 +102,14 @@ class RunReport:
     picard_mean: float = 0.0
     picard_max: int = 0
     max_picard_residual: float = 0.0
+    #: steps that ran all ``picard_max`` iterates
+    picard_capped: int = 0
+    #: LUs this run made; one it was handed already factored is not counted
     factorization_count: int = 0
     linear_iterations: int = 0
 
     @staticmethod
-    def from_steps(wall_time, reports, factorization_count):
+    def from_steps(wall_time, reports, factorization_count, picard_cap):
         iters = [r.picard_iterations for r in reports]
         return RunReport(
             wall_time=wall_time,
@@ -114,9 +117,33 @@ class RunReport:
             picard_mean=float(np.mean(iters)) if iters else 0.0,
             picard_max=max(iters) if iters else 0,
             max_picard_residual=max((r.final_picard_residual for r in reports), default=0.0),
+            picard_capped=sum(n >= picard_cap for n in iters),
             factorization_count=factorization_count,
             linear_iterations=sum(r.linear_iterations for r in reports),
         )
+
+
+class SharedOperators:
+    """Operators of one mesh that several runs share, each built on first request.
+
+    The runs of a study on one mesh differ in scheme, step size or alpha.
+    A and its factor read lam and mu only, C reads M only and D reads
+    alpha only, so each piece is kept under the coefficients it reads.  D
+    is assembled for each alpha: alpha times another alpha's D is not
+    bit-identical.  A piece is built by the run that first asks for it,
+    and stored only once it is complete, so a build that raises leaves
+    nothing behind.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self._pieces = {}
+
+    def get(self, key, build):
+        """The piece kept under ``key``, made by ``build()`` on the first request."""
+        if key not in self._pieces:
+            self._pieces[key] = build()
+        return self._pieces[key]
 
 
 class StepOperators:
@@ -137,18 +164,30 @@ class StepOperators:
     first iterate and then kept, later iterates write C + tau*B into its
     pressure slots, which C and every B(u) share (``block_system``).  A
     semi-explicit run never builds it.
+
+    Given ``shared`` operators of its mesh, the run takes A, A's factor, C
+    and D from there and builds only those still missing; a factor of A
+    that another run made is not counted here.
     """
 
-    def __init__(self, mesh: Mesh, coeffs: Coefficients):
+    def __init__(self, mesh: Mesh, coeffs: Coefficients,
+                 shared: Optional[SharedOperators] = None):
+        if shared is not None and shared.mesh is not mesh:
+            raise ValueError("shared operators belong to another mesh")
         self.mesh = mesh
         self.coeffs = coeffs
-        self.A = assemble_elasticity(mesh, coeffs)
-        self.C = assemble_pressure_mass(mesh, coeffs)
-        self.D = assemble_coupling(mesh, coeffs)
+        self._shared = shared
+        self.A = self._piece(("A", coeffs.lam, coeffs.mu),
+                             lambda: assemble_elasticity(mesh, coeffs))
+        self.C = self._piece(("C", coeffs.M), lambda: assemble_pressure_mass(mesh, coeffs))
+        self.D = self._piece(("D", coeffs.alpha), lambda: assemble_coupling(mesh, coeffs))
         self._a_factor = None
         self._stabilized_C = None
         self._block = None
         self.factorization_count = 0
+
+    def _piece(self, key, build):
+        return build() if self._shared is None else self._shared.get(key, build)
 
     def factor(self, op) -> SpdFactorization:
         """Factor an SPD operator of this run, and count it."""
@@ -157,7 +196,8 @@ class StepOperators:
 
     def a_factor(self) -> SpdFactorization:
         if self._a_factor is None:
-            self._a_factor = self.factor(self.A)
+            co = self.coeffs
+            self._a_factor = self._piece(("A LU", co.lam, co.mu), lambda: self.factor(self.A))
         return self._a_factor
 
     def pressure_operator(self, B, tau) -> sp.csr_matrix:
@@ -308,7 +348,8 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     return State(u_j, p_j, state.t + tau), report
 
 
-def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
+def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
+        shared: Optional[SharedOperators] = None):
     """Run a full trajectory from t = 0 to t = T.
 
     ``f`` (volumetric load, may be None), ``g`` (fluid source) and ``p0``
@@ -316,6 +357,8 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
     evaluated pointwise at the step times.  Returns the list of N+1 states
     and an aggregate report whose wall time covers the stepping loop only
     (time-independent assembly and the initial solve are excluded).
+    ``shared`` operators of ``mesh`` are used and filled by a semi-explicit
+    or Picard run (see ``StepOperators``); the delay path ignores them.
     """
     if cfg.scheme == DELAY_IMPLICIT:
         tic = time.perf_counter()
@@ -325,7 +368,7 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
                            factorization_count=factorizations)
         return states, report
 
-    ops = StepOperators(mesh, coeffs)
+    ops = StepOperators(mesh, coeffs, shared)
     p0_vec = mesh.nodal_scalar(p0, interior=True)
     zero_u = np.zeros(mesh.num_displacement_dofs)
     f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
@@ -343,7 +386,8 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
         states.append(state)
         reports.append(rep)
     wall = time.perf_counter() - tic
-    return states, RunReport.from_steps(wall, reports, ops.factorization_count)
+    return states, RunReport.from_steps(wall, reports, ops.factorization_count,
+                                        cfg.picard_max)
 
 
 def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0):
@@ -363,9 +407,11 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
 def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
     """``delay_implicit_run``'s trajectory and the number of LUs it made.
 
-    The path calls ``splu`` itself rather than through ``StepOperators``:
-    one LU of A for u0 and every step, one of C + tau*B per step, so
-    n_steps + 1 in all.
+    The path assembles and factors its own operators rather than through
+    ``StepOperators``: one LU of A for u0 and every step, one of C + tau*B
+    per step, so n_steps + 1 in all.  Each is an ``SpdFactorization`` on
+    this module's ``splu``, so its solves are verified and refined exactly
+    as the semi-explicit path's are.
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
@@ -385,34 +431,27 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
     D = assemble_coupling(mesh, coeffs)
     zero_u = np.zeros(mesh.num_displacement_dofs)
 
-    factorizations = 0
-
     def load_u_at(t):
         return assemble_load_v(mesh, f, t) if f is not None else zero_u
 
-    def factor(op):
-        nonlocal factorizations
-        factorizations += 1
-        try:
-            return splu(op, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-            raise SolverFailure(f"LU factorization failed: {exc}") from exc
-
     # one factor of A serves u0 and every step
-    a_lu = factor(sp.csc_matrix(A))
+    a_lu = SpdFactorization(A, splu)
+    factorizations = 1
     # initial displacement from the delayed pressure at -tau
-    u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau))
+    u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau), cfg.linear_tol)
 
     pressures = [p0_vec]
     states = [State(u0, p0_vec, 0.0)]
     for n in range(1, cfg.n_steps + 1):
         t_n = n * tau
         delayed = history(t_n - tau) if n == 1 else pressures[n - 1]
-        u_n = a_lu.solve(load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float))
+        u_n = a_lu.solve(load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float),
+                         cfg.linear_tol)
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)
-        p_n = factor((C + tau * B).tocsc()).solve(rhs)
+        p_n = SpdFactorization(C + tau * B, splu).solve(rhs, cfg.linear_tol)
+        factorizations += 1
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))
     return states, factorizations

@@ -425,9 +425,9 @@ def test_reference_is_not_run_when_the_problem_has_an_exact_solution(monkeypatch
     meshes = []
     simulate = experiments.simulate
 
-    def counted(problem, spec, n, tau):
+    def counted(problem, spec, n, tau, *args):
         meshes.append(n)
-        return simulate(problem, spec, n, tau)
+        return simulate(problem, spec, n, tau, *args)
 
     monkeypatch.setattr(experiments, "simulate", counted)
     cmd_run(parse_config(base_config(

@@ -173,6 +173,7 @@ def test_picard_converges_immediately_for_constant_permeability():
                         picard_max=10, picard_tol=1e-9)
     traj, report = run(mesh, co, cfg, probc.f, probc.g, probc.p0)
     assert report.picard_max == 1
+    assert report.picard_capped == 0
     assert report.max_picard_residual < 1e-12
 
 
@@ -184,6 +185,7 @@ def test_picard_cap_limits_block_solves():
     traj, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     assert report.picard_mean == 1.0
     assert report.picard_max == 1
+    assert report.picard_capped == report.n_steps
     # one fixed-stress pressure factorization per step plus the displacement one
     assert report.factorization_count == report.n_steps + 1
 
@@ -409,6 +411,66 @@ def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(mo
     assert len(semi) == len(delay) == cfg.n_steps
     assert semi == delay
     assert all(op.nnz < C.nnz for ops in operands for op in ops)
+
+
+def test_delay_path_factors_through_stepper_splu(monkeypatch):
+    # the delay path hands the stepper's own name to SpdFactorization, so a
+    # wrapper on stepper.splu alone sees each of its LUs
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    splu = stepper.splu
+    monkeypatch.setattr(stepper, "splu", counting)
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(4)
+    cfg = StepperConfig(scheme="delay_implicit", tau=0.25, T=1.0)
+    _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert len(calls) == report.factorization_count == cfg.n_steps + 1
+
+
+class _FirstSolveOff:
+    """An LU whose first back-solve is off by a relative 1e-6."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        x = self._lu.solve(rhs)
+        self.solves += 1
+        return x * (1.0 + 1e-6) if self.solves == 1 else x
+
+
+def test_semi_and_delay_paths_refine_alike_and_stay_bit_identical(monkeypatch):
+    # both paths verify through one SpdFactorization, so a solve that needs
+    # refinement on one path gets the same refinement on the other
+    lus = []
+
+    def first_solve_off(splu):
+        def factor(*args, **kwargs):
+            lus.append(_FirstSolveOff(splu(*args, **kwargs)))
+            return lus[-1]
+        return factor
+
+    for module in (linsolve, stepper):
+        monkeypatch.setattr(module, "splu", first_solve_off(module.splu))
+    prob = experiment_41_data()
+    mesh = build_structured_mesh(8)
+    runs = []
+    for scheme in ("semi_explicit", "delay_implicit"):
+        cfg = StepperConfig(scheme=scheme, tau=0.125, T=1.0)
+        runs.append(run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)[0])
+    # every LU of both runs was refined after its first back-solve
+    assert len(lus) == 2 * (cfg.n_steps + 1)
+    assert all(lu.solves >= 2 for lu in lus)
+    semi, delay = runs
+    assert len(semi) == len(delay) == cfg.n_steps + 1
+    for a, b in zip(semi, delay):
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.p.tobytes() == b.p.tobytes()
 
 
 @pytest.mark.parametrize("field, kwargs", [

@@ -1,0 +1,236 @@
+"""A driver's runs share one discretization: one mesh per level, A and its
+factor, C and D, each built inside the first run that needs it.
+
+Sharing must change no number: every state of a shared run is byte-equal
+to that of the same run made alone, every run reports the LUs it made,
+a failed run leaves nothing half built for the next, and nothing a driver
+builds outlives its call.
+"""
+
+import json
+from collections import Counter
+
+import pytest
+
+import biotbench.cli as cli
+import biotbench.experiments as experiments
+import biotbench.linsolve as linsolve
+import biotbench.stepper as stepper
+from biotbench.config import parse_config
+from biotbench.experiments import cmd_compare, cmd_convergence, cmd_sweep_alpha
+from biotbench.forcing import experiment_42_data
+from biotbench.linsolve import SolverFailure
+from biotbench.mesh import build_structured_mesh
+
+SEMI = {"scheme": "semi_explicit"}
+PICARD = {"scheme": "implicit_picard", "picard_max": 3}
+# not powers of two, so alpha times another alpha's D would not be exact
+ALPHAS = [0.3, 1.0, 2.5]
+
+
+def sweep_config(experiment="ex43", **extra):
+    return {"experiment": experiment, "schemes": [SEMI, PICARD], "mesh_levels": [4],
+            "tau_levels": [0.25], "alpha_values": ALPHAS, **extra}
+
+
+def convergence_config(experiment):
+    return {"experiment": experiment, "schemes": [SEMI, PICARD], "mesh_levels": [4],
+            "tau_levels": [0.5, 0.25],
+            "reference": {"n_ref": 4, "tau_ref": 0.125, "scheme": SEMI}}
+
+
+def compare_config(experiment):
+    return {"experiment": experiment, "mesh_levels": [4], "timing_repeats": 2,
+            "pairs": [{"scheme": SEMI, "tau": 0.25}, {"scheme": PICARD, "tau": 0.5},
+                      {"scheme": SEMI, "tau": 0.125}]}
+
+
+DRIVERS = {
+    "convergence": (cmd_convergence, convergence_config),
+    "compare": (cmd_compare, compare_config),
+    "sweep": (cmd_sweep_alpha, sweep_config),
+}
+
+
+class Calls:
+    """Counts calls through patched bindings and records every simulate call."""
+
+    def __init__(self, monkeypatch):
+        self.counts = Counter()
+        self.outside_simulate = Counter()
+        self.runs = []  # (args, trajectory, report) of each simulate call
+        self.lu_shapes = []
+        self._depth = 0
+        for owner, key, name in ((experiments, "build_structured_mesh", "mesh"),
+                                 (stepper, "assemble_elasticity", "A"),
+                                 (stepper, "assemble_pressure_mass", "C"),
+                                 (stepper, "assemble_coupling", "D")):
+            monkeypatch.setattr(owner, key, self._counting(name, getattr(owner, key)))
+        for module in (linsolve, stepper):
+            monkeypatch.setattr(module, "splu", self._recording_lu(module.splu))
+        monkeypatch.setattr(experiments, "simulate", self._recording_run(experiments.simulate))
+
+    def _counting(self, name, fn):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            if not self._depth:
+                self.outside_simulate[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def _recording_lu(self, splu):
+        def factor(op, *args, **kwargs):
+            self.lu_shapes.append(op.shape)
+            return splu(op, *args, **kwargs)
+        return factor
+
+    def _recording_run(self, simulate):
+        def recorded(*args):
+            self._depth += 1
+            try:
+                mesh, trajectory, report = simulate(*args)
+            finally:
+                self._depth -= 1
+            self.runs.append((args, trajectory, report))
+            return mesh, trajectory, report
+        return recorded
+
+    def a_lus(self, n):
+        nu = 2 * (n - 1) ** 2
+        return self.lu_shapes.count((nu, nu))
+
+
+def test_serial_sweep_builds_the_mesh_a_and_its_factor_once(monkeypatch):
+    calls = Calls(monkeypatch)
+    cmd_sweep_alpha(parse_config(sweep_config(workers=1)))
+    assert len(calls.runs) == 2 * len(ALPHAS)
+    assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": len(ALPHAS)}
+    assert calls.a_lus(4) == 1
+    # each piece is built inside the run that first needs it
+    assert not calls.outside_simulate
+    reports = [report for _, _, report in calls.runs]
+    assert sum(report.factorization_count for report in reports) == len(calls.lu_shapes)
+    # only the first run made the A factor; every run made one pressure LU per step
+    n_steps = reports[0].n_steps
+    assert [r.factorization_count for r in reports] == \
+        [n_steps + 1] + [n_steps] * (len(reports) - 1)
+
+
+def test_compare_with_timing_repeats_assembles_and_factors_a_once(monkeypatch):
+    calls = Calls(monkeypatch)
+    cmd_compare(parse_config(compare_config("ex42")))
+    assert len(calls.runs) == 6
+    assert calls.counts["mesh"] == 1 and calls.counts["A"] == 1
+    assert calls.a_lus(4) == 1
+    assert sum(report.factorization_count for _, _, report in calls.runs) \
+        == len(calls.lu_shapes)
+
+
+def test_convergence_reference_on_a_level_joins_the_study(monkeypatch):
+    calls = Calls(monkeypatch)
+    cmd_convergence(parse_config(convergence_config("ex41")))
+    assert len(calls.runs) == 5  # the reference and two tau levels per scheme
+    assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": 1}
+    assert calls.a_lus(4) == 1
+
+
+def test_run_without_a_reference_shares_nothing(monkeypatch):
+    calls = Calls(monkeypatch)
+    experiments.cmd_run(parse_config({"experiment": "ex42", "schemes": [SEMI],
+                                      "mesh_levels": [4], "tau_levels": [0.25]}))
+    ((args, _, report),) = calls.runs
+    assert len(args) == 5 and args[4] is None
+    assert report.factorization_count == len(calls.lu_shapes) == report.n_steps + 1
+
+
+def test_operators_of_another_mesh_are_refused():
+    problem = experiment_42_data()
+    shared = stepper.SharedOperators(build_structured_mesh(4))
+    with pytest.raises(ValueError, match="another mesh"):
+        stepper.StepOperators(build_structured_mesh(4), problem.coeffs, shared)
+
+
+@pytest.mark.parametrize("experiment", ["ex41", "ex42", "ex43"])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_shared_runs_are_byte_identical_to_unshared_runs(driver, experiment, monkeypatch):
+    cmd, make_config = DRIVERS[driver]
+    calls = Calls(monkeypatch)
+    cmd(parse_config(make_config(experiment)))
+    monkeypatch.undo()
+    assert calls.runs
+    for args, shared_trajectory, _ in calls.runs:
+        problem, spec, n, tau, study = args
+        assert study is not None
+        _, alone, _ = experiments.simulate(problem, spec, n, tau)
+        assert len(alone) == len(shared_trajectory)
+        for a, b in zip(shared_trajectory, alone):
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.p.tobytes() == b.p.tobytes()
+
+
+def _fail_one_picard_run(monkeypatch, alpha):
+    step = stepper.implicit_picard_step
+
+    def failing(ops, *args):
+        if ops.coeffs.alpha == alpha:
+            raise SolverFailure("injected Picard failure", 1.0)
+        return step(ops, *args)
+
+    monkeypatch.setattr(stepper, "implicit_picard_step", failing)
+    return alpha
+
+
+def _fail_the_first_a_factor(monkeypatch, alpha):
+    # the first run of the sweep (alpha = ALPHAS[0]) makes the first factor of A
+    splu = linsolve.splu
+    nu = 2 * 3 ** 2
+    armed = [True]
+
+    def failing(op, *args, **kwargs):
+        if armed[0] and op.shape == (nu, nu):
+            armed[0] = False
+            raise RuntimeError("Factor is exactly singular")
+        return splu(op, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "splu", failing)
+    return ALPHAS[0]
+
+
+@pytest.mark.parametrize("inject", [_fail_one_picard_run, _fail_the_first_a_factor],
+                         ids=["picard-step", "a-factor"])
+def test_a_failed_sweep_point_leaves_the_others_as_unshared(inject, monkeypatch):
+    config = sweep_config(workers=1)
+    failed = inject(monkeypatch, ALPHAS[1])
+    shared, _ = cmd_sweep_alpha(parse_config(config))
+    monkeypatch.undo()
+
+    simulate = experiments.simulate
+
+    def alone(problem, spec, n, tau, study=None):
+        return simulate(problem, spec, n, tau)
+
+    monkeypatch.setattr(experiments, "simulate", alone)
+    unshared, _ = cmd_sweep_alpha(parse_config(config))
+
+    def by_alpha(table):
+        return {row["alpha"]: {k: v for k, v in row.items() if k != "wall_time_s"}
+                for row in table.rows}
+
+    rows, expected = by_alpha(shared), by_alpha(unshared)
+    row = rows.pop(failed)
+    assert row["blowup_flag"] is True and row["err_triple"] is None
+    expected.pop(failed)
+    assert rows == expected
+
+
+def test_back_to_back_cli_sweeps_each_build_their_own_mesh(tmp_path, monkeypatch):
+    # perfbench runs its jobs in one process: a study that outlived cli.main
+    # would hand the next job a mesh and a factor it never paid for
+    calls = Calls(monkeypatch)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(sweep_config(workers=1)))
+    for job in (1, 2):
+        argv = ["sweep-alpha", "--config", str(config_path), "--out", str(tmp_path / f"{job}")]
+        assert cli.main(argv) == 0
+        assert calls.counts["mesh"] == calls.counts["A"] == job
+        assert calls.a_lus(4) == job
