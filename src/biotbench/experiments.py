@@ -7,8 +7,8 @@ returned as text payloads for the CLI to write.
 
 A driver whose runs share a mesh owns one study for the length of its
 call, so they share one discretization: the mesh and the operators that
-do not change between them (see ``simulate``).  ``run`` without a
-reference run shares nothing.
+do not change between them (see ``simulate``).  ``run`` shares only
+with a reference run on its own mesh level.
 """
 
 import io
@@ -48,20 +48,18 @@ def simulate(problem: ProblemData, spec: SchemeSpec, n: int, tau: float, study=N
     the runs of one driver call share.  A level it lacks is built here, so
     the first run on a mesh builds it and each operator is built by the
     first run that needs it.  A driver makes its study empty and drops it
-    when it returns, so nothing outlives the call.
+    when it returns, and a run given none makes its own, so nothing
+    outlives the call.
     """
-    if study is None:
-        mesh, shared = build_structured_mesh(n), None
-    else:
-        if n not in study:
-            study[n] = SharedOperators(build_structured_mesh(n))
-        shared = study[n]
-        mesh = shared.mesh
+    study = {} if study is None else study
+    if n not in study:
+        study[n] = SharedOperators(build_structured_mesh(n))
+    shared = study[n]
     cfg = StepperConfig(scheme=spec.scheme, tau=tau, T=problem.T,
                         picard_max=spec.picard_max, picard_tol=spec.picard_tol)
-    trajectory, report = run(mesh, problem.coeffs, cfg, problem.f, problem.g,
+    trajectory, report = run(shared.mesh, problem.coeffs, cfg, problem.f, problem.g,
                              problem.p0, shared)
-    return mesh, trajectory, report
+    return shared.mesh, trajectory, report
 
 
 def _row_errors(problem, mesh, trajectory, norms, reference=None):
@@ -91,10 +89,14 @@ def _single_row(problem, spec, n, tau, norms, reference=None, study=None):
 
 
 def _compute_reference(config, problem, study):
-    """The reference run, when the config gives one and the problem has no exact pair."""
+    """The reference run, when the config gives one and the problem has no exact pair.
+
+    It joins ``study`` only on one of the driver's levels, else its operators die with it.
+    """
     if config.reference is None or problem.has_exact:
         return None
     ref = config.reference
+    study = study if ref.n_ref in config.mesh_levels else None
     mesh, trajectory, _ = simulate(problem, ref.scheme, ref.n_ref, ref.tau_ref, study)
     return mesh, trajectory
 
@@ -116,11 +118,12 @@ def cmd_run(config: ExperimentConfig):
         raise ConfigError("config", "run expects exactly one scheme, one mesh level "
                                     "and one tau level")
     problem = build_problem(config)
-    # a lone run shares nothing, so its factor of A dies with the run
-    study = {} if config.reference is not None and not problem.has_exact else None
-    reference = _compute_reference(config, problem, study)
     spec = config.schemes[0]
     n, tau = config.mesh_levels[0], config.tau_levels[0]
+    # a lone run shares nothing, so its factor of A dies with the run
+    ref = config.reference
+    study = {} if ref is not None and ref.n_ref == n and not problem.has_exact else None
+    reference = _compute_reference(config, problem, study)
     row, trajectory, mesh = _single_row(problem, spec, n, tau, config.norms, reference,
                                         study)
 
@@ -154,9 +157,9 @@ def cmd_convergence(config: ExperimentConfig):
     if not config.schemes:
         raise ConfigError("config.schemes", "at least one scheme is required")
     problem = build_problem(config)
+    levels = _convergence_levels(config)
     study = {}
     reference = _compute_reference(config, problem, study)
-    levels = _convergence_levels(config)
 
     table = ResultsTable()
     series = {}

@@ -19,7 +19,7 @@ later iterates rewrite only the pressure block's values, in place, with
 no sparse constructor.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,26 +118,27 @@ class BlockSystem:
     of K and of |K| in place, so a Picard run owns one system
     (``StepOperators.block_system``) and no iterate stacks or transposes a
     block or takes an absolute value outside the pressure block.  The
-    blocks are used as CSR, and the system owns the pressure block's
-    ``data``.
+    blocks are used as CSR.  The pressure block given at construction
+    sets only K's pattern and first values: it is neither kept nor
+    modified, so it may be a matrix that other runs share.
     """
 
     A: sp.spmatrix
     D: sp.spmatrix
-    C_plus_tauB: sp.spmatrix
+    C_plus_tauB: InitVar[sp.spmatrix]
 
-    def __post_init__(self):
-        nu, np_ = self.A.shape[0], self.C_plus_tauB.shape[0]
-        if self.A.shape != (nu, nu) or self.C_plus_tauB.shape != (np_, np_) \
+    def __post_init__(self, C_plus_tauB):
+        # a canonical copy: its slot order is the order set_pressure_block writes in
+        pressure = C_plus_tauB.tocsr(copy=True)
+        pressure.sum_duplicates()
+        nu, np_ = self.A.shape[0], pressure.shape[0]
+        if self.A.shape != (nu, nu) or pressure.shape != (np_, np_) \
                 or self.D.shape != (np_, nu):
             raise ValueError("inconsistent block dimensions")
         self.A, self.D = self.A.tocsr(), self.D.tocsr()
-        self.C_plus_tauB = self.C_plus_tauB.tocsr()
-        # its slot order is the order set_pressure_block writes in
-        self.C_plus_tauB.sum_duplicates()
         # with all four blocks in CSR, bmat stacks index arrays instead of
         # going through COO, and each row keeps its blocks' slot order
-        blocks = [[self.A, -self.D.T.tocsr()], [self.D, self.C_plus_tauB]]
+        blocks = [[self.A, -self.D.T.tocsr()], [self.D, pressure]]
         K = self._K = sp.bmat(blocks, format="csr")
         K.sum_duplicates()  # at most one slot per diagonal entry
         # the rows of p are the last slots; in each, D's slots come first
@@ -164,7 +165,6 @@ class BlockSystem:
 
     def set_pressure_block(self, values):
         """Write new values of the pressure block, in its own slot order, into K in place."""
-        self.C_plus_tauB.data[:] = values
         self._K.data[self._tail:][self._pressure_mask] = values
         self._abs_K.data[self._tail:][self._pressure_mask] = np.abs(values)
 

@@ -29,12 +29,12 @@ import scipy.sparse as sp
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass)
-from .linsolve import DEFAULT_TOL, BlockSystem, SpdFactorization, solve_block
+from .linsolve import BlockSystem, SpdFactorization, solve_block
 from .mesh import Mesh
 
 #: forcing term of the Picard inner solves: an iterate that is neither the
 #: first of its step nor the last the cap allows is verified to this
-#: fraction of its warm start's backward error, not to ``linear_tol``
+#: fraction of its warm start's backward error, not to ``DEFAULT_TOL``
 _PICARD_FORCING = 1e-2
 
 SEMI_EXPLICIT = "semi_explicit"
@@ -60,7 +60,6 @@ class StepperConfig:
     picard_max: int = 10
     picard_tol: float = 1e-9
     history: Optional[Callable[[float], np.ndarray]] = None
-    linear_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -74,8 +73,6 @@ class StepperConfig:
             raise ValueError(f"T/tau = {steps} is not an integer")
         if not 0.0 < self.picard_tol < 1.0:
             raise ValueError("picard_tol must lie in (0, 1)")
-        if not 0.0 < self.linear_tol < 1.0:
-            raise ValueError("linear_tol must lie in (0, 1)")
         cap = self.picard_max
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError(f"picard_max must be an integer >= 1, got {cap!r}")
@@ -124,15 +121,18 @@ class RunReport:
 
 
 class SharedOperators:
-    """Operators of one mesh that several runs share, each built on first request.
+    """Time-independent operators of one mesh, each built on first request.
 
-    The runs of a study on one mesh differ in scheme, step size or alpha.
-    A and its factor read lam and mu only, C reads M only and D reads
-    alpha only, so each piece is kept under the coefficients it reads.  D
-    is assembled for each alpha: alpha times another alpha's D is not
-    bit-identical.  A piece is built by the run that first asks for it,
-    and stored only once it is complete, so a build that raises leaves
-    nothing behind.
+    Every semi-explicit or Picard run reads its A, A's factor, C, D, the
+    unscaled mass M and the fixed-stress C + beta*M from a store: its own
+    when it is given none, or one that the runs of a study on one mesh
+    share.  Those runs differ in scheme, step size or alpha.  Each piece
+    is kept under the coefficients it reads: A and its factor under lam
+    and mu, C under M, D under alpha, M once per mesh and C + beta*M under
+    M and beta.  D is assembled for each alpha: alpha times another
+    alpha's D is not bit-identical.  A piece is built by the run that
+    first asks for it, and stored only once it is complete, so a build
+    that raises leaves nothing behind.
     """
 
     def __init__(self, mesh: Mesh):
@@ -147,47 +147,42 @@ class SharedOperators:
 
 
 class StepOperators:
-    """Time-independent operators A, C, D shared by the initial solve and all steps of a run.
+    """The operators of one run: the initial solve and all its steps read them here.
 
     A semi-explicit or Picard run forms, factors and counts its SPD
     operators here.  ``factor`` is the one place an ``SpdFactorization`` is
     built and ``factorization_count`` grows, so the count is the run's LUs.
-    The elasticity factor is built lazily, once, and kept for the whole
-    run: the initial displacement solve, every semi-explicit step and every
-    fixed-stress preconditioner of the Picard path use it.  The pressure
-    operator changes with u and is refactorized per step, as C + tau*B(u)
-    on the semi-explicit path and as the fixed-stress C + tau*B(u) + beta*M
-    on the Picard path.  A factored operator is scipy's sum, the same
-    expression the delay path factors, so both see one pattern (a slot
-    that cancels to zero is pruned in both).  The Picard path's block
-    system is the one operator rewritten in place: built lazily on its
-    first iterate and then kept, later iterates write C + tau*B into its
-    pressure slots, which C and every B(u) share (``block_system``).  A
-    semi-explicit run never builds it.
-
-    Given ``shared`` operators of its mesh, the run takes A, A's factor, C
-    and D from there and builds only those still missing; a factor of A
-    that another run made is not counted here.
+    A, its factor, C, D, M and C + beta*M are read through ``shared``, a
+    private ``SharedOperators`` of the mesh when none is given, so each is
+    built once per store; a factor of A that another run made is not
+    counted here.  The elasticity factor serves the initial displacement
+    solve, every semi-explicit step and every fixed-stress preconditioner
+    of the Picard path.  The pressure operator changes with u and is
+    refactorized per step, as C + tau*B(u) on the semi-explicit path and
+    as the fixed-stress C + beta*M + tau*B(u) on the Picard path.  A
+    factored operator is scipy's sum, the same expression the delay path
+    factors, so both see one pattern (a slot that cancels to zero is
+    pruned in both).  The Picard path's block system is the run's own and
+    the one operator rewritten in place: built on its first iterate and
+    then kept, every iterate writes C + tau*B into its pressure slots,
+    which C and every B(u) share (``block_system``).  A semi-explicit run
+    never builds it.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients,
                  shared: Optional[SharedOperators] = None):
-        if shared is not None and shared.mesh is not mesh:
+        shared = SharedOperators(mesh) if shared is None else shared
+        if shared.mesh is not mesh:
             raise ValueError("shared operators belong to another mesh")
         self.mesh = mesh
         self.coeffs = coeffs
         self._shared = shared
-        self.A = self._piece(("A", coeffs.lam, coeffs.mu),
-                             lambda: assemble_elasticity(mesh, coeffs))
-        self.C = self._piece(("C", coeffs.M), lambda: assemble_pressure_mass(mesh, coeffs))
-        self.D = self._piece(("D", coeffs.alpha), lambda: assemble_coupling(mesh, coeffs))
-        self._a_factor = None
-        self._stabilized_C = None
+        self.A = shared.get(("A", coeffs.lam, coeffs.mu),
+                            lambda: assemble_elasticity(mesh, coeffs))
+        self.C = shared.get(("C", coeffs.M), lambda: assemble_pressure_mass(mesh, coeffs))
+        self.D = shared.get(("D", coeffs.alpha), lambda: assemble_coupling(mesh, coeffs))
         self._block = None
         self.factorization_count = 0
-
-    def _piece(self, key, build):
-        return build() if self._shared is None else self._shared.get(key, build)
 
     def factor(self, op) -> SpdFactorization:
         """Factor an SPD operator of this run, and count it."""
@@ -195,17 +190,15 @@ class StepOperators:
         return SpdFactorization(op)
 
     def a_factor(self) -> SpdFactorization:
-        if self._a_factor is None:
-            co = self.coeffs
-            self._a_factor = self._piece(("A LU", co.lam, co.mu), lambda: self.factor(self.A))
-        return self._a_factor
+        co = self.coeffs
+        return self._shared.get(("A LU", co.lam, co.mu), lambda: self.factor(self.A))
 
     def pressure_operator(self, B, tau) -> sp.csr_matrix:
         """C + tau*B, scipy's sum, as the delay path forms it."""
         return self.C + tau * B
 
     def fixed_stress_factor(self, B, tau) -> SpdFactorization:
-        """Factor C + tau*B + beta*M with beta = alpha^2/(2*(lam + mu)), and count it.
+        """Factor C + beta*M + tau*B with beta = alpha^2/(2*(lam + mu)), and count it.
 
         M is the unscaled P1 mass matrix; beta*M stands in for D A^-1 D^T,
         the part of the pressure Schur complement that the sweep drops.
@@ -213,33 +206,30 @@ class StepOperators:
         of Storvik et al. (IJNME 2019) for d = 2, half the classical
         alpha^2/(lam + mu).
         """
-        if self._stabilized_C is None:
-            co = self.coeffs
-            beta = co.alpha ** 2 / (2.0 * (co.lam + co.mu))
-            self._stabilized_C = self.C + beta * assemble_mass(self.mesh)
-        return self.factor(self._stabilized_C + tau * B)
+        co, shared = self.coeffs, self._shared
+        beta = co.alpha ** 2 / (2.0 * (co.lam + co.mu))
+        mass = shared.get(("M",), lambda: assemble_mass(self.mesh))
+        stabilized = shared.get(("C + beta M", co.M, beta), lambda: self.C + beta * mass)
+        return self.factor(stabilized + tau * B)
 
     def block_system(self, B, tau) -> BlockSystem:
         """The run's block system [[A, -D^T], [D, C + tau*B]], with B's values written in.
 
-        Built on the first call; later calls write C + tau*B into the
-        pressure slots of the same operator.  Its pressure block keeps the
-        full shared pattern: a slot that cancels to zero stays an explicit
-        zero, which changes no product.
+        Built on C's pattern on the first call; every call writes
+        C + tau*B into the pressure slots of the same operator.  Its
+        pressure block keeps the full shared pattern: a slot that cancels
+        to zero stays an explicit zero, which changes no product.
         """
-        values = self.C.data + tau * B.data
         if self._block is None:
-            block = sp.csr_matrix((values, self.C.indices, self.C.indptr), shape=self.C.shape)
-            self._block = BlockSystem(self.A, self.D, block)
-        else:
-            self._block.set_pressure_block(values)
+            self._block = BlockSystem(self.A, self.D, self.C)
+        self._block.set_pressure_block(self.C.data + tau * B.data)
         return self._block
 
     def permeability_stiffness(self, u):
         return assemble_permeability_stiffness(self.mesh, self.coeffs, u)
 
 
-def initial_displacement(ops: StepOperators, p0, f0=None, tol=DEFAULT_TOL) -> np.ndarray:
+def initial_displacement(ops: StepOperators, p0, f0=None) -> np.ndarray:
     """Consistent initial displacement: solve A u0 = f0 + D^T p0.
 
     The initial pressure determines the displacement through the
@@ -250,7 +240,7 @@ def initial_displacement(ops: StepOperators, p0, f0=None, tol=DEFAULT_TOL) -> np
     rhs = ops.D.T @ np.asarray(p0, dtype=float)
     if f0 is not None:
         rhs = rhs + f0
-    return ops.a_factor().solve(rhs, tol)
+    return ops.a_factor().solve(rhs)
 
 
 def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
@@ -262,11 +252,11 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     evaluated at the new displacement.
     """
     tau = cfg.tau
-    u_new = ops.a_factor().solve(load_u + ops.D.T @ state.p, cfg.linear_tol)
+    u_new = ops.a_factor().solve(load_u + ops.D.T @ state.p)
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new = ops.factor(ops.pressure_operator(B, tau)).solve(rhs_p, cfg.linear_tol)
+    p_new = ops.factor(ops.pressure_operator(B, tau)).solve(rhs_p)
 
     return State(u_new, p_new, state.t + tau), StepReport()
 
@@ -311,7 +301,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     schemes of their own).
 
     The first iterate of a step and the last one the cap allows are
-    solved to ``linear_tol``, so Picard(1) and Picard(2) are exact linear
+    solved to ``DEFAULT_TOL``, so Picard(1) and Picard(2) are exact linear
     schemes.  Every other iterate is an inexact-Newton style inner solve:
     its warm start's backward error is the nonlinear residual there (B is
     frozen at that iterate), and it is verified to ``_PICARD_FORCING``
@@ -332,7 +322,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
         system = ops.block_system(B_frozen, tau)
         forcing = None if j in (0, cfg.picard_max - 1) else _PICARD_FORCING
         u_j, p_j, steps = solve_block(system, rhs_u, rhs_p, a_factor, s_factor,
-                                      (u_j, p_j), cfg.linear_tol, forcing)
+                                      (u_j, p_j), reduction=forcing)
         iterations += 1
         linear_iterations += steps
 
@@ -372,7 +362,7 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
     p0_vec = mesh.nodal_scalar(p0, interior=True)
     zero_u = np.zeros(mesh.num_displacement_dofs)
     f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
-    u0 = initial_displacement(ops, p0_vec, f0, cfg.linear_tol)
+    u0 = initial_displacement(ops, p0_vec, f0)
     step = semi_explicit_step if cfg.scheme == SEMI_EXPLICIT else implicit_picard_step
 
     states = [State(u0, p0_vec, 0.0)]
@@ -438,19 +428,18 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
     a_lu = SpdFactorization(A, splu)
     factorizations = 1
     # initial displacement from the delayed pressure at -tau
-    u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau), cfg.linear_tol)
+    u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau))
 
     pressures = [p0_vec]
     states = [State(u0, p0_vec, 0.0)]
     for n in range(1, cfg.n_steps + 1):
         t_n = n * tau
         delayed = history(t_n - tau) if n == 1 else pressures[n - 1]
-        u_n = a_lu.solve(load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float),
-                         cfg.linear_tol)
+        u_n = a_lu.solve(load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float))
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)
-        p_n = SpdFactorization(C + tau * B, splu).solve(rhs, cfg.linear_tol)
+        p_n = SpdFactorization(C + tau * B, splu).solve(rhs)
         factorizations += 1
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))

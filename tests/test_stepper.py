@@ -246,13 +246,13 @@ def _picard_run_by_step(prob, mesh, picard_max, monkeypatch):
 
 @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
 def test_forcing_term_keeps_picard_counts_and_states_of_exact_inner_solves(name, monkeypatch):
-    # the oracle solves every iterate to linear_tol
+    # the oracle solves every iterate to DEFAULT_TOL
     prob = ORACLE_PROBLEMS[name]()
     mesh = build_structured_mesh(16)
     solve = stepper.solve_block
 
-    def exact(system, rhs_u, rhs_p, a_factor, s_factor, guess, tol, reduction=None):
-        return solve(system, rhs_u, rhs_p, a_factor, s_factor, guess, tol)
+    def exact(system, rhs_u, rhs_p, a_factor, s_factor, guess, reduction=None):
+        return solve(system, rhs_u, rhs_p, a_factor, s_factor, guess)
 
     for picard_max in (1, 2, 10):
         got, counts = _picard_run_by_step(prob, mesh, picard_max, monkeypatch)
@@ -512,9 +512,6 @@ def test_config_validation():
         StepperConfig(scheme="implicit_picard", tau=0.5, T=1.0, picard_tol=2.0)
     with pytest.raises(ValueError):
         StepperConfig(scheme="implicit_picard", tau=0.5, T=1.0, picard_max=0)
-    for linear_tol in (0.0, 1.0, -1e-12):
-        with pytest.raises(ValueError, match="linear_tol"):
-            StepperConfig(scheme="semi_explicit", tau=0.5, T=1.0, linear_tol=linear_tol)
 
 
 def test_semi_explicit_cost_structure():

@@ -1,5 +1,6 @@
 """A driver's runs share one discretization: one mesh per level, A and its
-factor, C and D, each built inside the first run that needs it.
+factor, C, D, the mass M and the fixed-stress C + beta*M, each built inside
+the first run that needs it.
 
 Sharing must change no number: every state of a shared run is byte-equal
 to that of the same run made alone, every run reports the LUs it made,
@@ -7,7 +8,9 @@ a failed run leaves nothing half built for the next, and nothing a driver
 builds outlives its call.
 """
 
+import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,7 +19,7 @@ import biotbench.cli as cli
 import biotbench.experiments as experiments
 import biotbench.linsolve as linsolve
 import biotbench.stepper as stepper
-from biotbench.config import parse_config
+from biotbench.config import SchemeSpec, parse_config
 from biotbench.experiments import cmd_compare, cmd_convergence, cmd_sweep_alpha
 from biotbench.forcing import experiment_42_data
 from biotbench.linsolve import SolverFailure
@@ -45,10 +48,17 @@ def compare_config(experiment):
                       {"scheme": SEMI, "tau": 0.125}]}
 
 
+def run_config(experiment, n_ref=4):
+    return {"experiment": experiment, "schemes": [PICARD], "mesh_levels": [4],
+            "tau_levels": [0.25], "reference": {"n_ref": n_ref, "tau_ref": 0.125,
+                                                "scheme": SEMI}}
+
+
 DRIVERS = {
     "convergence": (cmd_convergence, convergence_config),
     "compare": (cmd_compare, compare_config),
     "sweep": (cmd_sweep_alpha, sweep_config),
+    "run": (experiments.cmd_run, run_config),
 }
 
 
@@ -58,14 +68,18 @@ class Calls:
     def __init__(self, monkeypatch):
         self.counts = Counter()
         self.outside_simulate = Counter()
+        self.pieces = Counter()  # builds run by a store, by the name in their key
         self.runs = []  # (args, trajectory, report) of each simulate call
         self.lu_shapes = []
         self._depth = 0
         for owner, key, name in ((experiments, "build_structured_mesh", "mesh"),
                                  (stepper, "assemble_elasticity", "A"),
                                  (stepper, "assemble_pressure_mass", "C"),
-                                 (stepper, "assemble_coupling", "D")):
+                                 (stepper, "assemble_coupling", "D"),
+                                 (stepper, "assemble_mass", "M")):
             monkeypatch.setattr(owner, key, self._counting(name, getattr(owner, key)))
+        monkeypatch.setattr(stepper.SharedOperators, "get",
+                            self._counting_pieces(stepper.SharedOperators.get))
         for module in (linsolve, stepper):
             monkeypatch.setattr(module, "splu", self._recording_lu(module.splu))
         monkeypatch.setattr(experiments, "simulate", self._recording_run(experiments.simulate))
@@ -76,6 +90,14 @@ class Calls:
             if not self._depth:
                 self.outside_simulate[name] += 1
             return fn(*args, **kwargs)
+        return counted
+
+    def _counting_pieces(self, get):
+        def counted(store, key, build):
+            def counted_build():
+                self.pieces[key[0]] += 1
+                return build()
+            return get(store, key, counted_build)
         return counted
 
     def _recording_lu(self, splu):
@@ -104,7 +126,7 @@ def test_serial_sweep_builds_the_mesh_a_and_its_factor_once(monkeypatch):
     calls = Calls(monkeypatch)
     cmd_sweep_alpha(parse_config(sweep_config(workers=1)))
     assert len(calls.runs) == 2 * len(ALPHAS)
-    assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": len(ALPHAS)}
+    assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": len(ALPHAS), "M": 1}
     assert calls.a_lus(4) == 1
     # each piece is built inside the run that first needs it
     assert not calls.outside_simulate
@@ -126,11 +148,21 @@ def test_compare_with_timing_repeats_assembles_and_factors_a_once(monkeypatch):
         == len(calls.lu_shapes)
 
 
+def test_compare_with_timing_repeats_builds_m_and_the_fixed_stress_operator_once(monkeypatch):
+    calls = Calls(monkeypatch)
+    config = compare_config("ex42")
+    cmd_compare(parse_config(config))
+    picard = [args for args, _, _ in calls.runs if args[1].scheme == "implicit_picard"]
+    assert len(picard) == config["timing_repeats"] == 2
+    assert calls.counts["M"] == calls.pieces["M"] == 1
+    assert calls.pieces["C + beta M"] == 1
+
+
 def test_convergence_reference_on_a_level_joins_the_study(monkeypatch):
     calls = Calls(monkeypatch)
     cmd_convergence(parse_config(convergence_config("ex41")))
     assert len(calls.runs) == 5  # the reference and two tau levels per scheme
-    assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": 1}
+    assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": 1, "M": 1}
     assert calls.a_lus(4) == 1
 
 
@@ -141,6 +173,56 @@ def test_run_without_a_reference_shares_nothing(monkeypatch):
     ((args, _, report),) = calls.runs
     assert len(args) == 5 and args[4] is None
     assert report.factorization_count == len(calls.lu_shapes) == report.n_steps + 1
+
+
+def _recording_a_factors(monkeypatch, n):
+    """Weak references to every factor of A that a run on level n makes."""
+    refs = []
+    factor = stepper.SpdFactorization
+    nu = 2 * (n - 1) ** 2
+
+    def recording(op, *args):
+        lu = factor(op, *args)
+        if op.shape == (nu, nu):
+            refs.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(stepper, "SpdFactorization", recording)
+    return refs
+
+
+@pytest.mark.parametrize("spec", [SchemeSpec(**SEMI), SchemeSpec(**PICARD)],
+                         ids=["semi", "picard"])
+def test_a_run_without_a_study_drops_its_factor_of_a_on_return(spec, monkeypatch):
+    refs = _recording_a_factors(monkeypatch, 4)
+    experiments.simulate(experiment_42_data(), spec, 4, 0.25)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+
+
+def test_run_holds_no_operator_of_a_finer_reference_during_its_main_run(monkeypatch):
+    refs = _recording_a_factors(monkeypatch, 8)
+    stores = []
+    make_store = experiments.SharedOperators
+
+    def recording_store(mesh):
+        store = make_store(mesh)
+        stores.append(weakref.ref(store))
+        return store
+
+    alive = []  # at the start of each simulate call: stores and A factors still held
+    simulate = experiments.simulate
+
+    def checked(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in stores + refs))
+        return simulate(*args)
+
+    monkeypatch.setattr(experiments, "SharedOperators", recording_store)
+    monkeypatch.setattr(experiments, "simulate", checked)
+    experiments.cmd_run(parse_config(run_config("ex41", n_ref=8)))
+    assert len(stores) == 2 and len(refs) == 1
+    assert alive == [0, 0]
 
 
 def test_operators_of_another_mesh_are_refused():
@@ -160,7 +242,8 @@ def test_shared_runs_are_byte_identical_to_unshared_runs(driver, experiment, mon
     assert calls.runs
     for args, shared_trajectory, _ in calls.runs:
         problem, spec, n, tau, study = args
-        assert study is not None
+        # run shares only with its reference, which an exact pair makes needless
+        assert (study is None) == (driver == "run" and problem.has_exact)
         _, alone, _ = experiments.simulate(problem, spec, n, tau)
         assert len(alone) == len(shared_trajectory)
         for a, b in zip(shared_trajectory, alone):
