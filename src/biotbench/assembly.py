@@ -16,17 +16,30 @@ once per element, and loads use the three edge-midpoint quadrature rule
 Everything that depends on the mesh alone is computed once per mesh and
 kept in a cache keyed weakly by the ``Mesh`` object, so it is dropped with
 the mesh: the element geometry, the dof tables, the unique edge midpoints
-with the element->edge map, per pair of spaces a scatter plan and, per
-space, the dof each load addend goes to.  The load vectors evaluate the
-forcing once per mesh edge, on those midpoints, and gather the values to
-the elements.  A plan fixes the CSR pattern and maps every element-matrix
-entry to its nonzero slot.  It is built by replaying scipy's COO to CSR
-conversion (a row-stable counting sort, a per-row sort on column keys,
-summation of duplicate runs in order) on entry numbers instead of
-values.  Applying it with one weighted
-``np.bincount`` therefore adds every slot's addends one after another in
-exactly the order ``coo_matrix(...).tocsr()`` adds them, so the operators
-and load vectors are bit-identical to those of a plain COO assembly.
+with the element->edge map, per pair of spaces a scatter plan, per space
+the dof each load addend goes to, and the two sparse maps the
+permeability stiffness B(u) is read through.  The load vectors evaluate
+the forcing once per mesh edge, on those midpoints, and gather the values
+to the elements.  A plan fixes the CSR pattern and maps every
+element-matrix entry to its nonzero slot.  It is built by replaying
+scipy's COO to CSR conversion (a row-stable counting sort, a per-row sort
+on column keys, summation of duplicate runs in order) on entry numbers
+instead of values.  Applying it with one weighted ``np.bincount``
+therefore adds every slot's addends one after another in exactly the
+order ``coo_matrix(...).tocsr()`` adds them, so the operators and load
+vectors are bit-identical to those of a plain COO assembly.
+
+B(u) is the one operator that changes with the state, so it costs two
+sparse products per call and builds no element matrices.  The
+dilatation map (elements x interior displacement dofs, entries
+b/(2|T|) and c/(2|T|)) gives the elementwise divergence of u, and the
+permeability gives the element weights kappa/(4|T|).  The B map has one
+row per nonzero slot of the scalar plan, listing that slot's addends in
+the plan's order as (element, grad-grad numerator) pairs, so its
+product with the weights adds the same products in the same order as
+the scatter would: given the dilatation, B(u) equals the COO assembly
+bit for bit.  Each map is built on first use, inside the first B(u) call
+of a run.
 """
 
 import weakref
@@ -115,6 +128,7 @@ class _MeshData:
             arr.flags.writeable = False
         self.plans = {}
         self.loads = {}
+        self.maps = {}
 
 
 _MESH_DATA = weakref.WeakKeyDictionary()
@@ -139,10 +153,30 @@ def triangle_geometry(mesh: Mesh):
 
 def element_divergence(mesh: Mesh, u_interior: np.ndarray) -> np.ndarray:
     """Elementwise-constant divergence of an interior displacement vector."""
-    b, c, area = triangle_geometry(mesh)
-    full = mesh.extend_vector(np.asarray(u_interior, dtype=float))
-    u = full[_mesh_data(mesh).spaces["vector"][0]]
-    return ((u[:, 0::2] * b).sum(axis=1) + (u[:, 1::2] * c).sum(axis=1)) / (2.0 * area)
+    return _divergence_map(mesh) @ np.asarray(u_interior, dtype=float)
+
+
+def _divergence_map(mesh: Mesh) -> sp.csr_matrix:
+    """The (elements x interior displacement dofs) map u -> div u, cached per mesh.
+
+    Row e holds b_i/(2|T|) at the x dof and c_i/(2|T|) at the y dof of
+    each interior vertex i of element e.
+    """
+    data = _mesh_data(mesh)
+    div = data.maps.get("div")
+    if div is None:
+        b, c, area = data.geometry
+        element_dofs, dof_map = data.spaces["vector"]
+        values = np.empty(element_dofs.shape)
+        values[:, 0::2] = b / (2.0 * area)[:, None]
+        values[:, 1::2] = c / (2.0 * area)[:, None]
+        columns = dof_map[element_dofs]
+        rows = np.broadcast_to(np.arange(mesh.num_triangles)[:, None], columns.shape)
+        keep = columns >= 0
+        div = data.maps["div"] = sp.csr_matrix(
+            (values[keep], (rows[keep], columns[keep])),
+            shape=(mesh.num_triangles, mesh.num_displacement_dofs))
+    return div
 
 
 def _space(mesh: Mesh, kind, interior_only):
@@ -223,6 +257,23 @@ def _build_plan(mesh: Mesh, rows, cols, interior_only) -> _ScatterPlan:
                         shape=(n_rows, n_cols))
 
 
+def _plan(mesh: Mesh, rows, cols, interior_only) -> _ScatterPlan:
+    """The mesh's scatter plan of a pair of spaces, built on first use."""
+    plans = _mesh_data(mesh).plans
+    key = (rows, cols, interior_only)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _build_plan(mesh, rows, cols, interior_only)
+    return plan
+
+
+def _csr(plan: _ScatterPlan, data) -> sp.csr_matrix:
+    """A CSR matrix on the plan's pattern, with its own copies of the index arrays."""
+    mat = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
+    mat.has_canonical_format = True
+    return mat
+
+
 def _scatter(mesh: Mesh, local, interior_only, rows="scalar", cols="scalar"):
     """Sum (E, r, c) local matrices into a CSR matrix between two P1 spaces.
 
@@ -231,18 +282,36 @@ def _scatter(mesh: Mesh, local, interior_only, rows="scalar", cols="scalar"):
     plan fixes the pattern, and one weighted ``np.bincount`` adds each
     slot's addends in the order scipy's COO to CSR conversion would, so
     the result equals ``coo_matrix(...).tocsr()`` restricted and sorted,
-    bit for bit.  The matrix gets its own copies of the index arrays.
+    bit for bit.
     """
-    plans = _mesh_data(mesh).plans
-    key = (rows, cols, interior_only)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _build_plan(mesh, rows, cols, interior_only)
-    nnz = plan.indices.size
-    data = np.bincount(plan.slots, weights=local.ravel()[plan.perm], minlength=nnz)
-    mat = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
-    mat.has_canonical_format = True
-    return mat
+    plan = _plan(mesh, rows, cols, interior_only)
+    return _csr(plan, np.bincount(plan.slots, weights=local.ravel()[plan.perm],
+                                  minlength=plan.indices.size))
+
+
+def _permeability_map(mesh: Mesh, interior_only):
+    """The scalar plan and the B map that reads B's values off the element weights.
+
+    Row k of the B map lists the addends of slot k in the plan's order,
+    each as its element (column) and grad-grad numerator (value).  A CSR
+    product adds a row's products front to back, as the plan's
+    ``np.bincount`` adds the entries of the scaled element matrices, so
+    the map times kappa/(4|T|) is the scatter's data bit for bit.  Cached
+    per mesh and ``interior_only``.
+    """
+    data = _mesh_data(mesh)
+    plan = _plan(mesh, "scalar", "scalar", interior_only)
+    key = ("B", interior_only)
+    bmap = data.maps.get(key)
+    if bmap is None:
+        nnz = plan.indices.size
+        indptr = np.zeros(nnz + 1, dtype=plan.perm.dtype)
+        np.cumsum(np.bincount(plan.slots, minlength=nnz), out=indptr[1:])
+        local_size = data.grad_grad[0].size
+        bmap = data.maps[key] = sp.csr_matrix(
+            (data.grad_grad.ravel()[plan.perm], plan.perm // local_size, indptr),
+            shape=(nnz, mesh.num_triangles))
+    return plan, bmap
 
 
 def assemble_elasticity(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:
@@ -304,11 +373,10 @@ def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior
     permeability is evaluated exactly once per element; no quadrature
     choice arises.
     """
-    data = _mesh_data(mesh)
-    _, _, area = data.geometry
+    _, _, area = triangle_geometry(mesh)
     kappa = coeffs.mobility(element_divergence(mesh, u_interior))
-    return _scatter(mesh, data.grad_grad * (kappa / (4.0 * area))[:, None, None],
-                    interior_only)
+    plan, bmap = _permeability_map(mesh, interior_only)
+    return _csr(plan, bmap @ (kappa / (4.0 * area)))
 
 
 # vertex weights of the edge-midpoint rule: vertex i gets 1/2 on its two edges

@@ -19,6 +19,7 @@ later iterates rewrite only the pressure block's values, in place, with
 no sparse constructor.
 """
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -209,11 +210,11 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
         raise SolverFailure("block operator has a zero or non-finite diagonal")
     s = 1.0 / np.sqrt(d)
     with np.errstate(over="ignore"):  # reported just below
-        norm_K = (s * (system.abs_monolithic() @ s)).max()
-    if not np.isfinite(norm_K):
+        norm_K = float((s * (system.abs_monolithic() @ s)).max())
+    if not math.isfinite(norm_K):
         raise SolverFailure("equilibrated block operator is not finite")
     b = s * rhs
-    norm_b = np.linalg.norm(b)
+    norm_b = _norm(b)
     y = np.zeros_like(b) if guess is None else np.concatenate(guess) / s
 
     def op(y):  # the equilibrated operator S K S
@@ -226,25 +227,33 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
         return np.concatenate([u, p]) / s
 
     def scale(y):  # denominator of the backward error
-        return norm_K * np.linalg.norm(y) + norm_b
+        return norm_K * _norm(y) + norm_b
 
     r = b - op(y)
+    norm_r, scale_y = _norm(r), scale(y)
     if reduction is not None:  # the forcing term
-        tol = max(tol, reduction * np.linalg.norm(r) / scale(y))
+        tol = max(tol, reduction * norm_r / scale_y)
     iterations = 0
     for _ in range(_GMRES_CYCLES):
-        if np.linalg.norm(r) <= _GMRES_AIM * tol * scale(y):
+        if norm_r <= _GMRES_AIM * tol * scale_y:
             break
-        y, steps = _gmres_cycle(op, sweep, r, y, _GMRES_AIM * tol * scale(y))
+        y, steps = _gmres_cycle(op, sweep, r, y, _GMRES_AIM * tol * scale_y)
         iterations += steps
         r = b - op(y)
-        if np.linalg.norm(r) <= tol * scale(y):
+        norm_r, scale_y = _norm(r), scale(y)
+        if norm_r <= tol * scale_y:
             break
-    error = np.linalg.norm(r) / scale(y)
-    if not np.isfinite(error) or error > tol:
+    error = norm_r / scale_y
+    if not math.isfinite(error) or error > tol:
         raise SolverFailure("block solve failed", error)
     x = s * y
     return x[:nu], x[nu:], iterations
+
+
+def _norm(v) -> float:
+    """Euclidean norm as a Python float; the same dot and square root as
+    ``np.linalg.norm`` on a real vector, without its wrapper."""
+    return math.sqrt(v @ v)
 
 
 def _gmres_cycle(op, precond, r, y, target):
@@ -254,40 +263,48 @@ def _gmres_cycle(op, precond, r, y, target):
     Arnoldi with Givens rotations.  Stops once the least-squares residual
     is at most ``target``, on breakdown, or after ``_GMRES_RESTART`` steps;
     the basis grows as a list, so only the vectors the cycle uses are
-    allocated.  Raises SolverFailure when the Hessenberg system or the
-    update's coefficients go non-finite, before ``y`` is touched.
-    Returns (new y, steps taken).
+    allocated.  The rotations and the least-squares right-hand side are
+    Python floats, and each Hessenberg column is rotated as a list before
+    it is stored, so the bookkeeping pays no numpy scalar arithmetic.
+    Raises SolverFailure when the Hessenberg system or the update's
+    coefficients go non-finite, before ``y`` is touched.  Returns
+    (new y, steps taken).
     """
     m = _GMRES_RESTART
-    beta = np.linalg.norm(r)
+    beta = _norm(r)
     H = np.zeros((m + 1, m))
-    cs, sn = np.zeros(m), np.zeros(m)
-    g = np.zeros(m + 1)
-    g[0] = beta
+    cs, sn = [], []
+    g = [beta]
     V, Z = [r / beta], []
     k = 0
     while True:
         Z.append(precond(V[k]))
         w = op(Z[k])
-        for i, v in enumerate(V):
-            H[i, k] = v @ w
-            w -= H[i, k] * v
-        h_next = np.linalg.norm(w)
+        column = []
+        for v in V:
+            h = float(v @ w)
+            w -= h * v
+            column.append(h)
+        h_next = _norm(w)
         for i in range(k):
-            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
-                                    cs[i] * H[i + 1, k] - sn[i] * H[i, k])
-        rho = np.hypot(H[k, k], h_next)
-        cs[k], sn[k] = H[k, k] / rho, h_next / rho
-        H[k, k] = rho
-        g[k + 1] = -sn[k] * g[k]
+            column[i], column[i + 1] = (cs[i] * column[i] + sn[i] * column[i + 1],
+                                        cs[i] * column[i + 1] - sn[i] * column[i])
+        rho = math.hypot(column[k], h_next)
+        if rho == 0.0:  # a singular Hessenberg system, whose rotation would be 0/0
+            raise SolverFailure("GMRES produced non-finite values", abs(g[k]))
+        cs.append(column[k] / rho)
+        sn.append(h_next / rho)
+        column[k] = rho
+        H[:k + 1, k] = column
+        g.append(-sn[k] * g[k])
         g[k] *= cs[k]
         k += 1
         if abs(g[k]) <= target or h_next == 0.0 or k == m:
             break
         V.append(w / h_next)
-    if not (np.isfinite(H[:k, :k]).all() and np.isfinite(g[:k]).all()):
+    if not (np.isfinite(H[:k, :k]).all() and all(map(math.isfinite, g[:k]))):
         raise SolverFailure("GMRES produced non-finite values", abs(g[k]))
-    coef = solve_triangular(H[:k, :k], g[:k])
+    coef = solve_triangular(H[:k, :k], g[:k], check_finite=False)
     if not np.isfinite(coef).all():
         raise SolverFailure("GMRES update is not finite")
     for c, z in zip(coef, Z):

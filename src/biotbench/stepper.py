@@ -123,16 +123,16 @@ class RunReport:
 class SharedOperators:
     """Time-independent operators of one mesh, each built on first request.
 
-    Every semi-explicit or Picard run reads its A, A's factor, C, D, the
-    unscaled mass M and the fixed-stress C + beta*M from a store: its own
-    when it is given none, or one that the runs of a study on one mesh
+    Every semi-explicit or Picard run reads its A, A's factor, C, D, D^T,
+    the unscaled mass M and the fixed-stress C + beta*M from a store: its
+    own when it is given none, or one that the runs of a study on one mesh
     share.  Those runs differ in scheme, step size or alpha.  Each piece
     is kept under the coefficients it reads: A and its factor under lam
-    and mu, C under M, D under alpha, M once per mesh and C + beta*M under
-    M and beta.  D is assembled for each alpha: alpha times another
-    alpha's D is not bit-identical.  A piece is built by the run that
-    first asks for it, and stored only once it is complete, so a build
-    that raises leaves nothing behind.
+    and mu, C under M, D and D^T under alpha, M once per mesh and
+    C + beta*M under M and beta.  D is assembled for each alpha: alpha
+    times another alpha's D is not bit-identical.  A piece is built by the
+    run that first asks for it, and stored only once it is complete, so a
+    build that raises leaves nothing behind.
     """
 
     def __init__(self, mesh: Mesh):
@@ -152,10 +152,10 @@ class StepOperators:
     A semi-explicit or Picard run forms, factors and counts its SPD
     operators here.  ``factor`` is the one place an ``SpdFactorization`` is
     built and ``factorization_count`` grows, so the count is the run's LUs.
-    A, its factor, C, D, M and C + beta*M are read through ``shared``, a
-    private ``SharedOperators`` of the mesh when none is given, so each is
-    built once per store; a factor of A that another run made is not
-    counted here.  The elasticity factor serves the initial displacement
+    A, its factor, C, D, D^T, M and C + beta*M are read through
+    ``shared``, a private ``SharedOperators`` of the mesh when none is
+    given, so each is built once per store; a factor of A that another
+    run made is not counted here.  The elasticity factor serves the initial displacement
     solve, every semi-explicit step and every fixed-stress preconditioner
     of the Picard path.  The pressure operator changes with u and is
     refactorized per step, as C + tau*B(u) on the semi-explicit path and
@@ -181,6 +181,8 @@ class StepOperators:
                             lambda: assemble_elasticity(mesh, coeffs))
         self.C = shared.get(("C", coeffs.M), lambda: assemble_pressure_mass(mesh, coeffs))
         self.D = shared.get(("D", coeffs.alpha), lambda: assemble_coupling(mesh, coeffs))
+        # D's CSC view: the same csc_matvec as the delay path's D.T @, built once
+        self.DT = shared.get(("D^T", coeffs.alpha), lambda: self.D.T)
         self._block = None
         self.factorization_count = 0
 
@@ -237,7 +239,7 @@ def initial_displacement(ops: StepOperators, p0, f0=None) -> np.ndarray:
     an optional assembled interior load vector.  The solve uses the run's
     shared elasticity factor, which the semi-explicit steps then reuse.
     """
-    rhs = ops.D.T @ np.asarray(p0, dtype=float)
+    rhs = ops.DT @ np.asarray(p0, dtype=float)
     if f0 is not None:
         rhs = rhs + f0
     return ops.a_factor().solve(rhs)
@@ -252,7 +254,7 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     evaluated at the new displacement.
     """
     tau = cfg.tau
-    u_new = ops.a_factor().solve(load_u + ops.D.T @ state.p)
+    u_new = ops.a_factor().solve(load_u + ops.DT @ state.p)
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
@@ -273,7 +275,7 @@ def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
     normalizations agree up to a small factor.
     """
     Au = ops.A @ u
-    DTp = ops.D.T @ p
+    DTp = ops.DT @ p
     Du = ops.D @ u
     Cp = ops.C @ p
     Bp = tau * (B @ p)

@@ -3,10 +3,16 @@
 Everything here is deliberately written differently from the library:
 dense matrices, plain element loops, basis gradients obtained by solving
 small linear systems, and quadrature evaluated from barycentric
-coordinates.  Slow but simple enough to audit by eye.
+coordinates.  Slow but simple enough to audit by eye.  The one exception
+is the GMRES cycle at the end: the library's cycle with its bookkeeping
+on numpy arrays and scalars, which the library's Python-float
+bookkeeping must reproduce.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
+
+from biotbench import linsolve
 
 
 def _basis_gradients(pts):
@@ -231,3 +237,46 @@ def div_u_t(problem, x, y, t, delta):
     dux = fd_derivative(lambda s: u(0, s, y), x, delta)
     duy = fd_derivative(lambda s: u(1, x, s), y, delta)
     return dux + duy
+
+
+# the GMRES cycle with numpy bookkeeping
+
+
+def reference_gmres_cycle(op, precond, r, y, target):
+    """``linsolve._gmres_cycle`` with numpy scalars throughout: same signature,
+    same Arnoldi and the same non-finite checks, kept as its oracle."""
+    m = linsolve._GMRES_RESTART
+    beta = np.linalg.norm(r)
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V, Z = [r / beta], []
+    k = 0
+    while True:
+        Z.append(precond(V[k]))
+        w = op(Z[k])
+        for i, v in enumerate(V):
+            H[i, k] = v @ w
+            w -= H[i, k] * v
+        h_next = np.linalg.norm(w)
+        for i in range(k):
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+        rho = np.hypot(H[k, k], h_next)
+        cs[k], sn[k] = H[k, k] / rho, h_next / rho
+        H[k, k] = rho
+        g[k + 1] = -sn[k] * g[k]
+        g[k] *= cs[k]
+        k += 1
+        if abs(g[k]) <= target or h_next == 0.0 or k == m:
+            break
+        V.append(w / h_next)
+    if not (np.isfinite(H[:k, :k]).all() and np.isfinite(g[:k]).all()):
+        raise linsolve.SolverFailure("GMRES produced non-finite values", abs(g[k]))
+    coef = solve_triangular(H[:k, :k], g[:k])
+    if not np.isfinite(coef).all():
+        raise linsolve.SolverFailure("GMRES update is not finite")
+    for c, z in zip(coef, Z):
+        y = y + c * z
+    return y, k

@@ -297,6 +297,13 @@ def test_operators_equal_coo_assembly_bit_for_bit(n, interior_only, monkeypatch)
     mesh = build_structured_mesh(n)
     co = unit_coeffs()
     u = np.random.default_rng(n).standard_normal(mesh.num_displacement_dofs)
+    # given the dilatation, B(u) read through the B map equals the COO
+    # assembly of the weighted grad-grad element matrices
+    _, _, area = assembly.triangle_geometry(mesh)
+    weights = co.mobility(element_divergence(mesh, u)) / (4.0 * area)
+    grad_grad = assembly._mesh_data(mesh).grad_grad
+    B_ref = coo_scatter(mesh, grad_grad * weights[:, None, None], interior_only,
+                        "scalar", "scalar")
     scattered = []
     real_scatter = assembly._scatter
 
@@ -306,15 +313,35 @@ def test_operators_equal_coo_assembly_bit_for_bit(n, interior_only, monkeypatch)
         return mat
 
     monkeypatch.setattr(assembly, "_scatter", recording_scatter)
+    assert_same_csr(assemble_permeability_stiffness(mesh, co, u, interior_only), B_ref)
+    assert scattered == []
     ops = [assemble_elasticity(mesh, co, interior_only), assemble_coupling(mesh, co, interior_only),
-           assemble_permeability_stiffness(mesh, co, u, interior_only),
            assemble_mass(mesh, interior_only), assemble_laplace(mesh, interior_only)]
     C = assemble_pressure_mass(mesh, co, interior_only)
-    assert len(scattered) == 6
+    assert len(scattered) == 5
     for (ref, mat), op in zip(scattered, ops):
         assert_same_csr(mat, ref)
         assert_same_csr(op, ref)
     assert_same_csr(C, scattered[-1][0] * (1.0 / co.M))
+
+
+def gather_divergence(mesh, u_interior):
+    """Elementwise divergence by gathering u to the elements and summing b u_x + c u_y."""
+    b, c, area = assembly.triangle_geometry(mesh)
+    dofs = np.stack([2 * mesh.triangles, 2 * mesh.triangles + 1], axis=2).reshape(-1, 6)
+    u = mesh.extend_vector(u_interior)[dofs]
+    return ((u[:, 0::2] * b).sum(axis=1) + (u[:, 1::2] * c).sum(axis=1)) / (2.0 * area)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_divergence_map_agrees_with_the_element_gather(n):
+    mesh = build_structured_mesh(n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        u = rng.standard_normal(mesh.num_displacement_dofs) * 10.0 ** rng.integers(-6, 6)
+        div, ref = element_divergence(mesh, u), gather_divergence(mesh, u)
+        assert div.shape == (mesh.num_triangles,)
+        assert np.abs(div - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def add_at_load(mesh, components, interior_only):
@@ -426,6 +453,16 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     error_vs_manufactured(mesh, prob.coeffs, trajectory, prob.exact_u, prob.exact_p)
     assert sorted(built) == [("scalar", "scalar", True), ("scalar", "vector", True),
                              ("vector", "vector", True)]
+    # the run built the dilatation map and the interior B map, and later
+    # B(u) calls read the same objects
+    maps = assembly._mesh_data(mesh).maps
+    assert sorted(maps, key=str) == [("B", True), "div"]
+    kept = dict(maps)
+    assemble_permeability_stiffness(mesh, prob.coeffs, trajectory[-1].u)
+    assert element_divergence(mesh, trajectory[-1].u).shape == (mesh.num_triangles,)
+    assert maps.keys() == kept.keys() and all(maps[k] is kept[k] for k in kept)
+    map_refs = [weakref.ref(m) for m in kept.values()]
+    del kept, maps
 
     # a caller editing a returned matrix in place leaves the shared plan intact
     L = assemble_laplace(mesh)
@@ -440,6 +477,7 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     del mesh, L
     gc.collect()
     assert alive() is None
+    assert all(m() is None for m in map_refs)
     assert len(assembly._MESH_DATA) == cached_before
 
 

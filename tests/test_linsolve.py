@@ -13,6 +13,7 @@ from biotbench import (BlockSystem, Coefficients, KozenyCarman, SolverFailure,
 from biotbench.assembly import assemble_mass
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
+from dense_reference import reference_gmres_cycle
 
 CO = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
                   permeability=KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75))
@@ -266,6 +267,20 @@ def test_block_solve_matches_monolithic_lu(name):
     assert _block_deviation((u, p), lu_block_solve(system, rhs_u, rhs_p)) <= 1e-12
 
 
+@pytest.mark.parametrize("name, n", [("ex42", 8), ("ex42", 16), ("ex43", 8)])
+def test_gmres_cycle_matches_the_numpy_reference_cycle(name, n, monkeypatch):
+    first = _first_picard_system(name, n)
+    second = _second_picard_system(name, n)
+    cases = [(first, None), (second, None), (second, 1e-1), (second, 1e-2)]
+    for (system, rhs_u, rhs_p, guess, factors), reduction in cases:
+        got = solve_block(system, rhs_u, rhs_p, *factors, guess, reduction=reduction)
+        with monkeypatch.context() as patch:
+            patch.setattr(linsolve, "_gmres_cycle", reference_gmres_cycle)
+            expected = solve_block(system, rhs_u, rhs_p, *factors, guess, reduction=reduction)
+        assert got[2] == expected[2] > 0
+        assert _block_deviation(got[:2], expected[:2]) <= 1e-13
+
+
 # the run's one block operator and its in-place rewrites, against the
 # per-iterate rebuild they replaced
 
@@ -390,6 +405,14 @@ def test_block_solve_fails_before_a_non_finite_gmres_update():
     with pytest.raises(SolverFailure, match="GMRES"):
         solve_block(BlockSystem(A, 1e300 * D, 1e-300 * C), np.ones(A.shape[0]),
                     np.ones(C.shape[0]), SpdFactorization(A), SpdFactorization(C))
+
+
+def test_gmres_cycle_fails_on_a_singular_hessenberg_system():
+    # op(precond(r)) = 0: the first column is zero, so its rotation is 0/0
+    r, y = np.ones(4), np.zeros(4)
+    with pytest.raises(SolverFailure, match="GMRES"):
+        linsolve._gmres_cycle(np.zeros_like, lambda v: v, r, y, 0.0)
+    assert np.all(y == 0.0)
 
 
 def test_block_solve_fails_when_the_equilibrated_norm_overflows():

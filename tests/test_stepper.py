@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from biotbench import (Coefficients, Constant, KozenyCarman, StepperConfig,
                        assemble_load_q, assemble_load_v, build_structured_mesh,
@@ -12,7 +13,8 @@ from biotbench import linsolve, stepper
 from biotbench.assembly import assemble_permeability_stiffness, assemble_pressure_mass
 from biotbench.stepper import StepOperators, picard_residual
 from dense_reference import (dense_coupling, dense_elasticity, dense_mass,
-                             dense_permeability_stiffness, restrict_dense)
+                             dense_permeability_stiffness, reference_gmres_cycle,
+                             restrict_dense)
 
 KC = KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75)
 
@@ -266,6 +268,61 @@ def test_forcing_term_keeps_picard_counts_and_states_of_exact_inner_solves(name,
         for field in ("u", "p"):
             a, b = getattr(got[-1], field), getattr(expected[-1], field)
             assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name", ["ex42", "ex43-alpha4"])
+def test_picard_counts_equal_those_of_the_numpy_gmres_cycle(name, monkeypatch):
+    prob = ORACLE_PROBLEMS[name]()
+    mesh = build_structured_mesh(8)
+    got, counts = _picard_run_by_step(prob, mesh, 10, monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(linsolve, "_gmres_cycle", reference_gmres_cycle)
+        expected, oracle_counts = _picard_run_by_step(prob, mesh, 10, monkeypatch)
+    assert counts == oracle_counts
+    for field in ("u", "p"):
+        a, b = getattr(got[-1], field), getattr(expected[-1], field)
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard"])
+def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch):
+    # guards the per-iterate work: one B(u) per Picard iterate plus the one
+    # a step freezes first, and no sparse constructor for D^T in the loop
+    b_calls, transposes, before_step, after_step = [], [], [], []
+
+    def counted(fn, calls):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def marking(step):
+        def marked(*args):
+            before_step.append(len(transposes))
+            out = step(*args)
+            after_step.append((out[1].picard_iterations, len(transposes)))
+            return out
+        return marked
+
+    step_name = "semi_explicit_step" if scheme == "semi_explicit" else "implicit_picard_step"
+    monkeypatch.setattr(stepper, step_name, marking(getattr(stepper, step_name)))
+    monkeypatch.setattr(stepper, "assemble_permeability_stiffness",
+                        counted(stepper.assemble_permeability_stiffness, b_calls))
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counted(sp.csr_matrix.transpose, transposes))
+    prob = experiment_42_data()
+    cfg = StepperConfig(scheme=scheme, tau=2.0**-3, T=1.0, picard_max=10)
+    _, report = run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert len(after_step) == report.n_steps == 8
+    iterates = sum(n for n, _ in after_step)
+    if scheme == "semi_explicit":
+        assert iterates == 0 and len(b_calls) == report.n_steps
+    else:
+        assert iterates == round(report.picard_mean * report.n_steps) > 2 * report.n_steps
+        assert len(b_calls) == iterates + report.n_steps
+    # only the Picard path's first step transposes D: it stacks the block
+    # operator, with its -D^T, once per run
+    assert after_step[0][1] - before_step[0] == (scheme == "implicit_picard")
+    assert after_step[-1][1] == after_step[0][1]
 
 
 @pytest.mark.parametrize("scheme", ["semi_explicit", "delay_implicit"])
