@@ -1,9 +1,12 @@
 """Sparse solvers for the per-step linear systems.
 
 SPD systems (the elasticity operator A and the pressure operators
-C + tau*B) are factorized once by sparse LU and the factors cached by the
-caller; each solve is verified post hoc by the normwise backward error of
-an independent matrix-vector residual, with iterative refinement.  The
+C + tau*B) are factorized once and the factors cached by the caller: A,
+which a run factors once and solves thousands of times, by LAPACK's
+banded Cholesky while its band is small (``factor_banded``), and every
+other operator, or an A whose band is too wide, by sparse LU.  Each solve
+is verified post hoc by the normwise backward error of an independent
+matrix-vector residual, with iterative refinement.  The
 coupled two-by-two block systems of the implicit/Picard path are solved
 by right-preconditioned GMRES on the monolithic operator, equilibrated
 symmetrically by its diagonal inside each matrix-vector product.  The
@@ -24,10 +27,15 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 from scipy.sparse.linalg import splu
 
 DEFAULT_TOL = 1e-12
+#: ``factor_banded`` stores a band of at most this many doubles, N*(kd + 1):
+#: A up to n = 101 (kd = 2n + 1); from about n = 112 on SuperLU's factor is
+#: smaller and its back-solve no slower
+_BAND_BUDGET = 2 ** 22
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 #: a block solve runs at most this many GMRES cycles of at most this many steps
 _GMRES_CYCLES = 3
 _GMRES_RESTART = 60
@@ -48,15 +56,23 @@ class SpdFactorization:
 
     ``lu`` is the sparse LU routine, called as scipy's ``splu``; by
     default this module's ``splu``, looked up when the factor is built.
+    Given a half-bandwidth ``kd``, the operator is factored instead by
+    this module's ``cholesky_banded``, looked up likewise.  Either
+    factor only has to ``solve``; a factorization that breaks down
+    (an exactly singular LU, a Cholesky pivot that is not positive or
+    not finite) raises SolverFailure.
     """
 
-    def __init__(self, op, lu=None):
+    def __init__(self, op, lu=None, kd=None):
         self.op = op.tocsr()
-        lu = splu if lu is None else lu
         try:
-            self._lu = lu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-            raise SolverFailure(f"LU factorization failed: {exc}") from exc
+            if kd is None:
+                lu = splu if lu is None else lu
+                self._lu = lu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
+            else:
+                self._lu = cholesky_banded(self.op, kd)
+        except RuntimeError as exc:
+            raise SolverFailure(f"factorization failed: {exc}") from exc
         # ||op||_inf kept as two factors, peak * ratio: the norm itself may
         # overflow a double where the solve and its residual do not
         magnitudes = np.abs(self.op.data)
@@ -99,6 +115,82 @@ class SpdFactorization:
     def back_solve(self, rhs):
         """Triangular solves with the factors alone, unverified (a preconditioner step)."""
         return self._lu.solve(rhs)
+
+
+class BandedCholesky:
+    """LAPACK ``pbtrf`` factor of an SPD operator, in lower band storage.
+
+    ``band`` is the (kd + 1) x N Fortran-ordered array whose column j
+    holds op[j:j + kd + 1, j]; ``pbtrf`` overwrites it with the Cholesky
+    factor, so the operator's band is never held twice.
+    """
+
+    def __init__(self, band):
+        self._band = band
+
+    def solve(self, rhs):
+        x, _ = _pbtrs(self._band, rhs, lower=1)
+        return x
+
+
+def half_bandwidth(op) -> int:
+    """Largest |i - j| over the stored entries of a CSR operator.
+
+    Reduced row by row, so no temporary of one entry per stored value is
+    made: an operator past the band budget is measured, not copied.
+    """
+    rows = np.flatnonzero(np.diff(op.indptr))
+    if rows.size == 0:
+        return 0
+    starts = op.indptr[rows]
+    below = rows - np.minimum.reduceat(op.indices, starts)
+    above = np.maximum.reduceat(op.indices, starts) - rows
+    return int(max(below.max(), above.max()))
+
+
+def cholesky_banded(op, kd) -> BandedCholesky:
+    """Banded Cholesky factor of the symmetric CSR ``op`` with half-bandwidth ``kd``.
+
+    The lower band is filled straight from op's CSR arrays into the
+    Fortran-ordered array that ``pbtrf`` overwrites in place (a C-ordered
+    one would be copied by LAPACK); a duplicate entry adds up, as in
+    scipy's conversions.  A pivot that is not positive (an operator that
+    is not positive definite) or not finite raises RuntimeError, as
+    SuperLU's exactly singular factor does.
+    """
+    n = op.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(op.indptr))
+    lower = op.indices <= rows
+    cols = op.indices[lower]
+    # column j of the band holds op[j + d, j] at row d: flat index j*(kd + 1) + d
+    slots = cols * (kd + 1) + (rows[lower] - cols)
+    band = np.bincount(slots, weights=op.data[lower], minlength=n * (kd + 1))
+    band = band.reshape((kd + 1, n), order="F")
+    _, info = _pbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise RuntimeError(f"leading minor of order {info} is not positive definite")
+    if not np.isfinite(band[0]).all():  # pbtrf passes an inf or NaN pivot on
+        raise RuntimeError("Cholesky factor is not finite")
+    return BandedCholesky(band)
+
+
+def factor_banded(op, lu=None) -> SpdFactorization:
+    """Factor an SPD operator that many solves will reuse.
+
+    A banded Cholesky factor on the operator's own ordering while its
+    band, N*(kd + 1) doubles, is within ``_BAND_BUDGET``: LAPACK's banded
+    back-solve runs through a narrow band up to about three times as fast
+    as SuperLU's supernodal one through its factor.  Past the budget the
+    band holds more than the sparse factor and its back-solve is no
+    faster, so the operator gets the sparse LU ``lu`` (see
+    ``SpdFactorization``).  Per-step pressure operators are solved a few
+    times per factor and stay on ``SpdFactorization`` alone.
+    """
+    op = op.tocsr()
+    kd = half_bandwidth(op)
+    if op.shape[0] * (kd + 1) <= _BAND_BUDGET:
+        return SpdFactorization(op, kd=kd)
+    return SpdFactorization(op, lu)
 
 
 def solve_spd(op, rhs, tol=DEFAULT_TOL) -> np.ndarray:

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass)
-from .linsolve import BlockSystem, SpdFactorization, solve_block
+from .linsolve import BlockSystem, SpdFactorization, factor_banded, solve_block
 from .mesh import Mesh
 
 #: forcing term of the Picard inner solves: an iterate that is neither the
@@ -101,7 +101,8 @@ class RunReport:
     max_picard_residual: float = 0.0
     #: steps that ran all ``picard_max`` iterates
     picard_capped: int = 0
-    #: LUs this run made; one it was handed already factored is not counted
+    #: factorizations this run made (LUs and A's banded Cholesky); one it
+    #: was handed already factored is not counted
     factorization_count: int = 0
     linear_iterations: int = 0
 
@@ -127,7 +128,8 @@ class SharedOperators:
     the unscaled mass M and the fixed-stress C + beta*M from a store: its
     own when it is given none, or one that the runs of a study on one mesh
     share.  Those runs differ in scheme, step size or alpha.  Each piece
-    is kept under the coefficients it reads: A and its factor under lam
+    is kept under the coefficients it reads: A and its factor (banded
+    while A's band is small, see ``linsolve.factor_banded``) under lam
     and mu, C under M, D and D^T under alpha, M once per mesh and
     C + beta*M under M and beta.  D is assembled for each alpha: alpha
     times another alpha's D is not bit-identical.  A piece is built by the
@@ -151,7 +153,9 @@ class StepOperators:
 
     A semi-explicit or Picard run forms, factors and counts its SPD
     operators here.  ``factor`` is the one place an ``SpdFactorization`` is
-    built and ``factorization_count`` grows, so the count is the run's LUs.
+    built and ``factorization_count`` grows, so the count is the run's
+    factors: A's by ``linsolve.factor_banded`` (a banded Cholesky while
+    its band is small, else an LU), every pressure operator's by LU.
     A, its factor, C, D, D^T, M and C + beta*M are read through
     ``shared``, a private ``SharedOperators`` of the mesh when none is
     given, so each is built once per store; a factor of A that another
@@ -166,7 +170,7 @@ class StepOperators:
     the one operator rewritten in place: built on its first iterate and
     then kept, every iterate writes C + tau*B into its pressure slots,
     which C and every B(u) share (``block_system``).  A semi-explicit run
-    never builds it.
+    never builds it, nor keeps ``picard_end``.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients,
@@ -184,16 +188,21 @@ class StepOperators:
         # D's CSC view: the same csc_matvec as the delay path's D.T @, built once
         self.DT = shared.get(("D^T", coeffs.alpha), lambda: self.D.T)
         self._block = None
+        #: (u, B(u)) at the run's last Picard iterate so far, where the next step starts
+        self.picard_end = (None, None)
         self.factorization_count = 0
 
-    def factor(self, op) -> SpdFactorization:
-        """Factor an SPD operator of this run, and count it."""
+    def factor(self, op, build=None) -> SpdFactorization:
+        """Factor an SPD operator of this run by ``build`` (an ``SpdFactorization``
+        by default), and count it."""
         self.factorization_count += 1
-        return SpdFactorization(op)
+        return (SpdFactorization if build is None else build)(op)
 
     def a_factor(self) -> SpdFactorization:
+        """A's factor, banded while its band is small (``linsolve.factor_banded``)."""
         co = self.coeffs
-        return self._shared.get(("A LU", co.lam, co.mu), lambda: self.factor(self.A))
+        return self._shared.get(("A factor", co.lam, co.mu),
+                                lambda: self.factor(self.A, factor_banded))
 
     def pressure_operator(self, B, tau) -> sp.csr_matrix:
         """C + tau*B, scipy's sum, as the delay path forms it."""
@@ -297,10 +306,12 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     one operator with that iterate's C + tau*B written into its pressure
     slots.  Its fixed-stress preconditioner uses the run's factor of A and
     one factor of C + tau*B + beta*M per step, with B at the previous
-    state.  The loop stops once the scaled residual of the nonlinear step
-    system is below ``picard_tol`` or after ``picard_max`` iterates;
-    running into the cap is not an error (capped variants are legitimate
-    schemes of their own).
+    state.  That B is the one the previous step assembled for its final
+    residual (``ops.picard_end``), so only a run's first step assembles B
+    at its start.  The loop stops once the scaled residual of the
+    nonlinear step system is below ``picard_tol`` or after ``picard_max``
+    iterates; running into the cap is not an error (capped variants are
+    legitimate schemes of their own).
 
     The first iterate of a step and the last one the cap allows are
     solved to ``DEFAULT_TOL``, so Picard(1) and Picard(2) are exact linear
@@ -315,7 +326,9 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     rhs_p = tau * load_p + ops.D @ state.u + ops.C @ state.p
 
     u_j, p_j = state.u, state.p
-    B_frozen = ops.permeability_stiffness(u_j)
+    # the previous step stopped at u_j and assembled its B for the final residual
+    end_u, end_B = ops.picard_end
+    B_frozen = end_B if end_u is u_j else ops.permeability_stiffness(u_j)
     a_factor = ops.a_factor()
     s_factor = ops.fixed_stress_factor(B_frozen, tau)
     iterations = linear_iterations = 0
@@ -334,6 +347,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
         B_frozen = B_new
         if residual <= cfg.picard_tol:
             break
+    ops.picard_end = (u_j, B_frozen)
 
     report = StepReport(picard_iterations=iterations, final_picard_residual=residual,
                         linear_iterations=linear_iterations)
@@ -397,13 +411,15 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
 
 
 def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
-    """``delay_implicit_run``'s trajectory and the number of LUs it made.
+    """``delay_implicit_run``'s trajectory and the number of factors it made.
 
     The path assembles and factors its own operators rather than through
-    ``StepOperators``: one LU of A for u0 and every step, one of C + tau*B
-    per step, so n_steps + 1 in all.  Each is an ``SpdFactorization`` on
-    this module's ``splu``, so its solves are verified and refined exactly
-    as the semi-explicit path's are.
+    ``StepOperators``: one factor of A for u0 and every step, one LU of
+    C + tau*B per step, so n_steps + 1 in all.  A is factored by
+    ``linsolve.factor_banded``, as on the semi-explicit path, with this
+    module's ``splu`` past the band budget; each C + tau*B is an
+    ``SpdFactorization`` on this module's ``splu``.  So its solves are
+    verified and refined exactly as the semi-explicit path's are.
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
@@ -427,7 +443,7 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
         return assemble_load_v(mesh, f, t) if f is not None else zero_u
 
     # one factor of A serves u0 and every step
-    a_lu = SpdFactorization(A, splu)
+    a_lu = factor_banded(A, splu)
     factorizations = 1
     # initial displacement from the delayed pressure at -tau
     u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from biotbench import (BlockSystem, Coefficients, KozenyCarman, SolverFailure,
                        build_structured_mesh, experiment_41_data, experiment_42_data,
                        experiment_43_data, initial_displacement, linsolve, run, solve_block,
                        solve_spd, stepper)
+from biotbench import cli
 from biotbench.assembly import assemble_mass
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
@@ -423,3 +426,111 @@ def test_block_solve_fails_when_the_equilibrated_norm_overflows():
     with pytest.raises(SolverFailure, match="not finite"):
         solve_block(BlockSystem(A, 1e308 * D, C), np.ones(A.shape[0]), np.ones(C.shape[0]),
                     SpdFactorization(A), SpdFactorization(C))
+
+
+# the banded Cholesky factor of A
+
+
+PROBLEMS = {"ex41": experiment_41_data, "ex42": experiment_42_data,
+            "ex43": experiment_43_data}
+
+
+def _recording_factors(monkeypatch):
+    """(routine, shape, kd) of every factor linsolve makes from here on."""
+    made = []
+
+    def recording(name, factor):
+        def recorded(op, *args, **kwargs):
+            made.append((name, op.shape, args[0] if name == "cholesky_banded" else None))
+            return factor(op, *args, **kwargs)
+        return recorded
+
+    for name in ("splu", "cholesky_banded"):
+        monkeypatch.setattr(linsolve, name, recording(name, getattr(linsolve, name)))
+    return made
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_banded_factor_of_a_matches_the_dense_solve(name, n, monkeypatch):
+    # ex41's A is badly scaled (lam and mu of order 1e9)
+    made = _recording_factors(monkeypatch)
+    A = assemble_elasticity(build_structured_mesh(n), PROBLEMS[name]().coeffs)
+    factor = linsolve.factor_banded(A)
+    assert made == [("cholesky_banded", A.shape, linsolve.half_bandwidth(A))]
+    rhs = np.random.default_rng(n).standard_normal(A.shape[0])
+    expected = np.linalg.solve(A.toarray(), rhs)
+    for x in (factor.back_solve(rhs), factor.solve(rhs)):
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_banded_factor_of_the_empty_mesh_solves_like_the_lu():
+    A = assemble_elasticity(build_structured_mesh(1), CO)
+    assert A.shape == (0, 0)
+    for factor in (linsolve.factor_banded(A), SpdFactorization(A)):
+        assert factor.solve(np.zeros(0)).shape == factor.back_solve(np.zeros(0)).shape == (0,)
+
+
+def test_banded_factor_fills_duplicate_entries_as_their_sum():
+    op = sp.csr_matrix((np.array([1.0, 2.0, -1.0, -1.0, 2.0]), np.array([0, 0, 1, 0, 1]),
+                        np.array([0, 3, 5])), shape=(2, 2))
+    assert not op.has_canonical_format
+    x = linsolve.factor_banded(op).solve(np.array([2.0, 1.0]))
+    assert np.allclose(x, np.linalg.solve([[3.0, -1.0], [-1.0, 2.0]], [2.0, 1.0]), atol=1e-15)
+
+
+def test_banded_factor_of_an_indefinite_operator_fails():
+    A = assemble_elasticity(build_structured_mesh(4), CO)
+    with pytest.raises(SolverFailure, match="not positive definite"):
+        linsolve.factor_banded(-A)
+
+
+def test_banded_factor_of_an_overflowing_operator_fails_when_factored():
+    # entries of 1e308 * A overflow to inf, whose pivots pbtrf does not flag
+    A = assemble_elasticity(build_structured_mesh(4), CO)
+    with np.errstate(over="ignore"):
+        huge = 1e308 * A
+    with pytest.raises(SolverFailure, match="not finite"):
+        linsolve.factor_banded(huge)
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
+def test_run_on_an_indefinite_elasticity_operator_exits_3(scheme, tmp_path, monkeypatch, capsys):
+    assemble = stepper.assemble_elasticity
+    monkeypatch.setattr(stepper, "assemble_elasticity", lambda *args: -assemble(*args))
+    config_path = tmp_path / "indefinite.json"
+    config_path.write_text(json.dumps({
+        "experiment": "ex42", "schemes": [{"scheme": scheme}], "mesh_levels": [4],
+        "tau_levels": [0.25], "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(config_path)]) == 3
+    assert "not positive definite" in capsys.readouterr().err
+
+
+def test_operator_over_the_band_budget_gets_the_lu(monkeypatch):
+    made = _recording_factors(monkeypatch)
+    A = assemble_elasticity(build_structured_mesh(8), CO)
+    band = A.shape[0] * (linsolve.half_bandwidth(A) + 1)
+    monkeypatch.setattr(linsolve, "_BAND_BUDGET", band)
+    linsolve.factor_banded(A)
+    monkeypatch.setattr(linsolve, "_BAND_BUDGET", band - 1)
+    factor = linsolve.factor_banded(A)
+    assert [routine for routine, _, _ in made] == ["cholesky_banded", "splu"]
+    rhs = np.ones(A.shape[0])
+    assert np.linalg.norm(factor.solve(rhs) - solve_spd(A, rhs)) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, monkeypatch):
+    # a dof numbering that widened A's band would move a workload's A onto
+    # SuperLU, or past the budget, without changing any number; this pins it
+    made = _recording_factors(monkeypatch)
+    mesh = build_structured_mesh(n)
+    prob = experiment_42_data()
+    ops = StepOperators(mesh, prob.coeffs)
+    ops.a_factor()
+    B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
+    ops.factor(ops.pressure_operator(B, 0.25))
+    ops.fixed_stress_factor(B, 0.25)
+    nu, np_ = mesh.num_displacement_dofs, mesh.num_pressure_dofs
+    a_factor = ("cholesky_banded", (nu, nu), 2 * n + 1) if n < 128 else ("splu", (nu, nu), None)
+    assert made == [a_factor] + [("splu", (np_, np_), None)] * 2

@@ -73,7 +73,8 @@ def test_picard_run_factors_a_once_and_one_pressure_operator_per_step(monkeypatc
             return splu(op, *args, **kwargs)
         return factor
 
-    monkeypatch.setattr(linsolve, "splu", counting(linsolve.splu))
+    for name in ("splu", "cholesky_banded"):
+        monkeypatch.setattr(linsolve, name, counting(getattr(linsolve, name)))
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
     cfg = StepperConfig(scheme="implicit_picard", tau=0.25, T=0.5, picard_max=3)
@@ -287,7 +288,8 @@ def test_picard_counts_equal_those_of_the_numpy_gmres_cycle(name, monkeypatch):
 @pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard"])
 def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch):
     # guards the per-iterate work: one B(u) per Picard iterate plus the one
-    # a step freezes first, and no sparse constructor for D^T in the loop
+    # the first step freezes first (every later step starts from its
+    # predecessor's last B), and no sparse constructor for D^T in the loop
     b_calls, transposes, before_step, after_step = [], [], [], []
 
     def counted(fn, calls):
@@ -318,7 +320,7 @@ def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch
         assert iterates == 0 and len(b_calls) == report.n_steps
     else:
         assert iterates == round(report.picard_mean * report.n_steps) > 2 * report.n_steps
-        assert len(b_calls) == iterates + report.n_steps
+        assert len(b_calls) == iterates + 1
     # only the Picard path's first step transposes D: it stacks the block
     # operator, with its -D^T, once per run
     assert after_step[0][1] - before_step[0] == (scheme == "implicit_picard")
@@ -434,6 +436,7 @@ def test_delay_rejects_a_nan_history_before_any_factorization(monkeypatch):
         raise AssertionError("factorized with a NaN history")
 
     monkeypatch.setattr(stepper, "splu", no_factor)
+    monkeypatch.setattr(linsolve, "cholesky_banded", no_factor)
     cfg = StepperConfig(scheme="delay_implicit", tau=0.25, T=0.5, history=history)
     with pytest.raises(ValueError, match="history"):
         delay_implicit_run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
@@ -472,15 +475,18 @@ def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(mo
 
 def test_delay_path_factors_through_stepper_splu(monkeypatch):
     # the delay path hands the stepper's own name to SpdFactorization, so a
-    # wrapper on stepper.splu alone sees each of its LUs
+    # wrapper on stepper.splu sees each of its LUs, and one on
+    # linsolve.cholesky_banded its banded factor of A
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+    def counting(factor):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+        return counted
 
-    splu = stepper.splu
-    monkeypatch.setattr(stepper, "splu", counting)
+    monkeypatch.setattr(stepper, "splu", counting(stepper.splu))
+    monkeypatch.setattr(linsolve, "cholesky_banded", counting(linsolve.cholesky_banded))
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
     cfg = StepperConfig(scheme="delay_implicit", tau=0.25, T=1.0)
@@ -512,8 +518,8 @@ def test_semi_and_delay_paths_refine_alike_and_stay_bit_identical(monkeypatch):
             return lus[-1]
         return factor
 
-    for module in (linsolve, stepper):
-        monkeypatch.setattr(module, "splu", first_solve_off(module.splu))
+    for module, name in ((linsolve, "splu"), (stepper, "splu"), (linsolve, "cholesky_banded")):
+        monkeypatch.setattr(module, name, first_solve_off(getattr(module, name)))
     prob = experiment_41_data()
     mesh = build_structured_mesh(8)
     runs = []
@@ -590,8 +596,8 @@ def test_reported_factorizations_equal_lu_calls(scheme, monkeypatch):
             return splu(*args, **kwargs)
         return factor
 
-    for module in (linsolve, stepper):
-        monkeypatch.setattr(module, "splu", counting(module.splu))
+    for module, name in ((linsolve, "splu"), (stepper, "splu"), (linsolve, "cholesky_banded")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     prob = experiment_42_data()
     mesh = build_structured_mesh(8)
     cfg = StepperConfig(scheme=scheme, tau=0.25, T=1.0, picard_max=3)

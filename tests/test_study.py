@@ -80,8 +80,9 @@ class Calls:
             monkeypatch.setattr(owner, key, self._counting(name, getattr(owner, key)))
         monkeypatch.setattr(stepper.SharedOperators, "get",
                             self._counting_pieces(stepper.SharedOperators.get))
-        for module in (linsolve, stepper):
-            monkeypatch.setattr(module, "splu", self._recording_lu(module.splu))
+        for module, name in ((linsolve, "splu"), (stepper, "splu"),
+                             (linsolve, "cholesky_banded")):
+            monkeypatch.setattr(module, name, self._recording_lu(getattr(module, name)))
         monkeypatch.setattr(experiments, "simulate", self._recording_run(experiments.simulate))
 
     def _counting(self, name, fn):
@@ -100,11 +101,11 @@ class Calls:
             return get(store, key, counted_build)
         return counted
 
-    def _recording_lu(self, splu):
-        def factor(op, *args, **kwargs):
+    def _recording_lu(self, factor):
+        def recorded(op, *args, **kwargs):
             self.lu_shapes.append(op.shape)
-            return splu(op, *args, **kwargs)
-        return factor
+            return factor(op, *args, **kwargs)
+        return recorded
 
     def _recording_run(self, simulate):
         def recorded(*args):
@@ -178,7 +179,7 @@ def test_run_without_a_reference_shares_nothing(monkeypatch):
 def _recording_a_factors(monkeypatch, n):
     """Weak references to every factor of A that a run on level n makes."""
     refs = []
-    factor = stepper.SpdFactorization
+    factor = stepper.factor_banded
     nu = 2 * (n - 1) ** 2
 
     def recording(op, *args):
@@ -187,7 +188,7 @@ def _recording_a_factors(monkeypatch, n):
             refs.append(weakref.ref(lu))
         return lu
 
-    monkeypatch.setattr(stepper, "SpdFactorization", recording)
+    monkeypatch.setattr(stepper, "factor_banded", recording)
     return refs
 
 
@@ -264,18 +265,21 @@ def _fail_one_picard_run(monkeypatch, alpha):
 
 
 def _fail_the_first_a_factor(monkeypatch, alpha):
-    # the first run of the sweep (alpha = ALPHAS[0]) makes the first factor of A
-    splu = linsolve.splu
+    # the first run of the sweep (alpha = ALPHAS[0]) makes the first factor of A,
+    # banded or by LU
     nu = 2 * 3 ** 2
     armed = [True]
 
-    def failing(op, *args, **kwargs):
-        if armed[0] and op.shape == (nu, nu):
-            armed[0] = False
-            raise RuntimeError("Factor is exactly singular")
-        return splu(op, *args, **kwargs)
+    def failing(factor):
+        def failed(op, *args, **kwargs):
+            if armed[0] and op.shape == (nu, nu):
+                armed[0] = False
+                raise RuntimeError("Factor is exactly singular")
+            return factor(op, *args, **kwargs)
+        return failed
 
-    monkeypatch.setattr(linsolve, "splu", failing)
+    for name in ("splu", "cholesky_banded"):
+        monkeypatch.setattr(linsolve, name, failing(getattr(linsolve, name)))
     return ALPHAS[0]
 
 
