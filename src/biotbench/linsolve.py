@@ -1,10 +1,10 @@
 """Sparse solvers for the per-step linear systems.
 
 SPD systems (the elasticity operator A and the pressure operators
-C + tau*B) are factorized once and the factors cached by the caller: A,
-which a run factors once and solves thousands of times, by LAPACK's
-banded Cholesky while its band is small (``factor_banded``), and every
-other operator, or an A whose band is too wide, by sparse LU.  Each solve
+C + tau*B) are factorized once and the factors cached by the caller, by
+one of two backends: A, which a run factors once and solves thousands of
+times, by ``cholesky_banded`` while its band is small (``factor_banded``),
+and every other operator, or a wide-band A, by ``splu``.  Each solve
 is verified post hoc by the normwise backward error of an independent
 matrix-vector residual, with iterative refinement.  The
 coupled two-by-two block systems of the implicit/Picard path are solved
@@ -54,21 +54,19 @@ class SolverFailure(RuntimeError):
 class SpdFactorization:
     """Cached direct factorization of a sparse SPD operator.
 
-    ``lu`` is the sparse LU routine, called as scipy's ``splu``; by
-    default this module's ``splu``, looked up when the factor is built.
-    Given a half-bandwidth ``kd``, the operator is factored instead by
-    this module's ``cholesky_banded``, looked up likewise.  Either
-    factor only has to ``solve``; a factorization that breaks down
-    (an exactly singular LU, a Cholesky pivot that is not positive or
-    not finite) raises SolverFailure.
+    The operator is factored by this module's ``splu`` or, given a
+    half-bandwidth ``kd``, by its ``cholesky_banded``, each looked up when
+    the factor is built: every factor of every scheme passes through
+    these two names.  Either factor only has to ``solve``; a breakdown (an
+    exactly singular LU, a Cholesky pivot that is not positive or not
+    finite) raises SolverFailure.
     """
 
-    def __init__(self, op, lu=None, kd=None):
+    def __init__(self, op, kd=None):
         self.op = op.tocsr()
         try:
             if kd is None:
-                lu = splu if lu is None else lu
-                self._lu = lu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
+                self._lu = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
             else:
                 self._lu = cholesky_banded(self.op, kd)
         except RuntimeError as exc:
@@ -174,23 +172,23 @@ def cholesky_banded(op, kd) -> BandedCholesky:
     return BandedCholesky(band)
 
 
-def factor_banded(op, lu=None) -> SpdFactorization:
+def factor_banded(op) -> SpdFactorization:
     """Factor an SPD operator that many solves will reuse.
 
-    A banded Cholesky factor on the operator's own ordering while its
+    A ``cholesky_banded`` factor on the operator's own ordering while its
     band, N*(kd + 1) doubles, is within ``_BAND_BUDGET``: LAPACK's banded
     back-solve runs through a narrow band up to about three times as fast
     as SuperLU's supernodal one through its factor.  Past the budget the
     band holds more than the sparse factor and its back-solve is no
-    faster, so the operator gets the sparse LU ``lu`` (see
+    faster, so the operator gets this module's ``splu`` (see
     ``SpdFactorization``).  Per-step pressure operators are solved a few
     times per factor and stay on ``SpdFactorization`` alone.
     """
     op = op.tocsr()
     kd = half_bandwidth(op)
     if op.shape[0] * (kd + 1) <= _BAND_BUDGET:
-        return SpdFactorization(op, kd=kd)
-    return SpdFactorization(op, lu)
+        return SpdFactorization(op, kd)
+    return SpdFactorization(op)
 
 
 def solve_spd(op, rhs, tol=DEFAULT_TOL) -> np.ndarray:

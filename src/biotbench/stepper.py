@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/spans.py binds stepper.splu)
 import scipy.sparse as sp
 
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
@@ -101,8 +101,8 @@ class RunReport:
     max_picard_residual: float = 0.0
     #: steps that ran all ``picard_max`` iterates
     picard_capped: int = 0
-    #: factorizations this run made (LUs and A's banded Cholesky); one it
-    #: was handed already factored is not counted
+    #: factors this run made through ``linsolve.splu`` and
+    #: ``linsolve.cholesky_banded``; one it was handed already made is not counted
     factorization_count: int = 0
     linear_iterations: int = 0
 
@@ -154,8 +154,8 @@ class StepOperators:
     A semi-explicit or Picard run forms, factors and counts its SPD
     operators here.  ``factor`` is the one place an ``SpdFactorization`` is
     built and ``factorization_count`` grows, so the count is the run's
-    factors: A's by ``linsolve.factor_banded`` (a banded Cholesky while
-    its band is small, else an LU), every pressure operator's by LU.
+    factors: A's by ``linsolve.factor_banded``, every pressure operator's
+    by ``linsolve.splu``.
     A, its factor, C, D, D^T, M and C + beta*M are read through
     ``shared``, a private ``SharedOperators`` of the mesh when none is
     given, so each is built once per store; a factor of A that another
@@ -192,11 +192,10 @@ class StepOperators:
         self.picard_end = (None, None)
         self.factorization_count = 0
 
-    def factor(self, op, build=None) -> SpdFactorization:
-        """Factor an SPD operator of this run by ``build`` (an ``SpdFactorization``
-        by default), and count it."""
+    def factor(self, op, build=SpdFactorization) -> SpdFactorization:
+        """Factor an SPD operator of this run by ``build``, and count it."""
         self.factorization_count += 1
-        return (SpdFactorization if build is None else build)(op)
+        return build(op)
 
     def a_factor(self) -> SpdFactorization:
         """A's factor, banded while its band is small (``linsolve.factor_banded``)."""
@@ -415,11 +414,10 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
 
     The path assembles and factors its own operators rather than through
     ``StepOperators``: one factor of A for u0 and every step, one LU of
-    C + tau*B per step, so n_steps + 1 in all.  A is factored by
-    ``linsolve.factor_banded``, as on the semi-explicit path, with this
-    module's ``splu`` past the band budget; each C + tau*B is an
-    ``SpdFactorization`` on this module's ``splu``.  So its solves are
-    verified and refined exactly as the semi-explicit path's are.
+    C + tau*B per step, so n_steps + 1 in all, counted here.  A is factored
+    by ``linsolve.factor_banded`` and each C + tau*B is an
+    ``SpdFactorization``, as on the semi-explicit path: the same two
+    backends, so its solves are verified and refined exactly alike.
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
@@ -443,7 +441,7 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
         return assemble_load_v(mesh, f, t) if f is not None else zero_u
 
     # one factor of A serves u0 and every step
-    a_lu = factor_banded(A, splu)
+    a_lu = factor_banded(A)
     factorizations = 1
     # initial displacement from the delayed pressure at -tau
     u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau))
@@ -457,7 +455,7 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)
-        p_n = SpdFactorization(C + tau * B, splu).solve(rhs)
+        p_n = SpdFactorization(C + tau * B).solve(rhs)
         factorizations += 1
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))

@@ -435,29 +435,13 @@ PROBLEMS = {"ex41": experiment_41_data, "ex42": experiment_42_data,
             "ex43": experiment_43_data}
 
 
-def _recording_factors(monkeypatch):
-    """(routine, shape, kd) of every factor linsolve makes from here on."""
-    made = []
-
-    def recording(name, factor):
-        def recorded(op, *args, **kwargs):
-            made.append((name, op.shape, args[0] if name == "cholesky_banded" else None))
-            return factor(op, *args, **kwargs)
-        return recorded
-
-    for name in ("splu", "cholesky_banded"):
-        monkeypatch.setattr(linsolve, name, recording(name, getattr(linsolve, name)))
-    return made
-
-
 @pytest.mark.parametrize("n", [2, 5, 8])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_banded_factor_of_a_matches_the_dense_solve(name, n, monkeypatch):
+def test_banded_factor_of_a_matches_the_dense_solve(name, n, factors):
     # ex41's A is badly scaled (lam and mu of order 1e9)
-    made = _recording_factors(monkeypatch)
     A = assemble_elasticity(build_structured_mesh(n), PROBLEMS[name]().coeffs)
     factor = linsolve.factor_banded(A)
-    assert made == [("cholesky_banded", A.shape, linsolve.half_bandwidth(A))]
+    assert factors == [("cholesky_banded", A.shape, linsolve.half_bandwidth(A))]
     rhs = np.random.default_rng(n).standard_normal(A.shape[0])
     expected = np.linalg.solve(A.toarray(), rhs)
     for x in (factor.back_solve(rhs), factor.solve(rhs)):
@@ -506,24 +490,22 @@ def test_run_on_an_indefinite_elasticity_operator_exits_3(scheme, tmp_path, monk
     assert "not positive definite" in capsys.readouterr().err
 
 
-def test_operator_over_the_band_budget_gets_the_lu(monkeypatch):
-    made = _recording_factors(monkeypatch)
+def test_operator_over_the_band_budget_gets_the_lu(factors, monkeypatch):
     A = assemble_elasticity(build_structured_mesh(8), CO)
     band = A.shape[0] * (linsolve.half_bandwidth(A) + 1)
     monkeypatch.setattr(linsolve, "_BAND_BUDGET", band)
     linsolve.factor_banded(A)
     monkeypatch.setattr(linsolve, "_BAND_BUDGET", band - 1)
     factor = linsolve.factor_banded(A)
-    assert [routine for routine, _, _ in made] == ["cholesky_banded", "splu"]
+    assert [f.backend for f in factors] == ["cholesky_banded", "splu"]
     rhs = np.ones(A.shape[0])
     assert np.linalg.norm(factor.solve(rhs) - solve_spd(A, rhs)) <= 1e-12 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
-def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, monkeypatch):
+def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, factors):
     # a dof numbering that widened A's band would move a workload's A onto
     # SuperLU, or past the budget, without changing any number; this pins it
-    made = _recording_factors(monkeypatch)
     mesh = build_structured_mesh(n)
     prob = experiment_42_data()
     ops = StepOperators(mesh, prob.coeffs)
@@ -533,4 +515,4 @@ def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, mon
     ops.fixed_stress_factor(B, 0.25)
     nu, np_ = mesh.num_displacement_dofs, mesh.num_pressure_dofs
     a_factor = ("cholesky_banded", (nu, nu), 2 * n + 1) if n < 128 else ("splu", (nu, nu), None)
-    assert made == [a_factor] + [("splu", (np_, np_), None)] * 2
+    assert factors == [a_factor] + [("splu", (np_, np_), None)] * 2

@@ -62,27 +62,17 @@ def test_initial_displacement_residual_on_consolidation_data():
     assert res < 1e-11
 
 
-def test_picard_run_factors_a_once_and_one_pressure_operator_per_step(monkeypatch):
+def test_picard_run_factors_a_once_and_one_pressure_operator_per_step(factors):
     # the A factor serves u0 and every preconditioner; the fixed-stress
     # pressure operator is factorized per step, not per Picard iterate
-    shapes = []
-
-    def counting(splu):
-        def factor(op, *args, **kwargs):
-            shapes.append(op.shape)
-            return splu(op, *args, **kwargs)
-        return factor
-
-    for name in ("splu", "cholesky_banded"):
-        monkeypatch.setattr(linsolve, name, counting(getattr(linsolve, name)))
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
     cfg = StepperConfig(scheme="implicit_picard", tau=0.25, T=0.5, picard_max=3)
     _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     assert report.picard_mean > 1.0
     nu, np_ = mesh.num_displacement_dofs, mesh.num_pressure_dofs
-    assert shapes == [(nu, nu)] + [(np_, np_)] * cfg.n_steps
-    assert report.factorization_count == len(shapes)
+    assert [f.shape for f in factors] == [(nu, nu)] + [(np_, np_)] * cfg.n_steps
+    assert report.factorization_count == len(factors)
 
 
 # semi-explicit scheme
@@ -421,7 +411,7 @@ def test_delay_rejects_history_violating_endpoint_conditions():
         delay_implicit_run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
 
 
-def test_delay_rejects_a_nan_history_before_any_factorization(monkeypatch):
+def test_delay_rejects_a_nan_history_before_any_factorization(factors):
     # a NaN deviation compares false against the tolerance in either direction
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
@@ -432,17 +422,17 @@ def test_delay_rejects_a_nan_history_before_any_factorization(monkeypatch):
         value[0] = math.nan
         return value
 
-    def no_factor(*args, **kwargs):
+    def no_factor(factor, op, build):
         raise AssertionError("factorized with a NaN history")
 
-    monkeypatch.setattr(stepper, "splu", no_factor)
-    monkeypatch.setattr(linsolve, "cholesky_banded", no_factor)
+    factors.around = no_factor
     cfg = StepperConfig(scheme="delay_implicit", tau=0.25, T=0.5, history=history)
     with pytest.raises(ValueError, match="history"):
         delay_implicit_run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert not factors
 
 
-def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(monkeypatch):
+def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(factors):
     # unit coefficients and kappa = C[0, 1] / tau: on every axis-parallel
     # interior edge tau*B = -C exactly, and scipy's sum prunes the slot
     mesh = build_structured_mesh(4)
@@ -453,15 +443,12 @@ def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(mo
     n_p = mesh.num_pressure_dofs
     operands = []
 
-    def recording(splu):
-        def factor(op, *args, **kwargs):
-            if op.shape == (n_p, n_p):
-                operands[-1].append(op)
-            return splu(op, *args, **kwargs)
-        return factor
+    def recording(factor, op, build):
+        if factor.shape == (n_p, n_p):
+            operands[-1].append(op)
+        return build()
 
-    for module in (linsolve, stepper):
-        monkeypatch.setattr(module, "splu", recording(module.splu))
+    factors.around = recording
     for scheme in ("semi_explicit", "delay_implicit"):
         operands.append([])
         cfg = StepperConfig(scheme=scheme, tau=tau, T=1.0)
@@ -473,25 +460,25 @@ def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(mo
     assert all(op.nnz < C.nnz for ops in operands for op in ops)
 
 
-def test_delay_path_factors_through_stepper_splu(monkeypatch):
-    # the delay path hands the stepper's own name to SpdFactorization, so a
-    # wrapper on stepper.splu sees each of its LUs, and one on
-    # linsolve.cholesky_banded its banded factor of A
+def test_delay_path_factors_through_stepper_splu(factors, monkeypatch):
+    # the delay path factors through linsolve's backends only; stepper.splu
+    # is still a name perfbench wraps, so a wrapper on it must see none of
+    # the delay path's factors, or a profiler wrapping both names would
+    # count each LU twice
     calls = []
+    splu = stepper.splu
 
-    def counting(factor):
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return factor(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(stepper, "splu", counting(stepper.splu))
-    monkeypatch.setattr(linsolve, "cholesky_banded", counting(linsolve.cholesky_banded))
+    monkeypatch.setattr(stepper, "splu", counted)
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
     cfg = StepperConfig(scheme="delay_implicit", tau=0.25, T=1.0)
     _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
-    assert len(calls) == report.factorization_count == cfg.n_steps + 1
+    assert not calls
+    assert len(factors) == report.factorization_count == cfg.n_steps + 1
 
 
 class _FirstSolveOff:
@@ -507,19 +494,16 @@ class _FirstSolveOff:
         return x * (1.0 + 1e-6) if self.solves == 1 else x
 
 
-def test_semi_and_delay_paths_refine_alike_and_stay_bit_identical(monkeypatch):
+def test_semi_and_delay_paths_refine_alike_and_stay_bit_identical(factors):
     # both paths verify through one SpdFactorization, so a solve that needs
     # refinement on one path gets the same refinement on the other
     lus = []
 
-    def first_solve_off(splu):
-        def factor(*args, **kwargs):
-            lus.append(_FirstSolveOff(splu(*args, **kwargs)))
-            return lus[-1]
-        return factor
+    def first_solve_off(factor, op, build):
+        lus.append(_FirstSolveOff(build()))
+        return lus[-1]
 
-    for module, name in ((linsolve, "splu"), (stepper, "splu"), (linsolve, "cholesky_banded")):
-        monkeypatch.setattr(module, name, first_solve_off(getattr(module, name)))
+    factors.around = first_solve_off
     prob = experiment_41_data()
     mesh = build_structured_mesh(8)
     runs = []
@@ -587,22 +571,19 @@ def test_semi_explicit_cost_structure():
 
 
 @pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
-def test_reported_factorizations_equal_lu_calls(scheme, monkeypatch):
-    calls = []
-
-    def counting(splu):
-        def factor(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
-        return factor
-
-    for module, name in ((linsolve, "splu"), (stepper, "splu"), (linsolve, "cholesky_banded")):
-        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+def test_reported_factorizations_equal_lu_calls(scheme, factors):
+    # every scheme factors A once, for u0 and every step (and every Picard
+    # preconditioner), and one pressure operator per step, not per iterate
     prob = experiment_42_data()
     mesh = build_structured_mesh(8)
     cfg = StepperConfig(scheme=scheme, tau=0.25, T=1.0, picard_max=3)
     _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
-    assert report.factorization_count == len(calls)
+    nu, np_ = mesh.num_displacement_dofs, mesh.num_pressure_dofs
+    assert [(f.backend, f.shape) for f in factors] == \
+        [("cholesky_banded", (nu, nu))] + [("splu", (np_, np_))] * cfg.n_steps
+    assert report.factorization_count == len(factors)
+    if scheme == "implicit_picard":
+        assert report.picard_mean > 1.0
 
 
 # step size diagnostic

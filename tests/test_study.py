@@ -3,7 +3,7 @@ factor, C, D, the mass M and the fixed-stress C + beta*M, each built inside
 the first run that needs it.
 
 Sharing must change no number: every state of a shared run is byte-equal
-to that of the same run made alone, every run reports the LUs it made,
+to that of the same run made alone, every run reports the factors it made,
 a failed run leaves nothing half built for the next, and nothing a driver
 builds outlives its call.
 """
@@ -17,7 +17,6 @@ import pytest
 
 import biotbench.cli as cli
 import biotbench.experiments as experiments
-import biotbench.linsolve as linsolve
 import biotbench.stepper as stepper
 from biotbench.config import SchemeSpec, parse_config
 from biotbench.experiments import cmd_compare, cmd_convergence, cmd_sweep_alpha
@@ -70,7 +69,6 @@ class Calls:
         self.outside_simulate = Counter()
         self.pieces = Counter()  # builds run by a store, by the name in their key
         self.runs = []  # (args, trajectory, report) of each simulate call
-        self.lu_shapes = []
         self._depth = 0
         for owner, key, name in ((experiments, "build_structured_mesh", "mesh"),
                                  (stepper, "assemble_elasticity", "A"),
@@ -80,9 +78,6 @@ class Calls:
             monkeypatch.setattr(owner, key, self._counting(name, getattr(owner, key)))
         monkeypatch.setattr(stepper.SharedOperators, "get",
                             self._counting_pieces(stepper.SharedOperators.get))
-        for module, name in ((linsolve, "splu"), (stepper, "splu"),
-                             (linsolve, "cholesky_banded")):
-            monkeypatch.setattr(module, name, self._recording_lu(getattr(module, name)))
         monkeypatch.setattr(experiments, "simulate", self._recording_run(experiments.simulate))
 
     def _counting(self, name, fn):
@@ -101,12 +96,6 @@ class Calls:
             return get(store, key, counted_build)
         return counted
 
-    def _recording_lu(self, factor):
-        def recorded(op, *args, **kwargs):
-            self.lu_shapes.append(op.shape)
-            return factor(op, *args, **kwargs)
-        return recorded
-
     def _recording_run(self, simulate):
         def recorded(*args):
             self._depth += 1
@@ -118,35 +107,37 @@ class Calls:
             return mesh, trajectory, report
         return recorded
 
-    def a_lus(self, n):
-        nu = 2 * (n - 1) ** 2
-        return self.lu_shapes.count((nu, nu))
+
+def a_factors(factors, n):
+    """How many of the recorded ``factors`` are of A on level n."""
+    nu = 2 * (n - 1) ** 2
+    return sum(factor.shape == (nu, nu) for factor in factors)
 
 
-def test_serial_sweep_builds_the_mesh_a_and_its_factor_once(monkeypatch):
+def test_serial_sweep_builds_the_mesh_a_and_its_factor_once(factors, monkeypatch):
     calls = Calls(monkeypatch)
     cmd_sweep_alpha(parse_config(sweep_config(workers=1)))
     assert len(calls.runs) == 2 * len(ALPHAS)
     assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": len(ALPHAS), "M": 1}
-    assert calls.a_lus(4) == 1
+    assert a_factors(factors, 4) == 1
     # each piece is built inside the run that first needs it
     assert not calls.outside_simulate
     reports = [report for _, _, report in calls.runs]
-    assert sum(report.factorization_count for report in reports) == len(calls.lu_shapes)
+    assert sum(report.factorization_count for report in reports) == len(factors)
     # only the first run made the A factor; every run made one pressure LU per step
     n_steps = reports[0].n_steps
     assert [r.factorization_count for r in reports] == \
         [n_steps + 1] + [n_steps] * (len(reports) - 1)
 
 
-def test_compare_with_timing_repeats_assembles_and_factors_a_once(monkeypatch):
+def test_compare_with_timing_repeats_assembles_and_factors_a_once(factors, monkeypatch):
     calls = Calls(monkeypatch)
     cmd_compare(parse_config(compare_config("ex42")))
     assert len(calls.runs) == 6
     assert calls.counts["mesh"] == 1 and calls.counts["A"] == 1
-    assert calls.a_lus(4) == 1
+    assert a_factors(factors, 4) == 1
     assert sum(report.factorization_count for _, _, report in calls.runs) \
-        == len(calls.lu_shapes)
+        == len(factors)
 
 
 def test_compare_with_timing_repeats_builds_m_and_the_fixed_stress_operator_once(monkeypatch):
@@ -159,21 +150,21 @@ def test_compare_with_timing_repeats_builds_m_and_the_fixed_stress_operator_once
     assert calls.pieces["C + beta M"] == 1
 
 
-def test_convergence_reference_on_a_level_joins_the_study(monkeypatch):
+def test_convergence_reference_on_a_level_joins_the_study(factors, monkeypatch):
     calls = Calls(monkeypatch)
     cmd_convergence(parse_config(convergence_config("ex41")))
     assert len(calls.runs) == 5  # the reference and two tau levels per scheme
     assert calls.counts == {"mesh": 1, "A": 1, "C": 1, "D": 1, "M": 1}
-    assert calls.a_lus(4) == 1
+    assert a_factors(factors, 4) == 1
 
 
-def test_run_without_a_reference_shares_nothing(monkeypatch):
+def test_run_without_a_reference_shares_nothing(factors, monkeypatch):
     calls = Calls(monkeypatch)
     experiments.cmd_run(parse_config({"experiment": "ex42", "schemes": [SEMI],
                                       "mesh_levels": [4], "tau_levels": [0.25]}))
     ((args, _, report),) = calls.runs
     assert len(args) == 5 and args[4] is None
-    assert report.factorization_count == len(calls.lu_shapes) == report.n_steps + 1
+    assert report.factorization_count == len(factors) == report.n_steps + 1
 
 
 def _recording_a_factors(monkeypatch, n):
@@ -252,7 +243,7 @@ def test_shared_runs_are_byte_identical_to_unshared_runs(driver, experiment, mon
             assert a.p.tobytes() == b.p.tobytes()
 
 
-def _fail_one_picard_run(monkeypatch, alpha):
+def _fail_one_picard_run(monkeypatch, factors, alpha):
     step = stepper.implicit_picard_step
 
     def failing(ops, *args):
@@ -264,30 +255,27 @@ def _fail_one_picard_run(monkeypatch, alpha):
     return alpha
 
 
-def _fail_the_first_a_factor(monkeypatch, alpha):
+def _fail_the_first_a_factor(monkeypatch, factors, alpha):
     # the first run of the sweep (alpha = ALPHAS[0]) makes the first factor of A,
-    # banded or by LU
+    # through whichever backend
     nu = 2 * 3 ** 2
     armed = [True]
 
-    def failing(factor):
-        def failed(op, *args, **kwargs):
-            if armed[0] and op.shape == (nu, nu):
-                armed[0] = False
-                raise RuntimeError("Factor is exactly singular")
-            return factor(op, *args, **kwargs)
-        return failed
+    def failing(factor, op, build):
+        if armed[0] and factor.shape == (nu, nu):
+            armed[0] = False
+            raise RuntimeError("Factor is exactly singular")
+        return build()
 
-    for name in ("splu", "cholesky_banded"):
-        monkeypatch.setattr(linsolve, name, failing(getattr(linsolve, name)))
+    factors.around = failing
     return ALPHAS[0]
 
 
 @pytest.mark.parametrize("inject", [_fail_one_picard_run, _fail_the_first_a_factor],
                          ids=["picard-step", "a-factor"])
-def test_a_failed_sweep_point_leaves_the_others_as_unshared(inject, monkeypatch):
+def test_a_failed_sweep_point_leaves_the_others_as_unshared(inject, factors, monkeypatch):
     config = sweep_config(workers=1)
-    failed = inject(monkeypatch, ALPHAS[1])
+    failed = inject(monkeypatch, factors, ALPHAS[1])
     shared, _ = cmd_sweep_alpha(parse_config(config))
     monkeypatch.undo()
 
@@ -310,7 +298,7 @@ def test_a_failed_sweep_point_leaves_the_others_as_unshared(inject, monkeypatch)
     assert rows == expected
 
 
-def test_back_to_back_cli_sweeps_each_build_their_own_mesh(tmp_path, monkeypatch):
+def test_back_to_back_cli_sweeps_each_build_their_own_mesh(tmp_path, factors, monkeypatch):
     # perfbench runs its jobs in one process: a study that outlived cli.main
     # would hand the next job a mesh and a factor it never paid for
     calls = Calls(monkeypatch)
@@ -320,4 +308,4 @@ def test_back_to_back_cli_sweeps_each_build_their_own_mesh(tmp_path, monkeypatch
         argv = ["sweep-alpha", "--config", str(config_path), "--out", str(tmp_path / f"{job}")]
         assert cli.main(argv) == 0
         assert calls.counts["mesh"] == calls.counts["A"] == job
-        assert calls.a_lus(4) == job
+        assert a_factors(factors, 4) == job
