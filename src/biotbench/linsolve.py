@@ -1,12 +1,16 @@
 """Sparse solvers for the per-step linear systems.
 
-SPD systems (the elasticity operator A and the pressure operators
-C + tau*B) are factorized once and the factors cached by the caller, by
-one of two backends: A, which a run factors once and solves thousands of
+SPD systems are factorized by one of two backends, and the factors
+cached by the caller: A, which a run factors once and solves thousands of
 times, by ``cholesky_banded`` while its band is small (``factor_banded``),
-and every other operator, or a wide-band A, by ``splu``.  Each solve
-is verified post hoc by the normwise backward error of an independent
-matrix-vector residual, with iterative refinement.  The
+and every other operator, or a wide-band A, by ``splu``.  The
+semi-explicit pressure operator C + tau*B(u), which changes every step,
+is solved by ``solve_pressure``: by its LU on small or odd meshes, and
+otherwise by CG from the previous pressure, preconditioned by one
+geometric multigrid V-cycle whose coarsest level is the step's one
+``splu`` factor.  Each SPD solve, direct or iterative, is verified post
+hoc by the normwise backward error of an independent matrix-vector
+residual (``NormwiseError``), with iterative refinement.  The
 coupled two-by-two block systems of the implicit/Picard path are solved
 by right-preconditioned GMRES on the monolithic operator, equilibrated
 symmetrically by its diagonal inside each matrix-vector product.  The
@@ -36,6 +40,15 @@ DEFAULT_TOL = 1e-12
 #: smaller and its back-solve no slower
 _BAND_BUDGET = 2 ** 22
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+#: a per-step pressure operator of at least this many unknowns, (n - 1)^2 at
+#: n = 24, is solved by multigrid-preconditioned CG, a smaller one by its LU:
+#: the measured crossover, where the two take about equally long
+_MULTIGRID_SIZE = 23 ** 2
+#: damped-Jacobi weight and smoothing sweeps after the coarse correction (one before)
+_JACOBI_WEIGHT = 0.8
+_POST_SWEEPS = 2
+#: a pressure CG solve runs at most this many iterations
+_CG_MAX = 100
 #: a block solve runs at most this many GMRES cycles of at most this many steps
 _GMRES_CYCLES = 3
 _GMRES_RESTART = 60
@@ -49,6 +62,31 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, error=float("nan")):
         super().__init__(f"{message} (achieved backward error {error:.3e})")
         self.error = error
+
+
+class NormwiseError:
+    """The normwise backward error ||op x - rhs|| / (||op||_inf ||x|| + ||rhs||).
+
+    What a backward-stable solve attains whatever the condition of the
+    operator, so every verified SPD solve, direct or iterative, is held to
+    it.  ||op||_inf is computed once per operator and kept as two factors,
+    peak * ratio: the norm itself may overflow a double where the solve
+    and its residual do not.
+    """
+
+    def __init__(self, op):
+        magnitudes = np.abs(op.data)
+        self._peak = float(magnitudes.max(initial=0.0)) or 1.0
+        scaled = sp.csr_matrix((magnitudes / self._peak, op.indices, op.indptr), shape=op.shape)
+        self._ratio = float((scaled @ np.ones(op.shape[1])).max(initial=0.0))
+
+    def __call__(self, residual_norm, x, rhs_norm):
+        """The error of ``x`` given ||op x - rhs|| and ||rhs||."""
+        return residual_norm / self.scale(x, rhs_norm)
+
+    def scale(self, x, rhs_norm):
+        """The denominator ||op||_inf ||x|| + ||rhs||."""
+        return self._ratio * (self._peak * np.linalg.norm(x)) + rhs_norm
 
 
 class SpdFactorization:
@@ -71,24 +109,15 @@ class SpdFactorization:
                 self._lu = cholesky_banded(self.op, kd)
         except RuntimeError as exc:
             raise SolverFailure(f"factorization failed: {exc}") from exc
-        # ||op||_inf kept as two factors, peak * ratio: the norm itself may
-        # overflow a double where the solve and its residual do not
-        magnitudes = np.abs(self.op.data)
-        self._peak = float(magnitudes.max(initial=0.0)) or 1.0
-        scaled = sp.csr_matrix((magnitudes / self._peak, self.op.indices, self.op.indptr),
-                               shape=self.op.shape)
-        self._ratio = float((scaled @ np.ones(self.op.shape[1])).max(initial=0.0))
+        self._error = NormwiseError(self.op)
 
     def _backward_error(self, x, rhs):
-        """||op x - rhs|| / (||op||_inf ||x|| + ||rhs||), the normwise backward error."""
-        num = np.linalg.norm(self.op @ x - rhs)
-        return num / (self._ratio * (self._peak * np.linalg.norm(x)) + np.linalg.norm(rhs))
+        return self._error(np.linalg.norm(self.op @ x - rhs), x, np.linalg.norm(rhs))
 
     def solve(self, rhs, tol=DEFAULT_TOL):
         """Solve, refining until the normwise backward error is at most ``tol``.
 
-        The backward error ||op x - rhs|| / (||op||_inf ||x|| + ||rhs||),
-        with ||op||_inf computed once per factor, is what a backward-stable
+        The backward error (``NormwiseError``) is what a backward-stable
         solve attains whatever the condition of the operator; the relative
         residual ||op x - rhs|| / ||rhs|| grows with it and is not a test a
         correct solve always passes on fine meshes.  Iterative refinement
@@ -181,8 +210,8 @@ def factor_banded(op) -> SpdFactorization:
     as SuperLU's supernodal one through its factor.  Past the budget the
     band holds more than the sparse factor and its back-solve is no
     faster, so the operator gets this module's ``splu`` (see
-    ``SpdFactorization``).  Per-step pressure operators are solved a few
-    times per factor and stay on ``SpdFactorization`` alone.
+    ``SpdFactorization``).  A per-step pressure operator is solved once
+    or a few times per factor and is never banded.
     """
     op = op.tocsr()
     kd = half_bandwidth(op)
@@ -196,6 +225,108 @@ def solve_spd(op, rhs, tol=DEFAULT_TOL) -> np.ndarray:
     if not 0.0 < tol < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
     return SpdFactorization(op).solve(rhs, tol)
+
+
+def solve_pressure(op, rhs, guess, prolongations, tol=DEFAULT_TOL):
+    """Solve a per-step pressure operator C + tau*B(u), verified as ``SpdFactorization.solve``.
+
+    An operator of fewer than ``_MULTIGRID_SIZE`` unknowns, or one whose
+    mesh cannot be halved, is factored by this module's ``splu`` and
+    solved by ``SpdFactorization``.  Any other is solved by CG from the
+    warm start ``guess``, preconditioned by one multigrid V-cycle
+    (``_VCycle``) on the hierarchy ``prolongations()`` builds; its
+    coarsest level is factored by ``splu``.  So each call makes exactly
+    one factor.  ``prolongations`` is called only on the multigrid path
+    and returns (P, P^T) per level, finest first, or nothing when the mesh
+    cannot be halved.
+
+    The V-cycle is not symmetric (one smoothing sweep before the coarse
+    correction, two after), so CG takes the Polak-Ribiere direction
+    update of flexible CG, which tolerates such a preconditioner.  It
+    stops on the recursive residual, and the iterate is then verified by
+    the normwise backward error of an independent residual
+    (``NormwiseError``); a miss restarts CG from that residual.  A
+    diagonal entry that is not positive and finite, a non-positive or
+    non-finite curvature or preconditioned residual (the breakdown of CG
+    on an operator that is not SPD), or ``_CG_MAX`` iterations without
+    reaching ``tol``, raise SolverFailure; there is no fallback to an LU
+    of the full operator.  A zero ``rhs`` gives zero, as the LU path
+    does.  Returns (solution, CG iterations), with 0 iterations on the LU
+    path.
+    """
+    op = op.tocsr()
+    levels = prolongations() if op.shape[0] >= _MULTIGRID_SIZE else ()
+    if not levels:
+        return SpdFactorization(op).solve(rhs, tol), 0
+    precondition = _VCycle(op, levels)
+    rhs = np.asarray(rhs, dtype=float)
+    if not rhs.any():
+        return np.zeros_like(rhs), 0
+    error = NormwiseError(op)
+    norm_b = _norm(rhs)
+    x = np.array(guess, dtype=float)
+    iterations = 0
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
+        r = rhs - op @ x
+        while True:
+            err = error(_norm(r), x, norm_b)
+            if err <= tol:
+                return x, iterations
+            if not math.isfinite(err) or iterations >= _CG_MAX:
+                raise SolverFailure("pressure CG solve failed", err)
+            z = precondition(r)
+            rz = float(r @ z)
+            p = z
+            while iterations < _CG_MAX:
+                q = op @ p
+                curvature = float(p @ q)
+                if not (rz > 0.0 and 0.0 < curvature < math.inf):
+                    raise SolverFailure("pressure CG broke down: the operator or its "
+                                        "preconditioner is not SPD", err)
+                step = rz / curvature
+                x = x + step * p
+                r_old, r = r, r - step * q
+                iterations += 1
+                if _norm(r) <= tol * error.scale(x, norm_b):
+                    break
+                z = precondition(r)
+                rz_old, rz = rz, float(r @ z)
+                p = z + ((rz - float(r_old @ z)) / rz_old) * p
+            r = rhs - op @ x
+
+
+class _VCycle:
+    """One multigrid V-cycle for an SPD operator, applied as a preconditioner.
+
+    The level operators are Galerkin products P^T A P, formed on
+    construction, each coarser than the last by one (P, P^T) pair; the
+    coarsest is factored by this module's ``splu`` and solved by its
+    back-solve.  Every finer level is smoothed by damped Jacobi with
+    weight ``_JACOBI_WEIGHT``: one sweep from zero before the coarse
+    correction and two after.  A diagonal entry that is not positive and
+    finite raises SolverFailure, since Jacobi cannot smooth with it.
+    """
+
+    def __init__(self, op, levels):
+        self._levels = []
+        for P, R in levels:
+            d = op.diagonal()
+            if not np.all((d > 0.0) & (d < np.inf)):
+                raise SolverFailure("pressure operator has a diagonal entry that is not "
+                                    "positive and finite")
+            self._levels.append((op, _JACOBI_WEIGHT / d, P, R))
+            op = R @ (op @ P)
+        self._coarse = SpdFactorization(op)
+
+    def __call__(self, b, level=0):
+        if level == len(self._levels):
+            return self._coarse.back_solve(b)
+        op, weight, P, R = self._levels[level]
+        x = weight * b
+        x += P @ self(R @ (b - op @ x), level + 1)
+        for _ in range(_POST_SWEEPS):
+            x += weight * (b - op @ x)
+        return x
 
 
 @dataclass(eq=False)

@@ -16,6 +16,7 @@ Three paths over an equidistant grid t_n = n*tau:
   with the semi-explicit ones.
 """
 
+import functools
 import math
 import numbers
 import time
@@ -28,8 +29,10 @@ import scipy.sparse as sp
 
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
-                       assemble_permeability_stiffness, assemble_pressure_mass)
-from .linsolve import BlockSystem, SpdFactorization, factor_banded, solve_block
+                       assemble_permeability_stiffness, assemble_pressure_mass,
+                       pressure_prolongations)
+from .linsolve import (BlockSystem, SpdFactorization, factor_banded, solve_block,
+                       solve_pressure)
 from .mesh import Mesh
 
 #: forcing term of the Picard inner solves: an iterate that is neither the
@@ -86,7 +89,8 @@ class StepperConfig:
 class StepReport:
     picard_iterations: int = 0
     final_picard_residual: float = 0.0
-    #: GMRES iterations summed over the step's block solves
+    #: Krylov iterations of the step: GMRES summed over its block solves, or
+    #: the CG iterations of its pressure solve (0 where that is an LU)
     linear_iterations: int = 0
 
 
@@ -102,7 +106,10 @@ class RunReport:
     #: steps that ran all ``picard_max`` iterates
     picard_capped: int = 0
     #: factors this run made through ``linsolve.splu`` and
-    #: ``linsolve.cholesky_banded``; one it was handed already made is not counted
+    #: ``linsolve.cholesky_banded``: A's, and per step one pressure factor, the
+    #: LU of C + tau*B (or of C + tau*B + beta*M) or, where multigrid solves
+    #: C + tau*B, the LU of its coarsest level; one it was handed already made
+    #: is not counted
     factorization_count: int = 0
     linear_iterations: int = 0
 
@@ -152,21 +159,23 @@ class StepOperators:
     """The operators of one run: the initial solve and all its steps read them here.
 
     A semi-explicit or Picard run forms, factors and counts its SPD
-    operators here.  ``factor`` is the one place an ``SpdFactorization`` is
-    built and ``factorization_count`` grows, so the count is the run's
-    factors: A's by ``linsolve.factor_banded``, every pressure operator's
-    by ``linsolve.splu``.
+    operators here.  ``factor`` and ``solve_pressure`` are the places
+    ``factorization_count`` grows, each by the one factor it makes, so the
+    count is the run's factors: A's by ``linsolve.factor_banded``, and per
+    step one by ``linsolve.splu``.
     A, its factor, C, D, D^T, M and C + beta*M are read through
     ``shared``, a private ``SharedOperators`` of the mesh when none is
     given, so each is built once per store; a factor of A that another
     run made is not counted here.  The elasticity factor serves the initial displacement
     solve, every semi-explicit step and every fixed-stress preconditioner
-    of the Picard path.  The pressure operator changes with u and is
-    refactorized per step, as C + tau*B(u) on the semi-explicit path and
-    as the fixed-stress C + beta*M + tau*B(u) on the Picard path.  A
-    factored operator is scipy's sum, the same expression the delay path
-    factors, so both see one pattern (a slot that cancels to zero is
-    pruned in both).  The Picard path's block system is the run's own and
+    of the Picard path.  The pressure operator changes with u.  On the
+    semi-explicit path C + tau*B(u) is solved per step by
+    ``linsolve.solve_pressure``: an LU on small or odd meshes, otherwise
+    multigrid-preconditioned CG whose coarsest level is factored.  On the
+    Picard path the fixed-stress C + beta*M + tau*B(u) is refactorized
+    per step.  The pressure operator is scipy's sum, the same expression
+    the delay path solves, so both see one pattern (a slot that cancels to
+    zero is pruned in both).  The Picard path's block system is the run's own and
     the one operator rewritten in place: built on its first iterate and
     then kept, every iterate writes C + tau*B into its pressure slots,
     which C and every B(u) share (``block_system``).  A semi-explicit run
@@ -206,6 +215,13 @@ class StepOperators:
     def pressure_operator(self, B, tau) -> sp.csr_matrix:
         """C + tau*B, scipy's sum, as the delay path forms it."""
         return self.C + tau * B
+
+    def solve_pressure(self, B, tau, rhs, guess):
+        """Solve C + tau*B for ``rhs`` from ``guess`` (``linsolve.solve_pressure``), and
+        count its factor.  Returns (p, CG iterations)."""
+        self.factorization_count += 1
+        return solve_pressure(self.pressure_operator(B, tau), rhs, guess,
+                              functools.partial(pressure_prolongations, self.mesh))
 
     def fixed_stress_factor(self, B, tau) -> SpdFactorization:
         """Factor C + beta*M + tau*B with beta = alpha^2/(2*(lam + mu)), and count it.
@@ -259,16 +275,17 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
 
     Exactly two sequential SPD solves: the elasticity solve lags the
     pressure by one step, then the flow solve uses the permeability
-    evaluated at the new displacement.
+    evaluated at the new displacement, warm-started from the previous
+    pressure.
     """
     tau = cfg.tau
     u_new = ops.a_factor().solve(load_u + ops.DT @ state.p)
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new = ops.factor(ops.pressure_operator(B, tau)).solve(rhs_p)
+    p_new, iterations = ops.solve_pressure(B, tau, rhs_p, state.p)
 
-    return State(u_new, p_new, state.t + tau), StepReport()
+    return State(u_new, p_new, state.t + tau), StepReport(linear_iterations=iterations)
 
 
 def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
@@ -404,7 +421,7 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     both endpoints of [-tau, 0].  Written independently of
     ``semi_explicit_step`` so the two paths can be compared against each
     other: its own loop and its own factorizations, one of A per run and
-    one of C + tau*B per step.
+    one per step in the solve of C + tau*B.
     """
     return _delay_implicit(mesh, coeffs, cfg, f, g, p0)[0]
 
@@ -413,11 +430,13 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
     """``delay_implicit_run``'s trajectory and the number of factors it made.
 
     The path assembles and factors its own operators rather than through
-    ``StepOperators``: one factor of A for u0 and every step, one LU of
-    C + tau*B per step, so n_steps + 1 in all, counted here.  A is factored
-    by ``linsolve.factor_banded`` and each C + tau*B is an
-    ``SpdFactorization``, as on the semi-explicit path: the same two
-    backends, so its solves are verified and refined exactly alike.
+    ``StepOperators``: one factor of A for u0 and every step, and per step
+    one in ``linsolve.solve_pressure`` (the LU of C + tau*B, or of its
+    coarsest multigrid level), so n_steps + 1 in all, counted here.  A is
+    factored by ``linsolve.factor_banded`` and each C + tau*B is solved by
+    ``linsolve.solve_pressure`` from the previous pressure, with the same
+    arguments as on the semi-explicit path, so its solves are verified and
+    refined exactly alike.
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
@@ -455,7 +474,8 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)
-        p_n = SpdFactorization(C + tau * B).solve(rhs)
+        p_n, _ = solve_pressure(C + tau * B, rhs, pressures[-1],
+                                functools.partial(pressure_prolongations, mesh))
         factorizations += 1
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))

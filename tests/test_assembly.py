@@ -11,7 +11,7 @@ from biotbench import (Coefficients, Constant, KozenyCarman, StepperConfig,
                        assemble_permeability_stiffness, assemble_pressure_mass,
                        build_structured_mesh, element_divergence,
                        error_vs_manufactured, experiment_41_data,
-                       experiment_42_data, run)
+                       experiment_42_data, prolong, run)
 from biotbench import assembly
 from dense_reference import (dense_coupling, dense_elasticity, dense_load_q,
                              dense_load_v, dense_mass,
@@ -500,3 +500,62 @@ def test_loads_on_one_mesh_reuse_one_index_array(interior_only, monkeypatch):
     assert len(targets) == 4
     assert targets[0] is targets[1] and targets[2] is targets[3]
     assert not targets[0].flags.writeable and not targets[2].flags.writeable
+
+
+# the multigrid hierarchy of the pressure space
+
+
+def test_pressure_prolongations_are_the_interior_restriction_of_mesh_prolong():
+    # levels of n = 32: the maps 16 -> 32 and 8 -> 16, finest first
+    levels = assembly.pressure_prolongations(build_structured_mesh(32))
+    assert [P.shape for P, _ in levels] == [(31 ** 2, 15 ** 2), (15 ** 2, 7 ** 2)]
+    for (P, R), m in zip(levels, (16, 8)):
+        coarse, fine = build_structured_mesh(m), build_structured_mesh(2 * m)
+        columns = [fine.restrict_scalar(prolong(coarse, fine, coarse.extend_scalar(e)))
+                   for e in np.eye(coarse.num_interior)]
+        assert np.array_equal(P.toarray(), np.column_stack(columns))
+        assert sp.isspmatrix_csr(P) and sp.isspmatrix_csr(R)
+        assert np.array_equal(R.toarray(), P.toarray().T)
+
+
+@pytest.mark.parametrize("n, shapes", [
+    (64, [(63 ** 2, 31 ** 2), (31 ** 2, 15 ** 2), (15 ** 2, 7 ** 2)]),
+    (36, [(35 ** 2, 17 ** 2), (17 ** 2, 8 ** 2)]),
+    (34, [(33 ** 2, 16 ** 2)]),
+    (33, []),
+    (8, []),
+], ids=["64", "36", "34", "odd", "coarsest"])
+def test_pressure_hierarchy_halves_while_n_is_even_and_its_half_has_8_cells(n, shapes):
+    levels = assembly.pressure_prolongations(build_structured_mesh(n))
+    assert [P.shape for P, _ in levels] == shapes
+
+
+def test_pressure_prolongations_live_once_per_mesh_and_only_where_asked_for(monkeypatch):
+    gc.collect()
+    cached_before = len(assembly._MESH_DATA)
+    built = []
+    real_build = assembly._interior_prolongation
+
+    def counting_build(m):
+        built.append(m)
+        return real_build(m)
+
+    monkeypatch.setattr(assembly, "_interior_prolongation", counting_build)
+    # a Picard run above the multigrid crossover never asks for the hierarchy
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(32)
+    picard = StepperConfig(scheme="implicit_picard", tau=0.5, T=0.5, picard_max=2)
+    run(mesh, prob.coeffs, picard, prob.f, prob.g, prob.p0)
+    assert built == [] and "prolongations" not in assembly._mesh_data(mesh).maps
+    semi = StepperConfig(scheme="semi_explicit", tau=0.25, T=0.5)
+    run(mesh, prob.coeffs, semi, prob.f, prob.g, prob.p0)
+    assert built == [16, 8]
+    levels = assembly.pressure_prolongations(mesh)
+    assert assembly.pressure_prolongations(mesh) is levels and built == [16, 8]
+    level_refs = [weakref.ref(P) for pair in levels for P in pair]
+    alive = weakref.ref(mesh)
+    del mesh, levels
+    gc.collect()
+    assert alive() is None
+    assert all(ref() is None for ref in level_refs)
+    assert len(assembly._MESH_DATA) == cached_before

@@ -13,7 +13,7 @@ from biotbench import (BlockSystem, Coefficients, KozenyCarman, SolverFailure,
                        experiment_43_data, initial_displacement, linsolve, run, solve_block,
                        solve_spd, stepper)
 from biotbench import cli
-from biotbench.assembly import assemble_mass
+from biotbench.assembly import assemble_mass, pressure_prolongations
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
 from dense_reference import reference_gmres_cycle
@@ -502,17 +502,138 @@ def test_operator_over_the_band_budget_gets_the_lu(factors, monkeypatch):
     assert np.linalg.norm(factor.solve(rhs) - solve_spd(A, rhs)) <= 1e-12 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("n", [16, 23, 24, 32, 33, 64, 128])
 def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, factors):
     # a dof numbering that widened A's band would move a workload's A onto
-    # SuperLU, or past the budget, without changing any number; this pins it
+    # SuperLU, or past the budget, without changing any number; this pins
+    # it, and which factor the semi-explicit pressure solve makes: the LU
+    # of C + tau*B below the multigrid crossover (n = 24) or on an odd
+    # mesh, else the LU of the coarsest level, 11 x 11 or 7 x 7 interior nodes
     mesh = build_structured_mesh(n)
     prob = experiment_42_data()
     ops = StepOperators(mesh, prob.coeffs)
     ops.a_factor()
     B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
-    ops.factor(ops.pressure_operator(B, 0.25))
+    np_ = mesh.num_pressure_dofs
+    _, iterations = ops.solve_pressure(B, 0.25, np.ones(np_), np.zeros(np_))
     ops.fixed_stress_factor(B, 0.25)
-    nu, np_ = mesh.num_displacement_dofs, mesh.num_pressure_dofs
+    nu = mesh.num_displacement_dofs
     a_factor = ("cholesky_banded", (nu, nu), 2 * n + 1) if n < 128 else ("splu", (nu, nu), None)
-    assert factors == [a_factor] + [("splu", (np_, np_), None)] * 2
+    coarsest = {24: 11 ** 2, 32: 7 ** 2, 64: 7 ** 2, 128: 7 ** 2}.get(n, np_)
+    multigrid = coarsest != np_
+    pressure = ("splu", (coarsest, coarsest), None)
+    assert factors == [a_factor, pressure, ("splu", (np_, np_), None)]
+    assert ops.factorization_count == len(factors)
+    assert (iterations > 0) == multigrid
+
+
+# the multigrid-preconditioned pressure solve
+
+
+def _pressure_system(name, n, steps=3, tau=2.0**-5):
+    """Mesh, C + tau*B, right-hand side and warm start of semi-explicit step
+    ``steps`` + 1, after ``steps`` steps whose pressures the LU solved."""
+    prob = PROBLEMS[name]()
+    mesh = build_structured_mesh(n)
+    ops = StepOperators(mesh, prob.coeffs)
+
+    def load_u(t):
+        return assemble_load_v(mesh, prob.f, t) if prob.f is not None else 0.0
+
+    p = mesh.nodal_scalar(prob.p0, interior=True)
+    u = initial_displacement(ops, p, load_u(0.0))
+    for k in range(1, steps + 2):
+        u_new = ops.a_factor().solve(load_u(k * tau) + ops.DT @ p)
+        B = ops.permeability_stiffness(u_new)
+        rhs = tau * assemble_load_q(mesh, prob.g, k * tau) + ops.C @ p - ops.D @ (u_new - u)
+        op = ops.pressure_operator(B, tau)
+        if k == steps + 1:
+            return mesh, op, rhs, p
+        p, u = SpdFactorization(op).solve(rhs), u_new
+
+
+def _normwise_backward_error(op, x, rhs):
+    norm_op = abs(op).sum(axis=1).max()
+    return np.linalg.norm(op @ x - rhs) / (norm_op * np.linalg.norm(x) + np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_multigrid_pressure_solve_matches_the_lu_in_iterations_that_do_not_grow(name):
+    iterations = []
+    for n in (32, 64, 128):
+        mesh, op, rhs, guess = _pressure_system(name, n)
+        x, steps = linsolve.solve_pressure(op, rhs, guess,
+                                           lambda: pressure_prolongations(mesh))
+        lu = SpdFactorization(op).solve(rhs)
+        assert np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
+        for y in (x, lu):
+            assert _normwise_backward_error(op, y, rhs) <= linsolve.DEFAULT_TOL
+        iterations.append(steps)
+    assert 0 < min(iterations) and max(iterations) <= 16
+    assert iterations[-1] <= iterations[0] + 1
+
+
+def test_multigrid_pressure_solve_returns_a_warm_start_that_passes_as_it_is(factors):
+    mesh, op, rhs, guess = _pressure_system("ex42", 32)
+    factors.clear()
+    x, _ = linsolve.solve_pressure(op, rhs, guess, lambda: pressure_prolongations(mesh))
+    again, steps = linsolve.solve_pressure(op, rhs, x, lambda: pressure_prolongations(mesh))
+    assert steps == 0 and np.array_equal(again, x)
+    # a zero right-hand side gives zero, whatever the warm start, as the LU does
+    zero, steps = linsolve.solve_pressure(op, np.zeros_like(rhs), x,
+                                          lambda: pressure_prolongations(mesh))
+    assert steps == 0 and not zero.any()
+    # every call factored the coarsest level once
+    assert factors == [("splu", (49, 49), None)] * 3
+
+
+def _faulty(op, fault):
+    op = op.copy()
+    diagonal = op.indices == np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    if fault == "nan-diagonal":
+        op.data[np.flatnonzero(diagonal)[5]] = np.nan
+    elif fault == "nan-off-diagonal":
+        op.data[np.flatnonzero(~diagonal)[5]] = np.nan
+    elif fault == "inf-off-diagonal":
+        op.data[np.flatnonzero(~diagonal)[5]] = np.inf
+    elif fault == "negated":
+        op.data *= -1.0
+    else:  # indefinite with a positive diagonal
+        op = (op - 0.5 * op.diagonal().min() * sp.eye(op.shape[0])).tocsr()
+    return op
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan-diagonal", "diagonal"),
+    # Galerkin products carry a non-finite entry onto a coarse diagonal
+    ("nan-off-diagonal", "diagonal"),
+    ("inf-off-diagonal", "diagonal"),
+    ("negated", "diagonal"),
+    ("shifted", "broke down"),
+])
+def test_multigrid_pressure_solve_fails_on_an_operator_that_is_not_spd(fault, message):
+    mesh, op, rhs, guess = _pressure_system("ex42", 32, steps=0)
+    with pytest.raises(SolverFailure, match=message):
+        linsolve.solve_pressure(_faulty(op, fault), rhs, guess,
+                                lambda: pressure_prolongations(mesh))
+
+
+@pytest.mark.parametrize("fault", ["nan-off-diagonal", "shifted"])
+def test_run_on_a_pressure_operator_that_is_not_spd_exits_3(fault, tmp_path, monkeypatch,
+                                                            capsys):
+    solve = linsolve.solve_pressure
+    monkeypatch.setattr(stepper, "solve_pressure",
+                        lambda op, *args: solve(_faulty(op, fault), *args))
+    config_path = tmp_path / "faulty.json"
+    config_path.write_text(json.dumps({
+        "experiment": "ex42", "schemes": [{"scheme": "semi_explicit"}], "mesh_levels": [32],
+        "tau_levels": [0.25], "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(config_path)]) == 3
+    assert "solver failure: pressure" in capsys.readouterr().err
+
+
+def test_multigrid_pressure_solve_fails_at_its_iteration_cap(monkeypatch):
+    mesh, op, rhs, guess = _pressure_system("ex42", 32, steps=0)
+    monkeypatch.setattr(linsolve, "_CG_MAX", 3)
+    with pytest.raises(SolverFailure, match="pressure CG solve failed"):
+        linsolve.solve_pressure(op, rhs, guess, lambda: pressure_prolongations(mesh))

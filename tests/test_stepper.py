@@ -520,6 +520,30 @@ def test_semi_and_delay_paths_refine_alike_and_stay_bit_identical(factors):
         assert a.p.tobytes() == b.p.tobytes()
 
 
+def test_semi_and_delay_paths_stay_bit_identical_above_the_multigrid_crossover(factors):
+    # criterion 2's n = 16 solves every pressure by its LU; from n = 24 on
+    # both paths solve it by multigrid-preconditioned CG, which must give
+    # the same bits on both, with the coarsest level as each step's factor
+    prob = experiment_41_data()
+    mesh = build_structured_mesh(32)
+    nu = mesh.num_displacement_dofs
+    runs = []
+    for scheme in ("semi_explicit", "delay_implicit"):
+        factors.clear()
+        cfg = StepperConfig(scheme=scheme, tau=2.0**-4, T=0.25)
+        states, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+        assert [(f.backend, f.shape) for f in factors] == \
+            [("cholesky_banded", (nu, nu))] + [("splu", (49, 49))] * cfg.n_steps
+        assert report.factorization_count == len(factors)
+        runs.append((states, report))
+    (semi, semi_report), (delay, _) = runs
+    assert semi_report.linear_iterations > 0
+    assert len(semi) == len(delay) == cfg.n_steps + 1
+    for a, b in zip(semi, delay):
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.p.tobytes() == b.p.tobytes()
+
+
 @pytest.mark.parametrize("field, kwargs", [
     ("tau", {"tau": math.inf, "T": 1.0}),
     ("tau", {"tau": math.nan, "T": 1.0}),
