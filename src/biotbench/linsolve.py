@@ -227,7 +227,7 @@ def solve_spd(op, rhs, tol=DEFAULT_TOL) -> np.ndarray:
     return SpdFactorization(op).solve(rhs, tol)
 
 
-def solve_pressure(op, rhs, guess, prolongations, tol=DEFAULT_TOL):
+def solve_pressure(op, rhs, guess, prolongations):
     """Solve a per-step pressure operator C + tau*B(u), verified as ``SpdFactorization.solve``.
 
     An operator of fewer than ``_MULTIGRID_SIZE`` unknowns, or one whose
@@ -249,7 +249,7 @@ def solve_pressure(op, rhs, guess, prolongations, tol=DEFAULT_TOL):
     diagonal entry that is not positive and finite, a non-positive or
     non-finite curvature or preconditioned residual (the breakdown of CG
     on an operator that is not SPD), or ``_CG_MAX`` iterations without
-    reaching ``tol``, raise SolverFailure; there is no fallback to an LU
+    reaching ``DEFAULT_TOL``, raise SolverFailure; there is no fallback to an LU
     of the full operator.  A zero ``rhs`` gives zero, as the LU path
     does.  Returns (solution, CG iterations), with 0 iterations on the LU
     path.
@@ -257,7 +257,7 @@ def solve_pressure(op, rhs, guess, prolongations, tol=DEFAULT_TOL):
     op = op.tocsr()
     levels = prolongations() if op.shape[0] >= _MULTIGRID_SIZE else ()
     if not levels:
-        return SpdFactorization(op).solve(rhs, tol), 0
+        return SpdFactorization(op).solve(rhs), 0
     precondition = _VCycle(op, levels)
     rhs = np.asarray(rhs, dtype=float)
     if not rhs.any():
@@ -270,7 +270,7 @@ def solve_pressure(op, rhs, guess, prolongations, tol=DEFAULT_TOL):
         r = rhs - op @ x
         while True:
             err = error(_norm(r), x, norm_b)
-            if err <= tol:
+            if err <= DEFAULT_TOL:
                 return x, iterations
             if not math.isfinite(err) or iterations >= _CG_MAX:
                 raise SolverFailure("pressure CG solve failed", err)
@@ -287,7 +287,7 @@ def solve_pressure(op, rhs, guess, prolongations, tol=DEFAULT_TOL):
                 x = x + step * p
                 r_old, r = r, r - step * q
                 iterations += 1
-                if _norm(r) <= tol * error.scale(x, norm_b):
+                if _norm(r) <= DEFAULT_TOL * error.scale(x, norm_b):
                     break
                 z = precondition(r)
                 rz_old, rz = rz, float(r @ z)

@@ -89,8 +89,7 @@ class StepperConfig:
 class StepReport:
     picard_iterations: int = 0
     final_picard_residual: float = 0.0
-    #: Krylov iterations of the step: GMRES summed over its block solves, or
-    #: the CG iterations of its pressure solve (0 where that is an LU)
+    #: GMRES iterations summed over the step's block solves
     linear_iterations: int = 0
 
 
@@ -283,9 +282,9 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new, iterations = ops.solve_pressure(B, tau, rhs_p, state.p)
+    p_new, _ = ops.solve_pressure(B, tau, rhs_p, state.p)
 
-    return State(u_new, p_new, state.t + tau), StepReport(linear_iterations=iterations)
+    return State(u_new, p_new, state.t + tau), StepReport()
 
 
 def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,

@@ -535,9 +535,8 @@ def test_semi_and_delay_paths_stay_bit_identical_above_the_multigrid_crossover(f
         assert [(f.backend, f.shape) for f in factors] == \
             [("cholesky_banded", (nu, nu))] + [("splu", (49, 49))] * cfg.n_steps
         assert report.factorization_count == len(factors)
-        runs.append((states, report))
-    (semi, semi_report), (delay, _) = runs
-    assert semi_report.linear_iterations > 0
+        runs.append(states)
+    semi, delay = runs
     assert len(semi) == len(delay) == cfg.n_steps + 1
     for a, b in zip(semi, delay):
         assert a.u.tobytes() == b.u.tobytes()
