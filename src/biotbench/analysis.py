@@ -13,7 +13,7 @@ import numpy as np
 
 from .assembly import (Coefficients, assemble_elasticity, assemble_laplace,
                        assemble_mass, assemble_pressure_mass)
-from .mesh import Mesh, prolong
+from .mesh import Mesh, prolongation
 
 
 class NormKind(str, Enum):
@@ -137,12 +137,12 @@ def error_vs_reference(coarse_trajectory, reference_trajectory, coarse_mesh: Mes
     coarse = _state_at(coarse_trajectory, t)
     ref = _state_at(reference_trajectory, coarse.t)
 
-    p_f = ref_mesh.restrict_scalar(
-        prolong(coarse_mesh, ref_mesh, coarse_mesh.extend_scalar(coarse.p)))
+    P = prolongation(coarse_mesh, ref_mesh)
+    p_f = ref_mesh.restrict_scalar(P @ coarse_mesh.extend_scalar(coarse.p))
     full_u = coarse_mesh.extend_vector(coarse.u)
     u_f = np.empty(2 * ref_mesh.num_nodes)
-    u_f[0::2] = prolong(coarse_mesh, ref_mesh, full_u[0::2])
-    u_f[1::2] = prolong(coarse_mesh, ref_mesh, full_u[1::2])
+    u_f[0::2] = P @ full_u[0::2]
+    u_f[1::2] = P @ full_u[1::2]
     u_f = ref_mesh.restrict_vector(u_f)
 
     calc = NormCalculator(ref_mesh, coeffs)

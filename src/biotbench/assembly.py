@@ -20,7 +20,8 @@ with the element->edge map, per pair of spaces a scatter plan, per space
 the dof each load addend goes to, the two sparse maps the
 permeability stiffness B(u) is read through, and the prolongations of
 the pressure space's multigrid hierarchy (``pressure_prolongations``,
-built on the first multigrid pressure solve).  The load vectors evaluate
+``mesh.prolongation`` restricted to the interior nodes, built on the
+first multigrid pressure solve).  The load vectors evaluate
 the forcing once per mesh edge, on those midpoints, and gather the values
 to the elements.  A plan fixes the CSR pattern and maps every
 element-matrix entry to its nonzero slot.  It is built by replaying
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import Mesh, build_structured_mesh, prolongation
 from .permeability import PermeabilityModel
 
 
@@ -318,12 +319,6 @@ def _permeability_map(mesh: Mesh, interior_only):
 
 #: the pressure hierarchy stops at a mesh of at least this many cells per side
 _COARSEST_CELLS = 8
-#: (row, column) offsets of the fine nodes a coarse node's hat function reaches
-#: on the mesh with twice its cells, and its value there: 1 at the node itself,
-#: 1/2 at the midpoints of its six edges (the diagonal edges run from
-#: bottom-left to top-right)
-_HAT_OFFSETS = np.array([(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, 1)])
-_HAT_VALUES = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
 
 
 def pressure_prolongations(mesh: Mesh) -> tuple:
@@ -335,35 +330,20 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     finest first.  The hierarchy halves n while n is even and its half
     has at least ``_COARSEST_CELLS`` cells per side, so an odd n, or one
     below twice that, has no level and gets an empty tuple.  Built on the
-    first call from the structured index pattern alone.
+    first call: P is ``mesh.prolongation`` restricted to interior rows
+    and columns, which is exact because boundary values are zero.
     """
     data = _mesh_data(mesh)
     levels = data.maps.get("prolongations")
     if levels is None:
-        levels, n = [], mesh.n
-        while n % 2 == 0 and n // 2 >= _COARSEST_CELLS:
-            n //= 2
-            P = _interior_prolongation(n)
+        levels, fine = [], mesh
+        while fine.n % 2 == 0 and fine.n // 2 >= _COARSEST_CELLS:
+            coarse = build_structured_mesh(fine.n // 2)
+            P = prolongation(coarse, fine)[fine.interior_nodes][:, coarse.interior_nodes]
             levels.append((P, P.T.tocsr()))
+            fine = coarse
         levels = data.maps["prolongations"] = tuple(levels)
     return levels
-
-
-def _interior_prolongation(m: int) -> sp.csr_matrix:
-    """P1 interpolation from the interior nodes of the structured mesh with
-    m cells per side to those of the one with 2m, as a CSR matrix.
-
-    Interior node (i, j), 1 <= i, j < n, is unknown (i - 1)*(n - 1) + j - 1
-    on a mesh with n cells per side; coarse node (I, J) is fine node (2I, 2J).
-    """
-    coarse = np.arange((m - 1) ** 2)
-    rows, cols = np.divmod(coarse, m - 1)
-    fine_rows = 2 * rows[:, None] + 1 + _HAT_OFFSETS[:, 0]
-    fine_cols = 2 * cols[:, None] + 1 + _HAT_OFFSETS[:, 1]
-    fine = (fine_rows * (2 * m - 1) + fine_cols).ravel()
-    values = np.broadcast_to(_HAT_VALUES, fine_rows.shape).ravel()
-    coarse = np.repeat(coarse, _HAT_VALUES.size)
-    return sp.csr_matrix((values, (fine, coarse)), shape=((2 * m - 1) ** 2, (m - 1) ** 2))
 
 
 def assemble_elasticity(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:

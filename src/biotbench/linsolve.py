@@ -3,7 +3,9 @@
 SPD systems are factorized by one of two backends, and the factors
 cached by the caller: A, which a run factors once and solves thousands of
 times, by ``cholesky_banded`` while its band is small (``factor_banded``),
-and every other operator, or a wide-band A, by ``splu``.  The
+and every other operator, or a wide-band A, by ``splu``.  Every factor is
+an ``SpdFactorization``, the one place factors are counted: a run reports
+the difference of its count between the run's start and end.  The
 semi-explicit pressure operator C + tau*B(u), which changes every step,
 is solved by ``solve_pressure``: by its LU on small or odd meshes, and
 otherwise by CG from the previous pressure, preconditioned by one
@@ -95,12 +97,17 @@ class SpdFactorization:
     The operator is factored by this module's ``splu`` or, given a
     half-bandwidth ``kd``, by its ``cholesky_banded``, each looked up when
     the factor is built: every factor of every scheme passes through
-    these two names.  Either factor only has to ``solve``; a breakdown (an
-    exactly singular LU, a Cholesky pivot that is not positive or not
-    finite) raises SolverFailure.
+    these two names, and through here.  ``built`` counts the factors
+    constructed in this process, each before its backend is called, so a
+    run's factors are the difference of two readings.  Either factor only
+    has to ``solve``; a breakdown (an exactly singular LU, a Cholesky
+    pivot that is not positive or not finite) raises SolverFailure.
     """
 
+    built = 0
+
     def __init__(self, op, kd=None):
+        SpdFactorization.built += 1
         self.op = op.tocsr()
         try:
             if kd is None:
@@ -114,8 +121,8 @@ class SpdFactorization:
     def _backward_error(self, x, rhs):
         return self._error(np.linalg.norm(self.op @ x - rhs), x, np.linalg.norm(rhs))
 
-    def solve(self, rhs, tol=DEFAULT_TOL):
-        """Solve, refining until the normwise backward error is at most ``tol``.
+    def solve(self, rhs):
+        """Solve, refining until the normwise backward error is at most ``DEFAULT_TOL``.
 
         The backward error (``NormwiseError``) is what a backward-stable
         solve attains whatever the condition of the operator; the relative
@@ -131,11 +138,11 @@ class SpdFactorization:
         x = self._lu.solve(rhs)
         err = self._backward_error(x, rhs)
         for _ in range(2):
-            if np.isfinite(err) and err <= tol:
+            if np.isfinite(err) and err <= DEFAULT_TOL:
                 break
             x = x + self._lu.solve(rhs - self.op @ x)
             err = self._backward_error(x, rhs)
-        if not np.isfinite(err) or err > tol:
+        if not np.isfinite(err) or err > DEFAULT_TOL:
             raise SolverFailure("SPD solve failed", err)
         return x
 
@@ -220,11 +227,9 @@ def factor_banded(op) -> SpdFactorization:
     return SpdFactorization(op)
 
 
-def solve_spd(op, rhs, tol=DEFAULT_TOL) -> np.ndarray:
+def solve_spd(op, rhs) -> np.ndarray:
     """One-shot SPD solve with residual verification."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tolerance must lie in (0, 1)")
-    return SpdFactorization(op).solve(rhs, tol)
+    return SpdFactorization(op).solve(rhs)
 
 
 def solve_pressure(op, rhs, guess, prolongations):
@@ -392,7 +397,7 @@ class BlockSystem:
 
 
 def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
-                s_factor: SpdFactorization, guess=None, tol=DEFAULT_TOL, reduction=None):
+                s_factor: SpdFactorization, guess=None, reduction=None):
     """Solve the coupled block system by fixed-stress preconditioned GMRES.
 
     ``a_factor`` factorizes the elasticity block A and ``s_factor`` a
@@ -410,8 +415,8 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
     ||SKSy - Sb|| / (||SKS||_inf*||y|| + ||Sb||), where ||SKS||_inf is
     the largest entry of s * (|K| @ s); |diag K| and |K| are the system's
     cached ones, so a solve allocates no sparse matrix.  The solve is
-    verified against ``tol`` or, given a ``reduction``, against the
-    forcing term max(tol, reduction * e0), where e0 is the backward error
+    verified against ``DEFAULT_TOL`` or, given a ``reduction``, against the
+    forcing term max(DEFAULT_TOL, reduction * e0), where e0 is the backward error
     at the starting guess: an inner solve of an outer iteration then does
     only the work the outer residual needs.  GMRES aims at ``_GMRES_AIM``
     (a two-hundredth) of that target, further than the normwise test
@@ -452,6 +457,7 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
 
     r = b - op(y)
     norm_r, scale_y = _norm(r), scale(y)
+    tol = DEFAULT_TOL
     if reduction is not None:  # the forcing term
         tol = max(tol, reduction * norm_r / scale_y)
     iterations = 0

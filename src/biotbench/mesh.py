@@ -1,8 +1,14 @@
-"""Structured triangulations of the unit square with P1 nodal unknowns."""
+"""Structured triangulations of the unit square with P1 nodal unknowns.
+
+Nested meshes share one P1 interpolation, ``prolongation``: the sparse
+matrix that ``prolong``, the reference errors and the pressure multigrid
+hierarchy all apply.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,35 +129,45 @@ def build_structured_mesh(n: int) -> Mesh:
                 boundary_mask=boundary, interior_index=interior_index)
 
 
-def prolong(coarse: Mesh, fine: Mesh, coarse_values: np.ndarray) -> np.ndarray:
-    """Evaluate the P1 interpolant of a coarse nodal function at the fine nodes.
+def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """P1 interpolation from the nodes of ``coarse`` to those of ``fine``, as CSR.
 
-    Requires fine.n to be a multiple of coarse.n so that every coarse node
-    coincides with a fine node (the interpolant is then exact there).
-    ``coarse_values`` is a full nodal vector on the coarse mesh.
+    Requires fine.n to be a multiple r of coarse.n, so that every coarse
+    node coincides with a fine node.  Built from the structured index
+    pattern alone: fine node (i, j) lies in coarse cell (i // r, j // r),
+    clamped to the last cell, at the offsets t = i/r - i // r (up) and
+    s = j/r - j // r (across), and takes the barycentric weights of the
+    cell's lower triangle where t <= s, else of its upper one.  Zero
+    weights are not stored, so for r = 2 every entry is exactly 1 or 1/2.
     """
     if fine.n % coarse.n != 0:
         raise ValueError(
             f"meshes are not nested: fine n={fine.n} is not a multiple of coarse n={coarse.n}")
+    cn, r = coarse.n, fine.n // coarse.n
+    i, j = np.divmod(np.arange(fine.num_nodes), fine.n + 1)
+    ci, cj = np.minimum(i // r, cn - 1), np.minimum(j // r, cn - 1)
+    t, s = (i - r * ci) / r, (j - r * cj) / r
+    lower = t <= s
+    base = ci * (cn + 1) + cj
+    # the triangle's vertices in ascending node order, so each row comes out sorted:
+    # lower (bottom-left, bottom-right, top-right), upper (bottom-left, top-left, top-right)
+    cols = np.stack([base, base + np.where(lower, 1, cn + 1), base + cn + 2], axis=1)
+    weights = np.stack([np.where(lower, 1.0 - s, 1.0 - t), np.abs(s - t),
+                        np.where(lower, t, s)], axis=1)
+    stored = weights != 0.0
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    return sp.csr_matrix((weights[stored], cols[stored], indptr),
+                         shape=(fine.num_nodes, coarse.num_nodes))
+
+
+def prolong(coarse: Mesh, fine: Mesh, coarse_values: np.ndarray) -> np.ndarray:
+    """Evaluate the P1 interpolant of a coarse nodal function at the fine nodes.
+
+    ``coarse_values`` is a full nodal vector on the coarse mesh, and the
+    result its product with ``prolongation(coarse, fine)``.
+    """
     values = np.asarray(coarse_values, dtype=float)
     if values.shape != (coarse.num_nodes,):
         raise ValueError(
             f"expected coarse nodal vector of length {coarse.num_nodes}, got shape {values.shape}")
-
-    cn = coarse.n
-    x, y = fine.nodes[:, 0], fine.nodes[:, 1]
-    cj = np.minimum((x * cn).astype(np.int64), cn - 1)
-    ci = np.minimum((y * cn).astype(np.int64), cn - 1)
-    s = x * cn - cj
-    t = y * cn - ci
-
-    base = ci * (cn + 1) + cj
-    a = values[base]                # bottom-left
-    d = values[base + 1]            # bottom-right
-    c = values[base + cn + 1]       # top-left
-    b = values[base + cn + 2]       # top-right
-
-    in_lower = t <= s
-    lower = a + s * (d - a) + t * (b - d)
-    upper = a + s * (b - c) + t * (c - a)
-    return np.where(in_lower, lower, upper)
+    return prolongation(coarse, fine) @ values

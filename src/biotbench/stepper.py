@@ -97,6 +97,8 @@ class StepReport:
 class RunReport:
     """Aggregate statistics of a full time loop."""
 
+    #: seconds in the stepping loop; on the delay path also its own assembly,
+    #: A's factor and the initial solve (see ``run``)
     wall_time: float = 0.0
     n_steps: int = 0
     picard_mean: float = 0.0
@@ -104,11 +106,11 @@ class RunReport:
     max_picard_residual: float = 0.0
     #: steps that ran all ``picard_max`` iterates
     picard_capped: int = 0
-    #: factors this run made through ``linsolve.splu`` and
-    #: ``linsolve.cholesky_banded``: A's, and per step one pressure factor, the
-    #: LU of C + tau*B (or of C + tau*B + beta*M) or, where multigrid solves
-    #: C + tau*B, the LU of its coarsest level; one it was handed already made
-    #: is not counted
+    #: the ``linsolve.SpdFactorization`` factors built while the run ran, the
+    #: difference of two readings of its count: A's, and per step one pressure
+    #: factor, the LU of C + tau*B (or of C + tau*B + beta*M) or, where
+    #: multigrid solves C + tau*B, the LU of its coarsest level; a factor of A
+    #: that another run of its study made is not counted
     factorization_count: int = 0
     linear_iterations: int = 0
 
@@ -157,17 +159,14 @@ class SharedOperators:
 class StepOperators:
     """The operators of one run: the initial solve and all its steps read them here.
 
-    A semi-explicit or Picard run forms, factors and counts its SPD
-    operators here.  ``factor`` and ``solve_pressure`` are the places
-    ``factorization_count`` grows, each by the one factor it makes, so the
-    count is the run's factors: A's by ``linsolve.factor_banded``, and per
-    step one by ``linsolve.splu``.
+    A semi-explicit or Picard run forms and factors its SPD operators
+    here: A by ``linsolve.factor_banded`` and the fixed-stress pressure
+    operator by ``linsolve.SpdFactorization``, which counts every factor.
     A, its factor, C, D, D^T, M and C + beta*M are read through
     ``shared``, a private ``SharedOperators`` of the mesh when none is
-    given, so each is built once per store; a factor of A that another
-    run made is not counted here.  The elasticity factor serves the initial displacement
-    solve, every semi-explicit step and every fixed-stress preconditioner
-    of the Picard path.  The pressure operator changes with u.  On the
+    given, so each is built once per store.  The elasticity factor serves
+    the initial displacement solve, every semi-explicit step and every
+    fixed-stress preconditioner of the Picard path.  The pressure operator changes with u.  On the
     semi-explicit path C + tau*B(u) is solved per step by
     ``linsolve.solve_pressure``: an LU on small or odd meshes, otherwise
     multigrid-preconditioned CG whose coarsest level is factored.  On the
@@ -198,32 +197,19 @@ class StepOperators:
         self._block = None
         #: (u, B(u)) at the run's last Picard iterate so far, where the next step starts
         self.picard_end = (None, None)
-        self.factorization_count = 0
-
-    def factor(self, op, build=SpdFactorization) -> SpdFactorization:
-        """Factor an SPD operator of this run by ``build``, and count it."""
-        self.factorization_count += 1
-        return build(op)
 
     def a_factor(self) -> SpdFactorization:
         """A's factor, banded while its band is small (``linsolve.factor_banded``)."""
         co = self.coeffs
         return self._shared.get(("A factor", co.lam, co.mu),
-                                lambda: self.factor(self.A, factor_banded))
+                                lambda: factor_banded(self.A))
 
     def pressure_operator(self, B, tau) -> sp.csr_matrix:
         """C + tau*B, scipy's sum, as the delay path forms it."""
         return self.C + tau * B
 
-    def solve_pressure(self, B, tau, rhs, guess):
-        """Solve C + tau*B for ``rhs`` from ``guess`` (``linsolve.solve_pressure``), and
-        count its factor.  Returns (p, CG iterations)."""
-        self.factorization_count += 1
-        return solve_pressure(self.pressure_operator(B, tau), rhs, guess,
-                              functools.partial(pressure_prolongations, self.mesh))
-
     def fixed_stress_factor(self, B, tau) -> SpdFactorization:
-        """Factor C + beta*M + tau*B with beta = alpha^2/(2*(lam + mu)), and count it.
+        """Factor C + beta*M + tau*B with beta = alpha^2/(2*(lam + mu)).
 
         M is the unscaled P1 mass matrix; beta*M stands in for D A^-1 D^T,
         the part of the pressure Schur complement that the sweep drops.
@@ -235,7 +221,7 @@ class StepOperators:
         beta = co.alpha ** 2 / (2.0 * (co.lam + co.mu))
         mass = shared.get(("M",), lambda: assemble_mass(self.mesh))
         stabilized = shared.get(("C + beta M", co.M, beta), lambda: self.C + beta * mass)
-        return self.factor(stabilized + tau * B)
+        return SpdFactorization(stabilized + tau * B)
 
     def block_system(self, B, tau) -> BlockSystem:
         """The run's block system [[A, -D^T], [D, C + tau*B]], with B's values written in.
@@ -282,7 +268,8 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new, _ = ops.solve_pressure(B, tau, rhs_p, state.p)
+    p_new, _ = solve_pressure(ops.pressure_operator(B, tau), rhs_p, state.p,
+                              functools.partial(pressure_prolongations, ops.mesh))
 
     return State(u_new, p_new, state.t + tau), StepReport()
 
@@ -376,17 +363,23 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
     ``f`` (volumetric load, may be None), ``g`` (fluid source) and ``p0``
     (initial pressure) are functions of (x, y[, t]); right-hand sides are
     evaluated pointwise at the step times.  Returns the list of N+1 states
-    and an aggregate report whose wall time covers the stepping loop only
-    (time-independent assembly and the initial solve are excluded).
+    and an aggregate report.  Its wall time covers the stepping loop: on
+    the semi-explicit and Picard paths that excludes the time-independent
+    assembly and the initial solve, while the delay path, which assembles
+    its own operators, is timed whole, its assembly, A's factor and u0
+    included.  Its ``factorization_count`` is the number of
+    ``SpdFactorization`` factors built between the start of the run and
+    its end; runs in one process never overlap.
     ``shared`` operators of ``mesh`` are used and filled by a semi-explicit
     or Picard run (see ``StepOperators``); the delay path ignores them.
     """
+    built = SpdFactorization.built
     if cfg.scheme == DELAY_IMPLICIT:
         tic = time.perf_counter()
-        states, factorizations = _delay_implicit(mesh, coeffs, cfg, f, g, p0)
+        states = delay_implicit_run(mesh, coeffs, cfg, f, g, p0)
         wall = time.perf_counter() - tic
         report = RunReport(wall_time=wall, n_steps=cfg.n_steps,
-                           factorization_count=factorizations)
+                           factorization_count=SpdFactorization.built - built)
         return states, report
 
     ops = StepOperators(mesh, coeffs, shared)
@@ -407,7 +400,7 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
         states.append(state)
         reports.append(rep)
     wall = time.perf_counter() - tic
-    return states, RunReport.from_steps(wall, reports, ops.factorization_count,
+    return states, RunReport.from_steps(wall, reports, SpdFactorization.built - built,
                                         cfg.picard_max)
 
 
@@ -419,23 +412,13 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     trajectory afterwards.  The history must match the initial pressure at
     both endpoints of [-tau, 0].  Written independently of
     ``semi_explicit_step`` so the two paths can be compared against each
-    other: its own loop and its own factorizations, one of A per run and
-    one per step in the solve of C + tau*B.
-    """
-    return _delay_implicit(mesh, coeffs, cfg, f, g, p0)[0]
-
-
-def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
-    """``delay_implicit_run``'s trajectory and the number of factors it made.
-
-    The path assembles and factors its own operators rather than through
-    ``StepOperators``: one factor of A for u0 and every step, and per step
-    one in ``linsolve.solve_pressure`` (the LU of C + tau*B, or of its
-    coarsest multigrid level), so n_steps + 1 in all, counted here.  A is
-    factored by ``linsolve.factor_banded`` and each C + tau*B is solved by
-    ``linsolve.solve_pressure`` from the previous pressure, with the same
-    arguments as on the semi-explicit path, so its solves are verified and
-    refined exactly alike.
+    other: its own loop, and its own operators rather than those of
+    ``StepOperators``.  One factor of A by ``linsolve.factor_banded``
+    serves u0 and every step, and each C + tau*B is solved by
+    ``linsolve.solve_pressure`` from the previous pressure with the same
+    arguments as on the semi-explicit path, so its solves are verified
+    and refined exactly alike and each makes one factor (the LU of
+    C + tau*B, or of its coarsest multigrid level).
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
@@ -460,7 +443,6 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
 
     # one factor of A serves u0 and every step
     a_lu = factor_banded(A)
-    factorizations = 1
     # initial displacement from the delayed pressure at -tau
     u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau))
 
@@ -475,10 +457,9 @@ def _delay_implicit(mesh, coeffs, cfg, f, g, p0):
             - D @ (u_n - states[-1].u)
         p_n, _ = solve_pressure(C + tau * B, rhs, pressures[-1],
                                 functools.partial(pressure_prolongations, mesh))
-        factorizations += 1
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))
-    return states, factorizations
+    return states
 
 
 def tau_bound_diagnostic(coeffs: Coefficients, p_bound: float, model=None) -> float:

@@ -514,6 +514,8 @@ def test_pressure_prolongations_are_the_interior_restriction_of_mesh_prolong():
         columns = [fine.restrict_scalar(prolong(coarse, fine, coarse.extend_scalar(e)))
                    for e in np.eye(coarse.num_interior)]
         assert np.array_equal(P.toarray(), np.column_stack(columns))
+        # no stored zero, which would widen every Galerkin product
+        assert np.all((P.data == 1.0) | (P.data == 0.5))
         assert sp.isspmatrix_csr(P) and sp.isspmatrix_csr(R)
         assert np.array_equal(R.toarray(), P.toarray().T)
 
@@ -534,13 +536,13 @@ def test_pressure_prolongations_live_once_per_mesh_and_only_where_asked_for(monk
     gc.collect()
     cached_before = len(assembly._MESH_DATA)
     built = []
-    real_build = assembly._interior_prolongation
+    real_build = assembly.prolongation
 
-    def counting_build(m):
-        built.append(m)
-        return real_build(m)
+    def counting_build(coarse, fine):
+        built.append(coarse.n)
+        return real_build(coarse, fine)
 
-    monkeypatch.setattr(assembly, "_interior_prolongation", counting_build)
+    monkeypatch.setattr(assembly, "prolongation", counting_build)
     # a Picard run above the multigrid crossover never asks for the hierarchy
     prob = experiment_42_data()
     mesh = build_structured_mesh(32)

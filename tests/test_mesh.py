@@ -61,13 +61,15 @@ def test_prolong_zero_and_linear_reproduction():
 
 
 def test_prolong_matches_barycentric_oracle():
-    coarse = build_structured_mesh(2)
-    fine = build_structured_mesh(4)
+    # 6 and 3 cells per side are not powers of two, and 3 -> 9 is a ratio of 3
     rng = np.random.default_rng(42)
-    values = rng.standard_normal(coarse.num_nodes)
-    result = prolong(coarse, fine, values)
-    for k, (x, y) in enumerate(fine.nodes):
-        assert abs(result[k] - barycentric_eval(coarse, values, x, y)) < 1e-14
+    for m, n in [(2, 4), (6, 12), (3, 9)]:
+        coarse = build_structured_mesh(m)
+        fine = build_structured_mesh(n)
+        values = rng.standard_normal(coarse.num_nodes)
+        result = prolong(coarse, fine, values)
+        for k, (x, y) in enumerate(fine.nodes):
+            assert abs(result[k] - barycentric_eval(coarse, values, x, y)) < 1e-14
 
 
 def test_prolong_rejects_non_nested():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from biotbench import (Coefficients, Constant, KozenyCarman, StepperConfig,
+from biotbench import (Coefficients, Constant, KozenyCarman, SolverFailure, StepperConfig,
                        assemble_load_q, assemble_load_v, build_structured_mesh,
                        delay_implicit_run, experiment_41_data, experiment_42_data,
                        experiment_43_data, initial_displacement, run, solve_spd,
@@ -607,6 +607,29 @@ def test_reported_factorizations_equal_lu_calls(scheme, factors):
     assert report.factorization_count == len(factors)
     if scheme == "implicit_picard":
         assert report.picard_mean > 1.0
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
+def test_a_run_after_a_failed_run_reports_only_its_own_factors(scheme, factors):
+    # a run that fails partway leaves its factors in the process-wide count;
+    # the next run counts from its own start
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(8)
+    cfg = StepperConfig(scheme=scheme, tau=0.25, T=1.0, picard_max=3)
+
+    def fail_the_third(factor, op, build):
+        if len(factors) == 3:
+            raise RuntimeError("Factor is exactly singular")
+        return build()
+
+    factors.around = fail_the_third
+    with pytest.raises(SolverFailure):
+        run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert len(factors) == 3
+    factors.around = None
+    factors.clear()
+    _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert report.factorization_count == len(factors) == cfg.n_steps + 1
 
 
 # step size diagnostic
