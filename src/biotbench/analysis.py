@@ -90,10 +90,6 @@ class ErrorReport:
     relative: dict = field(default_factory=dict)
 
 
-_DEFAULT_KINDS = (NormKind.A, NormKind.HV, NormKind.C, NormKind.Q, NormKind.HQ,
-                  NormKind.TRIPLE)
-
-
 def _measure(calc: NormCalculator, du, dp, ref_u, ref_p, t, kinds) -> ErrorReport:
     report = ErrorReport(t=t)
     for kind in kinds:
@@ -115,7 +111,7 @@ def _state_at(trajectory, t):
 
 
 def error_vs_manufactured(mesh: Mesh, coeffs: Coefficients, trajectory, exact_u,
-                          exact_p, t=None, kinds=_DEFAULT_KINDS) -> ErrorReport:
+                          exact_p, t=None, kinds=ERROR_KEYS) -> ErrorReport:
     """Errors of a trajectory against the nodal interpolant of an exact pair."""
     state = _state_at(trajectory, t)
     uI = mesh.nodal_vector(exact_u, state.t, interior=True)
@@ -126,7 +122,7 @@ def error_vs_manufactured(mesh: Mesh, coeffs: Coefficients, trajectory, exact_u,
 
 def error_vs_reference(coarse_trajectory, reference_trajectory, coarse_mesh: Mesh,
                        ref_mesh: Mesh, coeffs: Coefficients, t=None,
-                       kinds=_DEFAULT_KINDS) -> ErrorReport:
+                       kinds=ERROR_KEYS) -> ErrorReport:
     """Errors of a coarse trajectory against a reference on a finer nested mesh.
 
     The coarse state is prolonged to the reference mesh and all norms are

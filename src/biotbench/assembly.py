@@ -18,12 +18,12 @@ kept in a cache keyed weakly by the ``Mesh`` object, so it is dropped with
 the mesh: the element geometry, the dof tables, the unique edge midpoints
 with the element->edge map, per pair of spaces a scatter plan, per space
 the dof each load addend goes to, the two sparse maps the
-permeability stiffness B(u) is read through, and the prolongations of
-the pressure space's multigrid hierarchy (``pressure_prolongations``,
-``mesh.prolongation`` restricted to the interior nodes, built on the
-first multigrid pressure solve).  The load vectors evaluate
-the forcing once per mesh edge, on those midpoints, and gather the values
-to the elements.  A plan fixes the CSR pattern and maps every
+permeability stiffness B(u) is read through, and, from the multigrid
+crossover on, the prolongations of the pressure space's multigrid
+hierarchy (``pressure_prolongations``, ``mesh.prolongation`` restricted
+to the interior nodes, built on its first request).  The load vectors
+evaluate the forcing once per mesh edge, on those midpoints, and gather
+the values to the elements.  A plan fixes the CSR pattern and maps every
 element-matrix entry to its nonzero slot.  It is built by replaying
 scipy's COO to CSR conversion (a row-stable counting sort, a per-row sort
 on column keys, summation of duplicate runs in order) on entry numbers
@@ -317,6 +317,10 @@ def _permeability_map(mesh: Mesh, interior_only):
     return plan, bmap
 
 
+#: a mesh of fewer cells per side has no pressure hierarchy, so its per-step
+#: pressure operator is solved by its LU: the measured crossover, where that
+#: and multigrid-preconditioned CG take about equally long
+_MULTIGRID_CELLS = 24
 #: the pressure hierarchy stops at a mesh of at least this many cells per side
 _COARSEST_CELLS = 8
 
@@ -328,11 +332,16 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     nodal values on the mesh with n/2^(k+1) cells per side to the values
     of their P1 interpolant at the interior nodes of the one with n/2^k;
     finest first.  The hierarchy halves n while n is even and its half
-    has at least ``_COARSEST_CELLS`` cells per side, so an odd n, or one
-    below twice that, has no level and gets an empty tuple.  Built on the
-    first call: P is ``mesh.prolongation`` restricted to interior rows
-    and columns, which is exact because boundary values are zero.
+    has at least ``_COARSEST_CELLS`` cells per side.  A mesh with fewer
+    than ``_MULTIGRID_CELLS`` cells per side, or an odd n, has no level
+    and gets an empty tuple, so this is the one place that decides
+    whether ``linsolve.solve_pressure`` runs multigrid; a mesh below the
+    crossover leaves the per-mesh cache untouched.  Built on the first
+    call: P is ``mesh.prolongation`` restricted to interior rows and
+    columns, which is exact because boundary values are zero.
     """
+    if mesh.n < _MULTIGRID_CELLS:
+        return ()
     data = _mesh_data(mesh)
     levels = data.maps.get("prolongations")
     if levels is None:

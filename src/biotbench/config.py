@@ -232,17 +232,18 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(obj)
 
 
-CSV_COLUMNS = (
-    "scheme", "h", "tau", "alpha",
-    "err_u_a", "err_u_HV", "err_p_c", "err_p_Q", "err_p_HQ", "err_triple",
-    "order_u_a", "order_p_c", "picard_mean", "picard_max", "wall_time_s",
-    "blowup_flag",
-)
-
 _ERR_COLUMN_BY_KEY = {
     "u_a": "err_u_a", "u_hv": "err_u_HV", "p_c": "err_p_c",
     "p_q": "err_p_Q", "p_hq": "err_p_HQ", "triple": "err_triple",
 }
+#: the error columns, in ``ERROR_KEYS`` order
+ERR_COLUMNS = tuple(_ERR_COLUMN_BY_KEY[k] for k in ERROR_KEYS)
+
+CSV_COLUMNS = (
+    "scheme", "h", "tau", "alpha", *ERR_COLUMNS,
+    "order_u_a", "order_p_c", "picard_mean", "picard_max", "wall_time_s",
+    "blowup_flag",
+)
 
 
 def _format(value):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .analysis import (NormCalculator, NormKind, convergence_order,
                        error_vs_manufactured, error_vs_reference)
-from .config import (ConfigError, ExperimentConfig, ResultsTable, SchemeSpec,
-                     error_columns)
+from .config import (ERR_COLUMNS, ConfigError, ExperimentConfig, ResultsTable,
+                     SchemeSpec, error_columns)
 from .forcing import ProblemData, problem_by_name
 from .linsolve import SolverFailure
 from .mesh import build_structured_mesh
@@ -186,7 +186,7 @@ def _convergence_plot_data(config, levels, series):
     aux = {}
     labels = list(series)
     x_name = "h" if config.tau_equals_h else "tau"
-    for key in ("err_u_a", "err_u_HV", "err_p_c", "err_p_Q", "err_p_HQ", "err_triple"):
+    for key in ERR_COLUMNS:
         if not any(series[lab][0].get(key) is not None for lab in labels):
             continue
         lines = [",".join([x_name] + labels)]
@@ -202,7 +202,7 @@ def _convergence_plot_data(config, levels, series):
 def _sweep_schemes(config):
     semi = [s for s in config.schemes if s.scheme == SEMI_EXPLICIT]
     impl = [s for s in config.schemes if s.scheme == IMPLICIT_PICARD]
-    if len(semi) != 1 or len(impl) != 1:
+    if len(semi) != 1 or len(impl) != 1 or len(config.schemes) != 2:
         raise ConfigError("config.schemes", "sweep-alpha expects exactly one "
                           "semi_explicit and one implicit_picard scheme")
     return semi[0], impl[0]

@@ -7,13 +7,13 @@ and every other operator, or a wide-band A, by ``splu``.  Every factor is
 an ``SpdFactorization``, the one place factors are counted: a run reports
 the difference of its count between the run's start and end.  The
 semi-explicit pressure operator C + tau*B(u), which changes every step,
-is solved by ``solve_pressure``: by its LU on small or odd meshes, and
-otherwise by CG from the previous pressure, preconditioned by one
-geometric multigrid V-cycle whose coarsest level is the step's one
-``splu`` factor.  Each SPD solve, direct or iterative, is verified post
-hoc by the normwise backward error of an independent matrix-vector
-residual (``NormwiseError``), with iterative refinement.  The
-coupled two-by-two block systems of the implicit/Picard path are solved
+is solved by ``solve_pressure`` on the multigrid hierarchy its caller
+passes: by its LU when the hierarchy is empty, and otherwise by CG from
+the previous pressure, preconditioned by one geometric multigrid V-cycle
+whose coarsest level is the step's one ``splu`` factor.  Each SPD solve,
+direct or iterative, is verified post hoc by the normwise backward error
+of an independent matrix-vector residual (``NormwiseError``), with
+iterative refinement.  The coupled two-by-two block systems of the implicit/Picard path are solved
 by right-preconditioned GMRES on the monolithic operator, equilibrated
 symmetrically by its diagonal inside each matrix-vector product.  The
 preconditioner is one fixed-stress sweep: back-solves with the factor of
@@ -42,10 +42,6 @@ DEFAULT_TOL = 1e-12
 #: smaller and its back-solve no slower
 _BAND_BUDGET = 2 ** 22
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-#: a per-step pressure operator of at least this many unknowns, (n - 1)^2 at
-#: n = 24, is solved by multigrid-preconditioned CG, a smaller one by its LU:
-#: the measured crossover, where the two take about equally long
-_MULTIGRID_SIZE = 23 ** 2
 #: damped-Jacobi weight and smoothing sweeps after the coarse correction (one before)
 _JACOBI_WEIGHT = 0.8
 _POST_SWEEPS = 2
@@ -232,18 +228,16 @@ def solve_spd(op, rhs) -> np.ndarray:
     return SpdFactorization(op).solve(rhs)
 
 
-def solve_pressure(op, rhs, guess, prolongations):
+def solve_pressure(op, rhs, guess, levels):
     """Solve a per-step pressure operator C + tau*B(u), verified as ``SpdFactorization.solve``.
 
-    An operator of fewer than ``_MULTIGRID_SIZE`` unknowns, or one whose
-    mesh cannot be halved, is factored by this module's ``splu`` and
-    solved by ``SpdFactorization``.  Any other is solved by CG from the
-    warm start ``guess``, preconditioned by one multigrid V-cycle
-    (``_VCycle``) on the hierarchy ``prolongations()`` builds; its
-    coarsest level is factored by ``splu``.  So each call makes exactly
-    one factor.  ``prolongations`` is called only on the multigrid path
-    and returns (P, P^T) per level, finest first, or nothing when the mesh
-    cannot be halved.
+    ``levels`` is the multigrid hierarchy of the operator's space, (P, P^T)
+    per level, finest first (``assembly.pressure_prolongations``).  With
+    no level the operator is factored by this module's ``splu`` and
+    solved by ``solve_spd``.  Otherwise it is solved by CG from the warm
+    start ``guess``, preconditioned by one multigrid V-cycle (``_VCycle``)
+    on ``levels``; its coarsest level is factored by ``splu``.  So each
+    call makes exactly one factor.
 
     The V-cycle is not symmetric (one smoothing sweep before the coarse
     correction, two after), so CG takes the Polak-Ribiere direction
@@ -259,10 +253,9 @@ def solve_pressure(op, rhs, guess, prolongations):
     does.  Returns (solution, CG iterations), with 0 iterations on the LU
     path.
     """
-    op = op.tocsr()
-    levels = prolongations() if op.shape[0] >= _MULTIGRID_SIZE else ()
     if not levels:
-        return SpdFactorization(op).solve(rhs), 0
+        return solve_spd(op, rhs), 0
+    op = op.tocsr()
     precondition = _VCycle(op, levels)
     rhs = np.asarray(rhs, dtype=float)
     if not rhs.any():

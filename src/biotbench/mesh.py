@@ -33,10 +33,6 @@ class Mesh:
     interior_index: np.ndarray  # (num_nodes,) int, -1 on the boundary
 
     @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 

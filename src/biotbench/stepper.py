@@ -16,7 +16,6 @@ Three paths over an equidistant grid t_n = n*tau:
   with the semi-explicit ones.
 """
 
-import functools
 import math
 import numbers
 import time
@@ -25,7 +24,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/spans.py binds stepper.splu)
-import scipy.sparse as sp
 
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
@@ -166,18 +164,18 @@ class StepOperators:
     ``shared``, a private ``SharedOperators`` of the mesh when none is
     given, so each is built once per store.  The elasticity factor serves
     the initial displacement solve, every semi-explicit step and every
-    fixed-stress preconditioner of the Picard path.  The pressure operator changes with u.  On the
-    semi-explicit path C + tau*B(u) is solved per step by
-    ``linsolve.solve_pressure``: an LU on small or odd meshes, otherwise
-    multigrid-preconditioned CG whose coarsest level is factored.  On the
-    Picard path the fixed-stress C + beta*M + tau*B(u) is refactorized
-    per step.  The pressure operator is scipy's sum, the same expression
-    the delay path solves, so both see one pattern (a slot that cancels to
-    zero is pruned in both).  The Picard path's block system is the run's own and
-    the one operator rewritten in place: built on its first iterate and
-    then kept, every iterate writes C + tau*B into its pressure slots,
-    which C and every B(u) share (``block_system``).  A semi-explicit run
-    never builds it, nor keeps ``picard_end``.
+    fixed-stress preconditioner of the Picard path.  The pressure
+    operator changes with u, so no step keeps it: the semi-explicit step
+    forms C + tau*B(u) as scipy's sum, the same expression the delay path
+    solves, so both see one pattern (a slot that cancels to zero is
+    pruned in both), and the Picard path refactorizes the fixed-stress
+    C + beta*M + tau*B(u) per step.  The Picard path's block system is the
+    run's own and the one operator rewritten in place: built on its first
+    iterate and then kept, every iterate writes C + tau*B into its
+    pressure slots, which C and every B(u) share (``block_system``).  A
+    semi-explicit run never builds it.  Apart from that system, whose
+    pressure slots every iterate rewrites, a step reads nothing that an
+    earlier step left here: each starts from its state argument.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients,
@@ -195,18 +193,12 @@ class StepOperators:
         # D's CSC view: the same csc_matvec as the delay path's D.T @, built once
         self.DT = shared.get(("D^T", coeffs.alpha), lambda: self.D.T)
         self._block = None
-        #: (u, B(u)) at the run's last Picard iterate so far, where the next step starts
-        self.picard_end = (None, None)
 
     def a_factor(self) -> SpdFactorization:
         """A's factor, banded while its band is small (``linsolve.factor_banded``)."""
         co = self.coeffs
         return self._shared.get(("A factor", co.lam, co.mu),
                                 lambda: factor_banded(self.A))
-
-    def pressure_operator(self, B, tau) -> sp.csr_matrix:
-        """C + tau*B, scipy's sum, as the delay path forms it."""
-        return self.C + tau * B
 
     def fixed_stress_factor(self, B, tau) -> SpdFactorization:
         """Factor C + beta*M + tau*B with beta = alpha^2/(2*(lam + mu)).
@@ -261,15 +253,16 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     Exactly two sequential SPD solves: the elasticity solve lags the
     pressure by one step, then the flow solve uses the permeability
     evaluated at the new displacement, warm-started from the previous
-    pressure.
+    pressure, on the mesh's multigrid hierarchy (none below the
+    crossover, see ``assembly.pressure_prolongations``).
     """
     tau = cfg.tau
     u_new = ops.a_factor().solve(load_u + ops.DT @ state.p)
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new, _ = solve_pressure(ops.pressure_operator(B, tau), rhs_p, state.p,
-                              functools.partial(pressure_prolongations, ops.mesh))
+    p_new, _ = solve_pressure(ops.C + tau * B, rhs_p, state.p,
+                              pressure_prolongations(ops.mesh))
 
     return State(u_new, p_new, state.t + tau), StepReport()
 
@@ -307,13 +300,13 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     GMRES warm-started from that iterate.  The block system is the run's
     one operator with that iterate's C + tau*B written into its pressure
     slots.  Its fixed-stress preconditioner uses the run's factor of A and
-    one factor of C + tau*B + beta*M per step, with B at the previous
-    state.  That B is the one the previous step assembled for its final
-    residual (``ops.picard_end``), so only a run's first step assembles B
-    at its start.  The loop stops once the scaled residual of the
-    nonlinear step system is below ``picard_tol`` or after ``picard_max``
-    iterates; running into the cap is not an error (capped variants are
-    legitimate schemes of their own).
+    one factor of C + tau*B + beta*M per step, with B assembled at the
+    step's starting state: nothing carries over from the step before, so
+    a state changed in place between steps gets the step it asks for.
+    The loop stops once the scaled residual of the nonlinear step system
+    is below ``picard_tol`` or after ``picard_max`` iterates; running
+    into the cap is not an error (capped variants are legitimate schemes
+    of their own).
 
     The first iterate of a step and the last one the cap allows are
     solved to ``DEFAULT_TOL``, so Picard(1) and Picard(2) are exact linear
@@ -328,9 +321,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     rhs_p = tau * load_p + ops.D @ state.u + ops.C @ state.p
 
     u_j, p_j = state.u, state.p
-    # the previous step stopped at u_j and assembled its B for the final residual
-    end_u, end_B = ops.picard_end
-    B_frozen = end_B if end_u is u_j else ops.permeability_stiffness(u_j)
+    B_frozen = ops.permeability_stiffness(u_j)
     a_factor = ops.a_factor()
     s_factor = ops.fixed_stress_factor(B_frozen, tau)
     iterations = linear_iterations = 0
@@ -349,7 +340,6 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
         B_frozen = B_new
         if residual <= cfg.picard_tol:
             break
-    ops.picard_end = (u_j, B_frozen)
 
     report = StepReport(picard_iterations=iterations, final_picard_residual=residual,
                         linear_iterations=linear_iterations)
@@ -415,10 +405,11 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     other: its own loop, and its own operators rather than those of
     ``StepOperators``.  One factor of A by ``linsolve.factor_banded``
     serves u0 and every step, and each C + tau*B is solved by
-    ``linsolve.solve_pressure`` from the previous pressure with the same
-    arguments as on the semi-explicit path, so its solves are verified
-    and refined exactly alike and each makes one factor (the LU of
-    C + tau*B, or of its coarsest multigrid level).
+    ``linsolve.solve_pressure`` from the previous pressure on the mesh's
+    ``pressure_prolongations``, the same call as on the semi-explicit
+    path, so its solves are verified and refined exactly alike and each
+    makes one factor (the LU of C + tau*B, or of its coarsest multigrid
+    level).
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
@@ -456,7 +447,7 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)
         p_n, _ = solve_pressure(C + tau * B, rhs, pressures[-1],
-                                functools.partial(pressure_prolongations, mesh))
+                                pressure_prolongations(mesh))
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))
     return states

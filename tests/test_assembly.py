@@ -524,12 +524,20 @@ def test_pressure_prolongations_are_the_interior_restriction_of_mesh_prolong():
     (64, [(63 ** 2, 31 ** 2), (31 ** 2, 15 ** 2), (15 ** 2, 7 ** 2)]),
     (36, [(35 ** 2, 17 ** 2), (17 ** 2, 8 ** 2)]),
     (34, [(33 ** 2, 16 ** 2)]),
+    (24, [(23 ** 2, 11 ** 2)]),
+    (23, []),
+    (22, []),
+    (16, []),
     (33, []),
     (8, []),
-], ids=["64", "36", "34", "odd", "coarsest"])
+], ids=["64", "36", "34", "crossover", "23", "22", "16", "odd", "coarsest"])
 def test_pressure_hierarchy_halves_while_n_is_even_and_its_half_has_8_cells(n, shapes):
-    levels = assembly.pressure_prolongations(build_structured_mesh(n))
+    mesh = build_structured_mesh(n)
+    levels = assembly.pressure_prolongations(mesh)
     assert [P.shape for P, _ in levels] == shapes
+    # below the multigrid crossover the hierarchy is not even looked up
+    if n < 24:
+        assert "prolongations" not in assembly._mesh_data(mesh).maps
 
 
 def test_pressure_prolongations_live_once_per_mesh_and_only_where_asked_for(monkeypatch):

@@ -348,7 +348,8 @@ PICARD = {"scheme": "implicit_picard"}
 EX41_N4 = {"experiment": "ex41", "mesh_levels": [4]}
 
 
-def _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path):
+def _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path,
+                                 command="run"):
     """cli.main on a config file with this content (None: no file) exits 2 with path."""
     def no_run(*args, **kwargs):
         raise AssertionError("a run started on a malformed config")
@@ -359,7 +360,7 @@ def _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path):
         content = json.dumps(content).encode()
     if content is not None:
         config_path.write_bytes(content)
-    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert cli.main([command, "--config", str(config_path)]) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
 
 
@@ -402,6 +403,15 @@ def test_coefficients_alpha_steps_and_meshes_that_cannot_run_exit_2(extra, path,
 ])
 def test_config_type_holes_exit_2(content, path, tmp_path, capsys, monkeypatch):
     _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path)
+
+
+def test_sweep_alpha_with_a_scheme_besides_its_two_exits_2(tmp_path, capsys, monkeypatch):
+    # the sweep runs one semi-explicit and one Picard scheme per point; a
+    # third scheme would not run, so it is a config error, not dropped
+    content = base_config(experiment="ex43", alpha_values=[0.5],
+                          schemes=[SEMI, PICARD, {"scheme": "delay_implicit"}])
+    _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, "config.schemes",
+                                 command="sweep-alpha")
 
 
 @pytest.mark.parametrize("permeability", [

@@ -322,7 +322,7 @@ def test_in_place_pressure_sums_equal_scipy_sums():
     rng = np.random.default_rng(2)
     B = ops.permeability_stiffness(1e-2 * rng.standard_normal(mesh.num_displacement_dofs))
     tau = 2.0**-5
-    op = ops.pressure_operator(B, tau)
+    op = ops.C + tau * B
     assert _same_csr(op, (ops.C + tau * B).tocsr()) and op.nnz == ops.C.nnz
 
     co = prob.coeffs
@@ -339,7 +339,7 @@ def test_in_place_pressure_sum_drops_a_slot_that_cancels_like_scipy():
     B.data[7] = -2.0 * ops.C.data[7]
     expected = ops.C + tau * B
     assert expected.nnz == ops.C.nnz - 1  # scipy prunes the cancelled slot
-    op = ops.pressure_operator(B, tau)
+    op = ops.C + tau * B
     assert _same_csr(op, expected) and op.nnz == expected.nnz
     # pruning works on copies: C keeps its full pattern
     assert np.array_equal(ops.C.indices, indices) and np.array_equal(ops.C.indptr, indptr)
@@ -512,9 +512,9 @@ def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, fac
     ops.a_factor()
     B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
     np_ = mesh.num_pressure_dofs
-    _, iterations = linsolve.solve_pressure(ops.pressure_operator(B, 0.25), np.ones(np_),
+    _, iterations = linsolve.solve_pressure(ops.C + 0.25 * B, np.ones(np_),
                                             np.zeros(np_),
-                                            lambda: pressure_prolongations(mesh))
+                                            pressure_prolongations(mesh))
     ops.fixed_stress_factor(B, 0.25)
     nu = mesh.num_displacement_dofs
     a_factor = ("cholesky_banded", (nu, nu), 2 * n + 1) if n < 128 else ("splu", (nu, nu), None)
@@ -545,7 +545,7 @@ def _pressure_system(name, n, steps=3, tau=2.0**-5):
         u_new = ops.a_factor().solve(load_u(k * tau) + ops.DT @ p)
         B = ops.permeability_stiffness(u_new)
         rhs = tau * assemble_load_q(mesh, prob.g, k * tau) + ops.C @ p - ops.D @ (u_new - u)
-        op = ops.pressure_operator(B, tau)
+        op = ops.C + tau * B
         if k == steps + 1:
             return mesh, op, rhs, p
         p, u = SpdFactorization(op).solve(rhs), u_new
@@ -562,7 +562,7 @@ def test_multigrid_pressure_solve_matches_the_lu_in_iterations_that_do_not_grow(
     for n in (32, 64, 128):
         mesh, op, rhs, guess = _pressure_system(name, n)
         x, steps = linsolve.solve_pressure(op, rhs, guess,
-                                           lambda: pressure_prolongations(mesh))
+                                           pressure_prolongations(mesh))
         lu = SpdFactorization(op).solve(rhs)
         assert np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
         for y in (x, lu):
@@ -575,12 +575,12 @@ def test_multigrid_pressure_solve_matches_the_lu_in_iterations_that_do_not_grow(
 def test_multigrid_pressure_solve_returns_a_warm_start_that_passes_as_it_is(factors):
     mesh, op, rhs, guess = _pressure_system("ex42", 32)
     factors.clear()
-    x, _ = linsolve.solve_pressure(op, rhs, guess, lambda: pressure_prolongations(mesh))
-    again, steps = linsolve.solve_pressure(op, rhs, x, lambda: pressure_prolongations(mesh))
+    x, _ = linsolve.solve_pressure(op, rhs, guess, pressure_prolongations(mesh))
+    again, steps = linsolve.solve_pressure(op, rhs, x, pressure_prolongations(mesh))
     assert steps == 0 and np.array_equal(again, x)
     # a zero right-hand side gives zero, whatever the warm start, as the LU does
     zero, steps = linsolve.solve_pressure(op, np.zeros_like(rhs), x,
-                                          lambda: pressure_prolongations(mesh))
+                                          pressure_prolongations(mesh))
     assert steps == 0 and not zero.any()
     # every call factored the coarsest level once
     assert factors == [("splu", (49, 49), None)] * 3
@@ -614,7 +614,7 @@ def test_multigrid_pressure_solve_fails_on_an_operator_that_is_not_spd(fault, me
     mesh, op, rhs, guess = _pressure_system("ex42", 32, steps=0)
     with pytest.raises(SolverFailure, match=message):
         linsolve.solve_pressure(_faulty(op, fault), rhs, guess,
-                                lambda: pressure_prolongations(mesh))
+                                pressure_prolongations(mesh))
 
 
 @pytest.mark.parametrize("fault", ["nan-off-diagonal", "shifted"])
@@ -635,4 +635,4 @@ def test_multigrid_pressure_solve_fails_at_its_iteration_cap(monkeypatch):
     mesh, op, rhs, guess = _pressure_system("ex42", 32, steps=0)
     monkeypatch.setattr(linsolve, "_CG_MAX", 3)
     with pytest.raises(SolverFailure, match="pressure CG solve failed"):
-        linsolve.solve_pressure(op, rhs, guess, lambda: pressure_prolongations(mesh))
+        linsolve.solve_pressure(op, rhs, guess, pressure_prolongations(mesh))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from biotbench import (Coefficients, Constant, KozenyCarman, SolverFailure, StepperConfig,
-                       assemble_load_q, assemble_load_v, build_structured_mesh,
-                       delay_implicit_run, experiment_41_data, experiment_42_data,
-                       experiment_43_data, initial_displacement, run, solve_spd,
-                       tau_bound_diagnostic, with_coefficients)
+from biotbench import (Coefficients, Constant, KozenyCarman, SolverFailure, State,
+                       StepperConfig, assemble_load_q, assemble_load_v,
+                       build_structured_mesh, delay_implicit_run, experiment_41_data,
+                       experiment_42_data, experiment_43_data, implicit_picard_step,
+                       initial_displacement, run, solve_spd, tau_bound_diagnostic,
+                       with_coefficients)
 from biotbench import linsolve, stepper
 from biotbench.assembly import assemble_permeability_stiffness, assemble_pressure_mass
 from biotbench.stepper import StepOperators, picard_residual
@@ -278,8 +279,8 @@ def test_picard_counts_equal_those_of_the_numpy_gmres_cycle(name, monkeypatch):
 @pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard"])
 def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch):
     # guards the per-iterate work: one B(u) per Picard iterate plus the one
-    # the first step freezes first (every later step starts from its
-    # predecessor's last B), and no sparse constructor for D^T in the loop
+    # each step freezes first, at its own starting state, and no sparse
+    # constructor for D^T in the loop
     b_calls, transposes, before_step, after_step = [], [], [], []
 
     def counted(fn, calls):
@@ -310,11 +311,35 @@ def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch
         assert iterates == 0 and len(b_calls) == report.n_steps
     else:
         assert iterates == round(report.picard_mean * report.n_steps) > 2 * report.n_steps
-        assert len(b_calls) == iterates + 1
+        assert len(b_calls) == iterates + report.n_steps
     # only the Picard path's first step transposes D: it stacks the block
     # operator, with its -D^T, once per run
     assert after_step[0][1] - before_step[0] == (scheme == "implicit_picard")
     assert after_step[-1][1] == after_step[0][1]
+
+
+@pytest.mark.parametrize("cap", [1, 10])
+def test_picard_step_after_an_in_place_change_of_u_equals_one_on_fresh_operators(cap):
+    # a step reads only its arguments: the run's operators carry no B(u)
+    # from the step before, so a state changed in place gets the step that
+    # fresh operators give it, also under Picard(1), which never corrects
+    # a wrongly frozen permeability
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(8)
+    cfg = StepperConfig(scheme="implicit_picard", tau=2.0**-3, T=2.0**-2, picard_max=cap)
+
+    def loads(t):
+        return assemble_load_v(mesh, prob.f, t), assemble_load_q(mesh, prob.g, t)
+
+    ops = StepOperators(mesh, prob.coeffs)
+    p0 = mesh.nodal_scalar(prob.p0, interior=True)
+    state = State(initial_displacement(ops, p0, loads(0.0)[0]), p0, 0.0)
+    state, _ = implicit_picard_step(ops, state, *loads(cfg.tau), cfg)
+    state.u *= 1.5
+    steps = [implicit_picard_step(op, state, *loads(cfg.T), cfg)[0]
+             for op in (ops, StepOperators(mesh, prob.coeffs))]
+    assert steps[0].u.tobytes() == steps[1].u.tobytes()
+    assert steps[0].p.tobytes() == steps[1].p.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["semi_explicit", "delay_implicit"])
