@@ -19,9 +19,13 @@ the mesh: the element geometry, the dof tables, the unique edge midpoints
 with the element->edge map, per pair of spaces a scatter plan, per space
 the dof each load addend goes to, the two sparse maps the
 permeability stiffness B(u) is read through, and, from the multigrid
-crossover on, the prolongations of the pressure space's multigrid
-hierarchy (``pressure_prolongations``, ``mesh.prolongation`` restricted
-to the interior nodes, built on its first request).  The load vectors
+crossover on, the pressure space's multigrid hierarchy
+(``pressure_prolongations``, built on its first request): per level the
+prolongation, ``mesh.prolongation`` restricted to the interior nodes,
+and the Galerkin map, a sparse map from the values of any operator on
+the level's pattern to those of its coarsening P^T A P on the next
+one.  C and every B(u) share the scalar plan's pattern, so the map
+replaces two sparse products per level and step.  The load vectors
 evaluate the forcing once per mesh edge, on those midpoints, and gather
 the values to the elements.  A plan fixes the CSR pattern and maps every
 element-matrix entry to its nonzero slot.  It is built by replaying
@@ -47,6 +51,7 @@ of a run.
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -325,17 +330,92 @@ _MULTIGRID_CELLS = 24
 _COARSEST_CELLS = 8
 
 
+class Pattern(NamedTuple):
+    """The index arrays of a square CSR pattern, sorted, and the slots of its diagonal."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+
+
+class MultigridLevel(NamedTuple):
+    """One level of the pressure hierarchy, an operator A on ``fine`` and its coarsening.
+
+    ``P`` prolongs coarse to fine values and ``R`` is P^T, both CSR.
+    ``galerkin`` is the CSR map from A's values, slot by slot on
+    ``fine``, to the values of R A P on the pattern ``coarse``, which is
+    the next level's ``fine``.
+    """
+
+    P: sp.csr_matrix
+    R: sp.csr_matrix
+    fine: Pattern
+    galerkin: sp.csr_matrix
+    coarse: Pattern
+
+
+def _pattern(indptr, indices) -> Pattern:
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    diagonal = np.flatnonzero(indices == rows)
+    for arr in (indptr, indices, diagonal):
+        arr.flags.writeable = False
+    return Pattern(indptr, indices, diagonal)
+
+
+def _galerkin_map(fine: Pattern, P):
+    """The map from the values of any A on ``fine`` to those of P^T A P, and its pattern.
+
+    The fine slot s = (i, j) adds P[i, a] A[i, j] P[j, b] to the coarse
+    entry (a, b) for every stored P[i, a] and P[j, b], so column s of the
+    map holds the weights P[i, a] P[j, b] in the rows of those entries.
+    The coarse pattern is that of |P|^T S |P|, S the fine pattern with
+    unit values: a sum of positive terms cancels nowhere, so the pattern
+    holds every entry some fine slot reaches, also where the values of a
+    particular A cancel, which scipy's product would not store.
+    """
+    n_fine, n_coarse = P.shape
+    unit = sp.csr_matrix((np.ones(fine.indices.size), fine.indices, fine.indptr),
+                         shape=(n_fine, n_fine))
+    positive = abs(P)
+    structure = positive.T @ (unit @ positive)
+    structure.sort_indices()
+    coarse = _pattern(structure.indptr.astype(np.int32), structure.indices.astype(np.int32))
+    coarse_rows = np.repeat(np.arange(n_coarse, dtype=np.int64), np.diff(coarse.indptr))
+    coarse_keys = coarse_rows * n_coarse + coarse.indices
+    # slot s expands to one term per pair of P's entries in rows i and j; term
+    # k of the slot pairs entry k // (row j's count) of row i with entry k % that of row j
+    rows = np.repeat(np.arange(n_fine, dtype=np.int32), np.diff(fine.indptr))
+    per_row = np.diff(P.indptr)
+    down = per_row[fine.indices]
+    first_term = np.zeros(rows.size + 1, dtype=np.int32)
+    np.cumsum(per_row[rows] * down, out=first_term[1:])
+    slot = np.repeat(np.arange(rows.size, dtype=np.int32), np.diff(first_term))
+    k = np.arange(slot.size, dtype=np.int32) - first_term[slot]
+    a = P.indptr[rows][slot] + k // down[slot]
+    b = P.indptr[fine.indices][slot] + k % down[slot]
+    targets = np.searchsorted(coarse_keys, P.indices[a].astype(np.int64) * n_coarse
+                              + P.indices[b]).astype(np.int32)
+    # the terms come in fine slot order, so they are the map's transpose in CSR
+    transpose = sp.csr_matrix((P.data[a] * P.data[b], targets, first_term),
+                              shape=(rows.size, coarse_keys.size))
+    return transpose.T.tocsr(), coarse
+
+
 def pressure_prolongations(mesh: Mesh) -> tuple:
     """The multigrid hierarchy of the mesh's interior scalar P1 space, cached per mesh.
 
-    Level k is the pair (P, P^T), both CSR, where P maps the interior
-    nodal values on the mesh with n/2^(k+1) cells per side to the values
-    of their P1 interpolant at the interior nodes of the one with n/2^k;
-    finest first.  The hierarchy halves n while n is even and its half
-    has at least ``_COARSEST_CELLS`` cells per side.  A mesh with fewer
-    than ``_MULTIGRID_CELLS`` cells per side, or an odd n, has no level
-    and gets an empty tuple, so this is the one place that decides
-    whether ``linsolve.solve_pressure`` runs multigrid; a mesh below the
+    One ``MultigridLevel`` per level, finest first.  Level k's P maps the
+    interior nodal values on the mesh with n/2^(k+1) cells per side to
+    the values of their P1 interpolant at the interior nodes of the one
+    with n/2^k.  Level 0's fine pattern is the scalar plan's, which C and
+    every B(u) are assembled on, and each level's Galerkin map carries an
+    operator's values on it down to the next pattern: the per-step
+    coarse operators cost one sparse matrix-vector product per level.
+    The hierarchy halves n while n is even and its half has at least
+    ``_COARSEST_CELLS`` cells per side.  A mesh with fewer than
+    ``_MULTIGRID_CELLS`` cells per side, or an odd n, has no level and
+    gets an empty tuple, so this is the one place that decides whether
+    ``linsolve.solve_pressure`` runs multigrid; a mesh below the
     crossover leaves the per-mesh cache untouched.  Built on the first
     call: P is ``mesh.prolongation`` restricted to interior rows and
     columns, which is exact because boundary values are zero.
@@ -345,12 +425,15 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     data = _mesh_data(mesh)
     levels = data.maps.get("prolongations")
     if levels is None:
+        plan = _plan(mesh, "scalar", "scalar", True)
+        pattern = _pattern(plan.indptr.copy(), plan.indices.copy())
         levels, fine = [], mesh
         while fine.n % 2 == 0 and fine.n // 2 >= _COARSEST_CELLS:
             coarse = build_structured_mesh(fine.n // 2)
             P = prolongation(coarse, fine)[fine.interior_nodes][:, coarse.interior_nodes]
-            levels.append((P, P.T.tocsr()))
-            fine = coarse
+            galerkin, coarse_pattern = _galerkin_map(pattern, P)
+            levels.append(MultigridLevel(P, P.T.tocsr(), pattern, galerkin, coarse_pattern))
+            fine, pattern = coarse, coarse_pattern
         levels = data.maps["prolongations"] = tuple(levels)
     return levels
 

@@ -10,10 +10,15 @@ semi-explicit pressure operator C + tau*B(u), which changes every step,
 is solved by ``solve_pressure`` on the multigrid hierarchy its caller
 passes: by its LU when the hierarchy is empty, and otherwise by CG from
 the previous pressure, preconditioned by one geometric multigrid V-cycle
-whose coarsest level is the step's one ``splu`` factor.  Each SPD solve,
-direct or iterative, is verified post hoc by the normwise backward error
-of an independent matrix-vector residual (``NormwiseError``), with
-iterative refinement.  The coupled two-by-two block systems of the implicit/Picard path are solved
+whose coarsest level is the step's one ``splu`` factor.  The V-cycle's
+coarse operators are read off the operator's values through the
+hierarchy's per-mesh Galerkin maps, one matrix-vector product per level,
+and the solve's products with CSR operators go through ``matvec``,
+scipy's compiled kernel without its Python dispatch: a step builds no
+sparse matrix but its coarsest level's.  Each SPD solve, direct or
+iterative, is verified post hoc by the normwise backward error of an
+independent matrix-vector residual (``NormwiseError``), with iterative
+refinement.  The coupled two-by-two block systems of the implicit/Picard path are solved
 by right-preconditioned GMRES on the monolithic operator, equilibrated
 symmetrically by its diagonal inside each matrix-vector product.  The
 preconditioner is one fixed-stress sweep: back-solves with the factor of
@@ -30,10 +35,12 @@ no sparse constructor.
 
 import math
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 DEFAULT_TOL = 1e-12
@@ -62,6 +69,31 @@ class SolverFailure(RuntimeError):
         self.error = error
 
 
+class CsrArrays(NamedTuple):
+    """A CSR operator as the arrays ``matvec`` reads, with no scipy matrix around them."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def matvec(op, x) -> np.ndarray:
+    """``op @ x`` for a CSR ``op`` (a scipy CSR matrix or ``CsrArrays``) and a float vector.
+
+    The compiled kernel scipy's own product calls, on a zeroed result of
+    the same type, so the same bits, without scipy's Python dispatch
+    around it.  The index arrays may be int32 or int64.  The kernel
+    reads x at op's column indices unchecked, so x's length is checked
+    here, as scipy's product checks it.
+    """
+    if x.shape != (op.shape[1],):
+        raise ValueError(f"vector of shape {x.shape} for an operator of shape {op.shape}")
+    y = np.zeros(op.shape[0])
+    _sparsetools.csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data, x, y)
+    return y
+
+
 class NormwiseError:
     """The normwise backward error ||op x - rhs|| / (||op||_inf ||x|| + ||rhs||).
 
@@ -75,8 +107,8 @@ class NormwiseError:
     def __init__(self, op):
         magnitudes = np.abs(op.data)
         self._peak = float(magnitudes.max(initial=0.0)) or 1.0
-        scaled = sp.csr_matrix((magnitudes / self._peak, op.indices, op.indptr), shape=op.shape)
-        self._ratio = float((scaled @ np.ones(op.shape[1])).max(initial=0.0))
+        scaled = CsrArrays(magnitudes / self._peak, op.indices, op.indptr, op.shape)
+        self._ratio = float(matvec(scaled, np.ones(op.shape[1])).max(initial=0.0))
 
     def __call__(self, residual_norm, x, rhs_norm):
         """The error of ``x`` given ||op x - rhs|| and ||rhs||."""
@@ -97,7 +129,9 @@ class SpdFactorization:
     constructed in this process, each before its backend is called, so a
     run's factors are the difference of two readings.  Either factor only
     has to ``solve``; a breakdown (an exactly singular LU, a Cholesky
-    pivot that is not positive or not finite) raises SolverFailure.
+    pivot that is not positive or not finite) raises SolverFailure.  The
+    normwise error is set up on the first ``solve``, so a factor that only
+    ``back_solve``s never reads its operator's norm.
     """
 
     built = 0
@@ -112,9 +146,11 @@ class SpdFactorization:
                 self._lu = cholesky_banded(self.op, kd)
         except RuntimeError as exc:
             raise SolverFailure(f"factorization failed: {exc}") from exc
-        self._error = NormwiseError(self.op)
+        self._error = None
 
     def _backward_error(self, x, rhs):
+        if self._error is None:
+            self._error = NormwiseError(self.op)
         return self._error(np.linalg.norm(self.op @ x - rhs), x, np.linalg.norm(rhs))
 
     def solve(self, rhs):
@@ -231,13 +267,16 @@ def solve_spd(op, rhs) -> np.ndarray:
 def solve_pressure(op, rhs, guess, levels):
     """Solve a per-step pressure operator C + tau*B(u), verified as ``SpdFactorization.solve``.
 
-    ``levels`` is the multigrid hierarchy of the operator's space, (P, P^T)
-    per level, finest first (``assembly.pressure_prolongations``).  With
-    no level the operator is factored by this module's ``splu`` and
-    solved by ``solve_spd``.  Otherwise it is solved by CG from the warm
-    start ``guess``, preconditioned by one multigrid V-cycle (``_VCycle``)
-    on ``levels``; its coarsest level is factored by ``splu``.  So each
-    call makes exactly one factor.
+    ``levels`` is the multigrid hierarchy of the operator's space, one
+    ``assembly.MultigridLevel`` per level, finest first
+    (``assembly.pressure_prolongations``).  With no level the operator is
+    factored by this module's ``splu`` and solved by ``solve_spd``.
+    Otherwise its values are taken on the finest level's pattern
+    (``_on_pattern``) and it is solved by CG from the warm start
+    ``guess``, preconditioned by one multigrid V-cycle (``_VCycle``) on
+    ``levels``; its coarsest level is factored by ``splu``.  So each call
+    makes exactly one factor, and every product with the operator, a
+    prolongation or a restriction goes through ``matvec``.
 
     The V-cycle is not symmetric (one smoothing sweep before the coarse
     correction, two after), so CG takes the Polak-Ribiere direction
@@ -255,8 +294,8 @@ def solve_pressure(op, rhs, guess, levels):
     """
     if not levels:
         return solve_spd(op, rhs), 0
-    op = op.tocsr()
-    precondition = _VCycle(op, levels)
+    op = _on_pattern(op, levels[0].fine)
+    precondition = _VCycle(op.data, levels)
     rhs = np.asarray(rhs, dtype=float)
     if not rhs.any():
         return np.zeros_like(rhs), 0
@@ -265,7 +304,7 @@ def solve_pressure(op, rhs, guess, levels):
     x = np.array(guess, dtype=float)
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
-        r = rhs - op @ x
+        r = rhs - matvec(op, x)
         while True:
             err = error(_norm(r), x, norm_b)
             if err <= DEFAULT_TOL:
@@ -276,7 +315,7 @@ def solve_pressure(op, rhs, guess, levels):
             rz = float(r @ z)
             p = z
             while iterations < _CG_MAX:
-                q = op @ p
+                q = matvec(op, p)
                 curvature = float(p @ q)
                 if not (rz > 0.0 and 0.0 < curvature < math.inf):
                     raise SolverFailure("pressure CG broke down: the operator or its "
@@ -290,40 +329,71 @@ def solve_pressure(op, rhs, guess, levels):
                 z = precondition(r)
                 rz_old, rz = rz, float(r @ z)
                 p = z + ((rz - float(r_old @ z)) / rz_old) * p
-            r = rhs - op @ x
+            r = rhs - matvec(op, x)
+
+
+def _on_pattern(op, pattern) -> CsrArrays:
+    """The square CSR ``op`` on ``pattern``, whose slots hold all of op's.
+
+    An operator assembled on the pattern keeps its values array.  One
+    with fewer slots, such as a scipy sum that pruned a slot whose
+    values cancel exactly, is spread onto it with an explicit zero in
+    each slot it lacks; duplicate entries add up.  An entry outside the
+    pattern, or another shape, raises ValueError.
+    """
+    n = pattern.indptr.size - 1
+    op = op.tocsr()
+    if op.shape != (n, n):
+        raise ValueError(f"operator of shape {op.shape} on a pattern of {n} rows")
+    if np.array_equal(op.indptr, pattern.indptr) and np.array_equal(op.indices, pattern.indices):
+        return CsrArrays(op.data, pattern.indices, pattern.indptr, op.shape)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+    slot_keys = rows * n + pattern.indices
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr)) * n + op.indices
+    slots = np.minimum(np.searchsorted(slot_keys, keys), slot_keys.size - 1)
+    if not np.array_equal(slot_keys[slots], keys):
+        raise ValueError("operator has an entry outside the multigrid pattern")
+    data = np.bincount(slots, weights=op.data, minlength=slot_keys.size)
+    return CsrArrays(data, pattern.indices, pattern.indptr, op.shape)
 
 
 class _VCycle:
     """One multigrid V-cycle for an SPD operator, applied as a preconditioner.
 
-    The level operators are Galerkin products P^T A P, formed on
-    construction, each coarser than the last by one (P, P^T) pair; the
-    coarsest is factored by this module's ``splu`` and solved by its
-    back-solve.  Every finer level is smoothed by damped Jacobi with
-    weight ``_JACOBI_WEIGHT``: one sweep from zero before the coarse
-    correction and two after.  A diagonal entry that is not positive and
-    finite raises SolverFailure, since Jacobi cannot smooth with it.
+    Built from the values of the finest operator on ``levels[0].fine``:
+    each level's Galerkin map gives the next level's values, so the level
+    operators are P^T A P on their cached patterns with no sparse
+    product; the coarsest is factored by this module's ``splu`` and
+    solved by its back-solve.  Every finer level is smoothed by damped
+    Jacobi with weight ``_JACOBI_WEIGHT``: one sweep from zero before the
+    coarse correction and two after.  A diagonal entry that is not
+    positive and finite raises SolverFailure, since Jacobi cannot smooth
+    with it.
     """
 
-    def __init__(self, op, levels):
+    def __init__(self, data, levels):
         self._levels = []
-        for P, R in levels:
-            d = op.diagonal()
+        for level in levels:
+            d = data[level.fine.diagonal]
             if not np.all((d > 0.0) & (d < np.inf)):
                 raise SolverFailure("pressure operator has a diagonal entry that is not "
                                     "positive and finite")
-            self._levels.append((op, _JACOBI_WEIGHT / d, P, R))
-            op = R @ (op @ P)
-        self._coarse = SpdFactorization(op)
+            n = level.P.shape[0]
+            op = CsrArrays(data, level.fine.indices, level.fine.indptr, (n, n))
+            self._levels.append((op, _JACOBI_WEIGHT / d, level.P, level.R))
+            data = matvec(level.galerkin, data)
+        coarse, n = levels[-1].coarse, levels[-1].P.shape[1]
+        self._coarse = SpdFactorization(sp.csr_matrix(
+            (data, coarse.indices.copy(), coarse.indptr.copy()), shape=(n, n)))
 
     def __call__(self, b, level=0):
         if level == len(self._levels):
             return self._coarse.back_solve(b)
         op, weight, P, R = self._levels[level]
         x = weight * b
-        x += P @ self(R @ (b - op @ x), level + 1)
+        x += matvec(P, self(matvec(R, b - matvec(op, x)), level + 1))
         for _ in range(_POST_SWEEPS):
-            x += weight * (b - op @ x)
+            x += weight * (b - matvec(op, x))
         return x
 
 

@@ -72,7 +72,9 @@ class KozenyCarman:
         return self.rho0 + (1.0 - self.rho0) * _as_array(s)
 
     def _kappa_of_rho(self, rho):
-        return self.kappa0 * rho**3 / (1.0 - rho) ** 2
+        # products, not ``**``: numpy's power with exponent 3 goes through pow
+        gap = 1.0 - rho
+        return self.kappa0 * (rho * rho * rho) / (gap * gap)
 
     def eval(self, s):
         rho = self.porosity(np.clip(_as_array(s), self.c_s, self.C_s))
@@ -85,7 +87,8 @@ class KozenyCarman:
         # at the clamp joints the active (cubic) branch is used
         arr = _as_array(s)
         rho = self.porosity(np.clip(arr, self.c_s, self.C_s))
-        inner = self.kappa0 * (1.0 - self.rho0) * rho**2 * (3.0 - rho) / (1.0 - rho) ** 3
+        gap = 1.0 - rho
+        inner = self.kappa0 * (1.0 - self.rho0) * (rho * rho) * (3.0 - rho) / (gap * gap * gap)
         out = np.where((arr >= self.c_s) & (arr <= self.C_s), inner, 0.0)
         return _maybe_scalar(out, s)
 

@@ -4,13 +4,17 @@ Everything here is deliberately written differently from the library:
 dense matrices, plain element loops, basis gradients obtained by solving
 small linear systems, and quadrature evaluated from barycentric
 coordinates.  Slow but simple enough to audit by eye.  The one exception
-is the GMRES cycle at the end: the library's cycle with its bookkeeping
-on numpy arrays and scalars, which the library's Python-float
-bookkeeping must reproduce.
+is the pair of solver pieces at the end: the library's GMRES cycle with
+its bookkeeping on numpy arrays and scalars, which the library's
+Python-float bookkeeping must reproduce, and the multigrid V-cycle with
+its coarse operators formed by scipy's sparse products, which the
+library's per-mesh Galerkin maps replace.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import splu
 
 from biotbench import linsolve
 
@@ -280,3 +284,35 @@ def reference_gmres_cycle(op, precond, r, y, target):
     for c, z in zip(coef, Z):
         y = y + c * z
     return y, k
+
+
+class ProductVCycle:
+    """The pressure V-cycle with its coarse operators formed as R @ (A @ P).
+
+    Takes what ``linsolve._VCycle`` takes, the finest operator's values
+    on ``levels[0].fine`` and the hierarchy, and reads of each level
+    only P and R: the Jacobi weights come from ``diagonal()``, and the
+    coarsest level is factored as ``linsolve.SpdFactorization`` factors
+    it.  Swapped in for ``linsolve._VCycle``, it gives the CG iterations
+    of the scipy-product preconditioner the Galerkin maps replaced.
+    """
+
+    def __init__(self, data, levels):
+        fine = levels[0].fine
+        n = fine.indptr.size - 1
+        op = sp.csr_matrix((data, fine.indices, fine.indptr), shape=(n, n))
+        self._levels = []
+        for level in levels:
+            self._levels.append((op, linsolve._JACOBI_WEIGHT / op.diagonal(), level.P, level.R))
+            op = level.R @ (op @ level.P)
+        self._coarse = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
+
+    def __call__(self, b, level=0):
+        if level == len(self._levels):
+            return self._coarse.solve(b)
+        op, weight, P, R = self._levels[level]
+        x = weight * b
+        x += P @ self(R @ (b - op @ x), level + 1)
+        for _ in range(linsolve._POST_SWEEPS):
+            x += weight * (b - op @ x)
+        return x

@@ -507,9 +507,21 @@ def test_loads_on_one_mesh_reuse_one_index_array(interior_only, monkeypatch):
 
 def test_pressure_prolongations_are_the_interior_restriction_of_mesh_prolong():
     # levels of n = 32: the maps 16 -> 32 and 8 -> 16, finest first
-    levels = assembly.pressure_prolongations(build_structured_mesh(32))
-    assert [P.shape for P, _ in levels] == [(31 ** 2, 15 ** 2), (15 ** 2, 7 ** 2)]
-    for (P, R), m in zip(levels, (16, 8)):
+    mesh = build_structured_mesh(32)
+    levels = assembly.pressure_prolongations(mesh)
+    # the Galerkin maps start on the pattern C and B(u) are assembled on,
+    # and each level's coarse pattern is the next level's fine one
+    C = assemble_pressure_mass(mesh, unit_coeffs())
+    fine = levels[0].fine
+    assert np.array_equal(fine.indptr, C.indptr) and np.array_equal(fine.indices, C.indices)
+    assert levels[0].coarse is levels[1].fine
+    for level in levels:
+        # one diagonal slot per row, in row order
+        assert np.array_equal(level.fine.indices[level.fine.diagonal],
+                              np.arange(level.P.shape[0]))
+        assert level.galerkin.shape == (level.coarse.indices.size, level.fine.indices.size)
+    assert [level.P.shape for level in levels] == [(31 ** 2, 15 ** 2), (15 ** 2, 7 ** 2)]
+    for (P, R, *_), m in zip(levels, (16, 8)):
         coarse, fine = build_structured_mesh(m), build_structured_mesh(2 * m)
         columns = [fine.restrict_scalar(prolong(coarse, fine, coarse.extend_scalar(e)))
                    for e in np.eye(coarse.num_interior)]
@@ -534,7 +546,7 @@ def test_pressure_prolongations_are_the_interior_restriction_of_mesh_prolong():
 def test_pressure_hierarchy_halves_while_n_is_even_and_its_half_has_8_cells(n, shapes):
     mesh = build_structured_mesh(n)
     levels = assembly.pressure_prolongations(mesh)
-    assert [P.shape for P, _ in levels] == shapes
+    assert [level.P.shape for level in levels] == shapes
     # below the multigrid crossover the hierarchy is not even looked up
     if n < 24:
         assert "prolongations" not in assembly._mesh_data(mesh).maps
@@ -562,7 +574,8 @@ def test_pressure_prolongations_live_once_per_mesh_and_only_where_asked_for(monk
     assert built == [16, 8]
     levels = assembly.pressure_prolongations(mesh)
     assert assembly.pressure_prolongations(mesh) is levels and built == [16, 8]
-    level_refs = [weakref.ref(P) for pair in levels for P in pair]
+    level_refs = [weakref.ref(op) for level in levels
+                  for op in (level.P, level.R, level.galerkin)]
     alive = weakref.ref(mesh)
     del mesh, levels
     gc.collect()

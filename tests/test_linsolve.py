@@ -16,7 +16,7 @@ from biotbench import cli
 from biotbench.assembly import assemble_mass, pressure_prolongations
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
-from dense_reference import reference_gmres_cycle
+from dense_reference import ProductVCycle, reference_gmres_cycle
 
 CO = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
                   permeability=KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75))
@@ -323,7 +323,9 @@ def test_in_place_pressure_sums_equal_scipy_sums():
     B = ops.permeability_stiffness(1e-2 * rng.standard_normal(mesh.num_displacement_dofs))
     tau = 2.0**-5
     op = ops.C + tau * B
-    assert _same_csr(op, (ops.C + tau * B).tocsr()) and op.nnz == ops.C.nnz
+    # the sum, entry by entry, of the dense operators, stored without zeros
+    expected = sp.csr_matrix(ops.C.toarray() + tau * B.toarray())
+    assert _same_csr(op, expected) and op.nnz == ops.C.nnz
 
     co = prob.coeffs
     stabilized = ops.C + co.alpha**2 / (2.0 * (co.lam + co.mu)) * assemble_mass(mesh)
@@ -337,8 +339,9 @@ def test_in_place_pressure_sum_drops_a_slot_that_cancels_like_scipy():
     tau = 0.5  # a power of two, so tau * (-2 c) is exactly -c
     B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
     B.data[7] = -2.0 * ops.C.data[7]
-    expected = ops.C + tau * B
-    assert expected.nnz == ops.C.nnz - 1  # scipy prunes the cancelled slot
+    # the dense sum holds an exact zero in the cancelled slot, which csr_matrix does not store
+    expected = sp.csr_matrix(ops.C.toarray() + tau * B.toarray())
+    assert expected.nnz == ops.C.nnz - 1
     op = ops.C + tau * B
     assert _same_csr(op, expected) and op.nnz == expected.nnz
     # pruning works on copies: C keeps its full pattern
@@ -636,3 +639,128 @@ def test_multigrid_pressure_solve_fails_at_its_iteration_cap(monkeypatch):
     monkeypatch.setattr(linsolve, "_CG_MAX", 3)
     with pytest.raises(SolverFailure, match="pressure CG solve failed"):
         linsolve.solve_pressure(op, rhs, guess, pressure_prolongations(mesh))
+
+
+# the per-step multigrid setup: Galerkin maps and the compiled matvec
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_matvec_gives_the_bits_of_scipy_products(index_dtype):
+    # matvec calls scipy's private csr_matvec kernel; a scipy that moves or
+    # changes it fails here, not deep inside a pressure solve
+    mesh, op, _, _ = _pressure_system("ex42", 32, steps=0)
+    level = pressure_prolongations(mesh)[0]
+    rng = np.random.default_rng(4)
+    for A in (op, level.P, level.R):
+        A = A.copy()
+        # assigned, since scipy's constructor casts indices that fit to int32
+        A.indices, A.indptr = A.indices.astype(index_dtype), A.indptr.astype(index_dtype)
+        x = rng.standard_normal(A.shape[1])
+        expected = A @ x
+        for got in (linsolve.matvec(A, x),
+                    linsolve.matvec(linsolve.CsrArrays(A.data, A.indices, A.indptr, A.shape), x)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="vector of shape"):
+            linsolve.matvec(A, x[:-1])
+
+
+def _check_mapped_levels(op, levels):
+    """Every level's mapped coarse operator against R @ (A @ P) of the mapped A above it."""
+    fine = levels[0].fine
+    assert np.array_equal(op.indptr, fine.indptr) and np.array_equal(op.indices, fine.indices)
+    data = op.data
+    for level in levels:
+        n_fine, n_coarse = level.P.shape
+        A = sp.csr_matrix((data, fine.indices, fine.indptr), shape=(n_fine, n_fine))
+        data = level.galerkin @ data
+        fine = level.coarse
+        mapped = sp.csr_matrix((data, fine.indices, fine.indptr), shape=(n_coarse, n_coarse))
+        product = level.R @ (A @ level.P)
+        # |R| |A| |P| bounds each entry's rounding, and no entry of it cancels,
+        # so its pattern is the structural one the map must have
+        bound = abs(level.R) @ (abs(A) @ abs(level.P))
+        bound.sort_indices()
+        assert np.array_equal(mapped.indptr, bound.indptr)
+        assert np.array_equal(mapped.indices, bound.indices)
+        assert (abs(mapped - product) - 1e-14 * bound).max() <= 0.0
+
+
+@pytest.mark.parametrize("n", [24, 32, 64, 128])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_galerkin_maps_give_the_product_operators_and_its_cg_iterations(name, n, monkeypatch):
+    prob = PROBLEMS[name]()
+    mesh = build_structured_mesh(n)
+    solve = linsolve.solve_pressure
+    counts = []
+
+    def both(op, rhs, guess, levels):
+        _check_mapped_levels(op, levels)
+        x, steps = solve(op, rhs, guess, levels)
+        with monkeypatch.context() as patch:
+            patch.setattr(linsolve, "_VCycle", ProductVCycle)
+            y, product_steps = solve(op, rhs, guess, levels)
+        counts.append((steps, product_steps))
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+        return x, steps
+
+    monkeypatch.setattr(stepper, "solve_pressure", both)
+    tau = 2.0**-5
+    cfg = StepperConfig(scheme="semi_explicit", tau=tau, T=4 * tau)
+    run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert len(counts) == cfg.n_steps
+    assert all(steps == product_steps > 0 for steps, product_steps in counts)
+
+
+def test_multigrid_pressure_solve_spreads_a_pruned_operator_onto_the_pattern(factors):
+    mesh, op, rhs, guess = _pressure_system("ex42", 32, steps=0)
+    levels = pressure_prolongations(mesh)
+    # an exact zero in a symmetric pair of off-diagonal slots, which csr_matrix does not store
+    dense = op.toarray()
+    dense[0, 1] = dense[1, 0] = 0.0
+    pruned = sp.csr_matrix(dense)
+    assert pruned.nnz == op.nnz - 2
+    x, steps = linsolve.solve_pressure(pruned, rhs, guess, levels)
+    lu = SpdFactorization(pruned).solve(rhs)
+    assert steps > 0 and np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
+    # the same operator with an explicit zero stored, or with its entries split
+    # into duplicates, is the same operator on the pattern: the same bits
+    stored = op.copy()
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    stored.data[((rows == 0) & (op.indices == 1)) | ((rows == 1) & (op.indices == 0))] = 0.0
+    assert np.count_nonzero(stored.data != op.data) == 2
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(pruned.indptr))
+    order = np.argsort(np.tile(rows, 2), kind="stable")  # each row twice over
+    split = sp.csr_matrix((np.tile(0.5 * pruned.data, 2)[order],
+                           np.tile(pruned.indices, 2)[order], 2 * pruned.indptr), shape=op.shape)
+    assert split.nnz == 2 * pruned.nnz
+    for same in (stored, split):
+        assert linsolve.solve_pressure(same, rhs, guess, levels)[0].tobytes() == x.tobytes()
+    # an entry outside the pattern is refused before anything is factored
+    factors.clear()
+    outside = op.tolil()
+    outside[0, op.shape[0] - 1] = outside[op.shape[0] - 1, 0] = 1e-3
+    with pytest.raises(ValueError, match="outside the multigrid pattern"):
+        linsolve.solve_pressure(outside.tocsr(), rhs, guess, levels)
+    assert factors == []
+
+
+def test_factors_that_only_back_solve_never_build_their_normwise_error(monkeypatch):
+    built = []
+    error = linsolve.NormwiseError
+
+    def counting(op):
+        built.append(op.shape)
+        return error(op)
+
+    monkeypatch.setattr(linsolve, "NormwiseError", counting)
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(32)
+    np_, nu = mesh.num_pressure_dofs, mesh.num_displacement_dofs
+    for scheme, per_step in (("semi_explicit", [(np_, np_)]), ("implicit_picard", [])):
+        built.clear()
+        cfg = StepperConfig(scheme=scheme, tau=0.25, T=0.5, picard_max=3)
+        _, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+        # A's, for its verified solves; per semi step the pressure CG's; never a
+        # coarse multigrid factor's or a fixed-stress one's, which only back-solve
+        assert built == [(nu, nu)] + per_step * cfg.n_steps
+        assert report.factorization_count == 1 + cfg.n_steps

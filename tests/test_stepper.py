@@ -457,7 +457,8 @@ def test_delay_rejects_a_nan_history_before_any_factorization(factors):
     assert not factors
 
 
-def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(factors):
+def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(factors,
+                                                                              monkeypatch):
     # unit coefficients and kappa = C[0, 1] / tau: on every axis-parallel
     # interior edge tau*B = -C exactly, and scipy's sum prunes the slot
     mesh = build_structured_mesh(4)
@@ -483,6 +484,36 @@ def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(fa
     assert len(semi) == len(delay) == cfg.n_steps
     assert semi == delay
     assert all(op.nnz < C.nnz for ops in operands for op in ops)
+
+    # above the multigrid crossover the factor is the coarsest level's, so
+    # record the pressure solves: each pruned operator is spread onto the
+    # pattern its Galerkin maps read, and CG solves it as its LU does
+    factors.around = None
+    mesh = build_structured_mesh(32)
+    tau = 2.0**-4
+    C = assemble_pressure_mass(mesh, coeffs())
+    co = coeffs(model=Constant(kappa=C[0, 1] / tau))
+    solve = stepper.solve_pressure
+    solves, runs = [], []
+
+    def recording(op, rhs, guess, levels):
+        x, steps = solve(op, rhs, guess, levels)
+        solves.append((op, rhs, x, steps))
+        return x, steps
+
+    monkeypatch.setattr(stepper, "solve_pressure", recording)
+    for scheme in ("semi_explicit", "delay_implicit"):
+        cfg = StepperConfig(scheme=scheme, tau=tau, T=4 * tau)
+        runs.append(run(mesh, co, cfg, prob.f, prob.g, prob.p0)[0])
+    semi, delay = runs
+    assert len(semi) == len(delay) == cfg.n_steps + 1
+    for a, b in zip(semi, delay):
+        assert a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
+    assert len(solves) == 2 * cfg.n_steps
+    for op, rhs, x, steps in solves:
+        assert op.nnz < C.nnz and steps > 0
+        lu = linsolve.SpdFactorization(op).solve(rhs)
+        assert np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
 
 
 def test_delay_path_factors_through_stepper_splu(factors, monkeypatch):
