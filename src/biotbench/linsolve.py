@@ -18,19 +18,20 @@ scipy's compiled kernel without its Python dispatch: a step builds no
 sparse matrix but its coarsest level's.  Each SPD solve, direct or
 iterative, is verified post hoc by the normwise backward error of an
 independent matrix-vector residual (``NormwiseError``), with iterative
-refinement.  The coupled two-by-two block systems of the implicit/Picard path are solved
-by right-preconditioned GMRES on the monolithic operator, equilibrated
-symmetrically by its diagonal inside each matrix-vector product.  The
-preconditioner is one fixed-stress sweep: back-solves with the factor of
-A, then with that of a stabilized pressure operator, both kept by the
-caller, so a block solve factorizes nothing.  It is verified by the
-normwise backward error of the equilibrated system, either against a
-fixed tolerance or, for the inner solves of an outer iteration, against a
-forcing term: a fixed fraction of the backward error at its warm start.
-A Picard run owns one block operator: its CSR pattern, the slots of its
-diagonal and its absolute values are built on the first iterate, and
-later iterates rewrite only the pressure block's values, in place, with
-no sparse constructor.
+refinement.  The coupled two-by-two block systems of the implicit/Picard
+path are solved by ``solve_block``: u is eliminated with the exact factor
+of A, and CG solves the SPD pressure Schur complement
+C + tau*B + D A^-1 D^T, preconditioned by the factor of the fixed-stress
+operator; both factors are kept by the caller, so a block solve
+factorizes nothing.  It is verified by the normwise backward error of
+the monolithic system, equilibrated symmetrically by its diagonal,
+either against a fixed tolerance or, for the inner solves of an outer
+iteration, against a forcing term: a fixed fraction of the backward
+error at its warm start.  A Picard run owns one block system: its CSR
+blocks, the stacked operator's pattern, the slots of its diagonal and
+its absolute values are built on the first iterate, and later iterates
+rewrite only the pressure block's values, in place, with no sparse
+constructor.
 """
 
 import math
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
@@ -52,13 +53,10 @@ _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 #: damped-Jacobi weight and smoothing sweeps after the coarse correction (one before)
 _JACOBI_WEIGHT = 0.8
 _POST_SWEEPS = 2
-#: a pressure CG solve runs at most this many iterations
+#: a pressure or block CG solve runs at most this many iterations
 _CG_MAX = 100
-#: a block solve runs at most this many GMRES cycles of at most this many steps
-_GMRES_CYCLES = 3
-_GMRES_RESTART = 60
-#: GMRES aims at this fraction of the backward error a block solve verifies
-_GMRES_AIM = 0.005
+#: block CG aims at this fraction of the backward error a block solve verifies
+_CG_AIM = 1e-2
 
 
 class SolverFailure(RuntimeError):
@@ -91,6 +89,17 @@ def matvec(op, x) -> np.ndarray:
         raise ValueError(f"vector of shape {x.shape} for an operator of shape {op.shape}")
     y = np.zeros(op.shape[0])
     _sparsetools.csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data, x, y)
+    return y
+
+
+def rmatvec(op, x) -> np.ndarray:
+    """``op.T @ x`` for a CSR ``op``, checked as ``matvec``: scipy's compiled CSC
+    kernel on op's own arrays, which are op.T's in CSC, so no transpose is stored."""
+    if x.shape != (op.shape[0],):
+        raise ValueError(f"vector of shape {x.shape} for the transpose of an operator "
+                         f"of shape {op.shape}")
+    y = np.zeros(op.shape[1])
+    _sparsetools.csc_matvec(op.shape[1], op.shape[0], op.indptr, op.indices, op.data, x, y)
     return y
 
 
@@ -399,17 +408,20 @@ class _VCycle:
 
 @dataclass(eq=False)
 class BlockSystem:
-    """Monolithic operator K = [[A, -D^T], [D, C + tau*B]] in the unknowns (u, p).
+    """The block operator K = [[A, -D^T], [D, C + tau*B]] in the unknowns (u, p).
 
-    K is stacked once, when the system is built, and kept: its CSR
-    pattern, a mask of the pressure block's slots and the slots of its
-    diagonal are fixed from then on, and |K| is kept beside it on the
-    same index arrays.  ``set_pressure_block`` rewrites the pressure slots
-    of K and of |K| in place, so a Picard run owns one system
-    (``StepOperators.block_system``) and no iterate stacks or transposes a
-    block or takes an absolute value outside the pressure block.  The
-    blocks are used as CSR.  The pressure block given at construction
-    sets only K's pattern and first values: it is neither kept nor
+    The blocks a Schur complement solve applies are kept as CSR: A, D, whose
+    transpose is applied by ``rmatvec``, and the pressure block C + tau*B
+    (``pressure``, the ``CsrArrays`` of its own pattern).  The monolithic K,
+    for the block residuals and the equilibration, is stacked once, with the
+    one transpose of D: its CSR pattern, a mask of the pressure block's
+    slots and the slots of its diagonal are fixed from then on, and |K| is
+    kept beside it on the same index arrays.  ``set_pressure_block`` rewrites
+    the pressure values of ``pressure``, K and |K| in place, so a Picard run
+    owns one system (``StepOperators.block_system``) and no iterate stacks
+    or transposes a block, takes an absolute value outside the pressure
+    block or forms a sparse sum.  The pressure block given at construction
+    sets only the pattern and the first values: it is neither kept nor
     modified, so it may be a matrix that other runs share.
     """
 
@@ -426,10 +438,11 @@ class BlockSystem:
                 or self.D.shape != (np_, nu):
             raise ValueError("inconsistent block dimensions")
         self.A, self.D = self.A.tocsr(), self.D.tocsr()
+        self.pressure = CsrArrays(pressure.data, pressure.indices, pressure.indptr,
+                                  pressure.shape)
         # with all four blocks in CSR, bmat stacks index arrays instead of
         # going through COO, and each row keeps its blocks' slot order
-        blocks = [[self.A, -self.D.T.tocsr()], [self.D, pressure]]
-        K = self._K = sp.bmat(blocks, format="csr")
+        K = self._K = sp.bmat([[self.A, -self.D.T.tocsr()], [self.D, pressure]], format="csr")
         K.sum_duplicates()  # at most one slot per diagonal entry
         # the rows of p are the last slots; in each, D's slots come first
         self._tail = K.indptr[nu]
@@ -454,45 +467,59 @@ class BlockSystem:
         return d
 
     def set_pressure_block(self, values):
-        """Write new values of the pressure block, in its own slot order, into K in place."""
+        """Write new values of the pressure block, in its own slot order, in place."""
+        self.pressure.data[:] = values
         self._K.data[self._tail:][self._pressure_mask] = values
         self._abs_K.data[self._tail:][self._pressure_mask] = np.abs(values)
 
 
 def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
                 s_factor: SpdFactorization, guess=None, reduction=None):
-    """Solve the coupled block system by fixed-stress preconditioned GMRES.
+    """Solve the block system K (u, p) = (f, g) by CG on its pressure Schur complement.
 
-    ``a_factor`` factorizes the elasticity block A and ``s_factor`` a
-    pressure operator close to the Schur complement C + tau*B + D A^-1 D^T,
-    such as the fixed-stress C + tau*B + beta*M.  One preconditioner
-    application is a sweep: u from A, then p from the pressure operator
-    with D u moved to the right-hand side.  ``guess`` is an optional
-    starting pair (u, p).  Returns (u, p, GMRES iterations).
+    ``a_factor`` factorizes the elasticity block A exactly, so u is
+    eliminated, u = A^-1 (f + D^T p), and p solves S p = g - D A^-1 f
+    with S = C + tau*B + D A^-1 D^T, which is SPD.  S is never formed:
+    each CG iteration applies it to its direction d as D w + (C + tau*B) d
+    with w = A^-1 D^T d, one back-solve of ``a_factor``, and carries u
+    along as u += step * w, so u stays consistent with p.  ``s_factor``
+    factorizes an SPD operator close to S, such as the fixed-stress
+    C + tau*B + beta*M, and preconditions CG: one back-solve per
+    iteration.  CG starts from the p of ``guess``, an optional starting
+    pair (u, p), and the u consistent with it.  Returns (u, p, CG
+    iterations).
 
     The blocks may differ in scale by many orders of magnitude (realistic
-    material constants), so GMRES runs on the symmetrically equilibrated
-    system S K S with S = diag(s), s = |diag K|^(-1/2), applied inside
-    each product as s * (K @ (s * y)); no scaled copy of K is formed.
-    The verified quantity is the normwise backward error
-    ||SKSy - Sb|| / (||SKS||_inf*||y|| + ||Sb||), where ||SKS||_inf is
-    the largest entry of s * (|K| @ s); |diag K| and |K| are the system's
-    cached ones, so a solve allocates no sparse matrix.  The solve is
-    verified against ``DEFAULT_TOL`` or, given a ``reduction``, against the
-    forcing term max(DEFAULT_TOL, reduction * e0), where e0 is the backward error
-    at the starting guess: an inner solve of an outer iteration then does
-    only the work the outer residual needs.  GMRES aims at ``_GMRES_AIM``
-    (a two-hundredth) of that target, further than the normwise test
-    needs, because the pressure part of the equilibrated solution can be
-    far smaller than the displacement part and lags it; up to three
-    cycles may run.  A zero, missing or non-finite diagonal entry, or
-    Krylov quantities that go non-finite, raise SolverFailure.
+    material constants), so the solve is measured on the symmetrically
+    equilibrated system E K E with E = diag(s), s = |diag K|^(-1/2).  The
+    verified quantity is the normwise backward error
+    ||E(b - Kx)|| / (||EKE||_inf*||y|| + ||Eb||) with y = x / s, where
+    ||EKE||_inf is the largest entry of s * (|K| @ s); |diag K| and |K|
+    are the system's cached ones, so a solve allocates no sparse matrix.
+    It is verified against ``DEFAULT_TOL`` or, given a ``reduction``,
+    against the forcing term max(DEFAULT_TOL, reduction * e0), where e0 is
+    the backward error of ``guess`` itself: an inner solve of an outer
+    iteration then does only the work the outer residual needs.
+
+    CG stops on its recursive residual, the pressure rows' residual
+    scaled as in the equilibrated error (u's rows carry only the rounding
+    of its updates), once it is at most ``_CG_AIM`` times the target: a
+    normwise error bounds p only relative to ||y||, which u dominates, so
+    CG aims further than the normwise test needs.  The iterate is then
+    verified by an independent residual of K; a miss restarts CG from the
+    u consistent with its p and that pair's own residual.  A zero,
+    missing or non-finite diagonal entry, an equilibrated norm that
+    overflows, a curvature or preconditioned residual that is not
+    positive and finite (the breakdown of CG when S or the preconditioner
+    is not SPD), a non-finite error, or ``_CG_MAX`` iterations without
+    reaching the target raise SolverFailure.
     """
     nu = system.A.shape[0]
     K = system.monolithic()
-    rhs = np.concatenate([np.asarray(rhs_u, dtype=float), np.asarray(rhs_p, dtype=float)])
+    f, g = np.asarray(rhs_u, dtype=float), np.asarray(rhs_p, dtype=float)
+    rhs = np.concatenate([f, g])
     if not rhs.any():
-        return np.zeros(nu), np.zeros(K.shape[0] - nu), 0
+        return np.zeros(nu), np.zeros(g.size), 0
 
     d = system.abs_diagonal()
     if not np.all((d > 0.0) & (d < np.inf)):
@@ -502,101 +529,51 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
         norm_K = float((s * (system.abs_monolithic() @ s)).max())
     if not math.isfinite(norm_K):
         raise SolverFailure("equilibrated block operator is not finite")
-    b = s * rhs
-    norm_b = _norm(b)
-    y = np.zeros_like(b) if guess is None else np.concatenate(guess) / s
+    norm_b = _norm(s * rhs)
+    s_u, s_p = s[:nu], s[nu:]
 
-    def op(y):  # the equilibrated operator S K S
-        return s * (K @ (s * y))
+    def scale(u, p):  # denominator of the backward error
+        return norm_K * math.hypot(_norm(u / s_u), _norm(p / s_p)) + norm_b
 
-    def sweep(v):
-        w = v / s
-        u = a_factor.back_solve(w[:nu])
-        p = s_factor.back_solve(w[nu:] - system.D @ u)
-        return np.concatenate([u, p]) / s
+    def backward_error(u, p):  # from an independent residual of K
+        return _norm(s * (rhs - matvec(K, np.concatenate([u, p])))) / scale(u, p)
 
-    def scale(y):  # denominator of the backward error
-        return norm_K * _norm(y) + norm_b
-
-    r = b - op(y)
-    norm_r, scale_y = _norm(r), scale(y)
+    p = np.zeros(g.size) if guess is None else np.array(guess[1], dtype=float)
     tol = DEFAULT_TOL
     if reduction is not None:  # the forcing term
-        tol = max(tol, reduction * norm_r / scale_y)
-    iterations = 0
-    for _ in range(_GMRES_CYCLES):
-        if norm_r <= _GMRES_AIM * tol * scale_y:
-            break
-        y, steps = _gmres_cycle(op, sweep, r, y, _GMRES_AIM * tol * scale_y)
-        iterations += steps
-        r = b - op(y)
-        norm_r, scale_y = _norm(r), scale(y)
-        if norm_r <= tol * scale_y:
-            break
-    error = norm_r / scale_y
-    if not math.isfinite(error) or error > tol:
-        raise SolverFailure("block solve failed", error)
-    x = s * y
-    return x[:nu], x[nu:], iterations
+        u = np.zeros(nu) if guess is None else np.asarray(guess[0], dtype=float)
+        tol = max(tol, reduction * backward_error(u, p))
+    iterations, rz = 0, 0.0
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
+        while True:
+            # a (re)start: the u consistent with p, and the residual of S p = g - D A^-1 f
+            start, direction = iterations, None
+            u = a_factor.back_solve(f + rmatvec(system.D, p))
+            r = g - matvec(system.D, u) - matvec(system.pressure, p)
+            while iterations < _CG_MAX and _norm(s_p * r) > _CG_AIM * tol * scale(u, p):
+                z = s_factor.back_solve(r)
+                rz_old, rz = rz, float(r @ z)
+                direction = z if direction is None else z + (rz / rz_old) * direction
+                w = a_factor.back_solve(rmatvec(system.D, direction))
+                q = matvec(system.D, w) + matvec(system.pressure, direction)
+                curvature = float(direction @ q)
+                if not (0.0 < rz < math.inf and 0.0 < curvature < math.inf):
+                    raise SolverFailure("block CG broke down: the Schur complement or its "
+                                        "preconditioner is not SPD",
+                                        _norm(s_p * r) / scale(u, p))
+                step = rz / curvature
+                p = p + step * direction
+                u = u + step * w
+                r = r - step * q
+                iterations += 1
+            error = backward_error(u, p)
+            if error <= tol:
+                return u, p, iterations
+            if not math.isfinite(error) or iterations >= _CG_MAX or iterations == start:
+                raise SolverFailure("block solve failed", error)
 
 
 def _norm(v) -> float:
     """Euclidean norm as a Python float; the same dot and square root as
     ``np.linalg.norm`` on a real vector, without its wrapper."""
     return math.sqrt(v @ v)
-
-
-def _gmres_cycle(op, precond, r, y, target):
-    """One cycle of right-preconditioned GMRES from ``y`` with residual ``r = b - op(y)``.
-
-    ``op`` and ``precond`` are callables on vectors.  Modified Gram-Schmidt
-    Arnoldi with Givens rotations.  Stops once the least-squares residual
-    is at most ``target``, on breakdown, or after ``_GMRES_RESTART`` steps;
-    the basis grows as a list, so only the vectors the cycle uses are
-    allocated.  The rotations and the least-squares right-hand side are
-    Python floats, and each Hessenberg column is rotated as a list before
-    it is stored, so the bookkeeping pays no numpy scalar arithmetic.
-    Raises SolverFailure when the Hessenberg system or the update's
-    coefficients go non-finite, before ``y`` is touched.  Returns
-    (new y, steps taken).
-    """
-    m = _GMRES_RESTART
-    beta = _norm(r)
-    H = np.zeros((m + 1, m))
-    cs, sn = [], []
-    g = [beta]
-    V, Z = [r / beta], []
-    k = 0
-    while True:
-        Z.append(precond(V[k]))
-        w = op(Z[k])
-        column = []
-        for v in V:
-            h = float(v @ w)
-            w -= h * v
-            column.append(h)
-        h_next = _norm(w)
-        for i in range(k):
-            column[i], column[i + 1] = (cs[i] * column[i] + sn[i] * column[i + 1],
-                                        cs[i] * column[i + 1] - sn[i] * column[i])
-        rho = math.hypot(column[k], h_next)
-        if rho == 0.0:  # a singular Hessenberg system, whose rotation would be 0/0
-            raise SolverFailure("GMRES produced non-finite values", abs(g[k]))
-        cs.append(column[k] / rho)
-        sn.append(h_next / rho)
-        column[k] = rho
-        H[:k + 1, k] = column
-        g.append(-sn[k] * g[k])
-        g[k] *= cs[k]
-        k += 1
-        if abs(g[k]) <= target or h_next == 0.0 or k == m:
-            break
-        V.append(w / h_next)
-    if not (np.isfinite(H[:k, :k]).all() and all(map(math.isfinite, g[:k]))):
-        raise SolverFailure("GMRES produced non-finite values", abs(g[k]))
-    coef = solve_triangular(H[:k, :k], g[:k], check_finite=False)
-    if not np.isfinite(coef).all():
-        raise SolverFailure("GMRES update is not finite")
-    for c, z in zip(coef, Z):
-        y = y + c * z
-    return y, k

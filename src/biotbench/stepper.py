@@ -87,7 +87,7 @@ class StepperConfig:
 class StepReport:
     picard_iterations: int = 0
     final_picard_residual: float = 0.0
-    #: GMRES iterations summed over the step's block solves
+    #: CG iterations summed over the step's block solves
     linear_iterations: int = 0
 
 
@@ -160,22 +160,24 @@ class StepOperators:
     A semi-explicit or Picard run forms and factors its SPD operators
     here: A by ``linsolve.factor_banded`` and the fixed-stress pressure
     operator by ``linsolve.SpdFactorization``, which counts every factor.
-    A, its factor, C, D, D^T, M and C + beta*M are read through
-    ``shared``, a private ``SharedOperators`` of the mesh when none is
-    given, so each is built once per store.  The elasticity factor serves
-    the initial displacement solve, every semi-explicit step and every
-    fixed-stress preconditioner of the Picard path.  The pressure
-    operator changes with u, so no step keeps it: the semi-explicit step
-    forms C + tau*B(u) as scipy's sum, the same expression the delay path
-    solves, so both see one pattern (a slot that cancels to zero is
-    pruned in both), and the Picard path refactorizes the fixed-stress
-    C + beta*M + tau*B(u) per step.  The Picard path's block system is the
-    run's own and the one operator rewritten in place: built on its first
-    iterate and then kept, every iterate writes C + tau*B into its
-    pressure slots, which C and every B(u) share (``block_system``).  A
-    semi-explicit run never builds it.  Apart from that system, whose
-    pressure slots every iterate rewrites, a step reads nothing that an
-    earlier step left here: each starts from its state argument.
+    A, its factor, C, D, D^T, M and C + beta*M are read through ``shared``,
+    a private ``SharedOperators`` of the mesh when none is given, so each is
+    built once per store.  The elasticity factor serves the initial
+    displacement solve, every semi-explicit step and, on the Picard path,
+    every elimination of u in the Schur complement CG of
+    ``linsolve.solve_block``, which the fixed-stress factor
+    preconditions.  The pressure operator changes with u, so no step keeps
+    it: the semi-explicit step forms C + tau*B(u) as scipy's sum, the same
+    expression the delay path solves, so both see one pattern (a slot that
+    cancels to zero is pruned in both), and the Picard path refactorizes the
+    fixed-stress C + beta*M + tau*B(u) per step.  The Picard path's block
+    system is the run's own and the one operator rewritten in place: built
+    on its first iterate and then kept, every iterate writes C + tau*B into
+    the values of its pressure block, on the pattern C and every B(u) share
+    (``block_system``).  A semi-explicit run never builds it.  Apart from
+    that system, whose pressure slots every iterate rewrites, a step reads
+    nothing that an earlier step left here: each starts from its state
+    argument.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients,
@@ -204,7 +206,8 @@ class StepOperators:
         """Factor C + beta*M + tau*B with beta = alpha^2/(2*(lam + mu)).
 
         M is the unscaled P1 mass matrix; beta*M stands in for D A^-1 D^T,
-        the part of the pressure Schur complement that the sweep drops.
+        so the factor preconditions CG on the pressure Schur complement
+        C + tau*B + D A^-1 D^T (``linsolve.solve_block``).
         beta is the optimized fixed-stress weight alpha^2/(2*(2*mu/d + lam))
         of Storvik et al. (IJNME 2019) for d = 2, half the classical
         alpha^2/(lam + mu).
@@ -296,17 +299,17 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     """Advance one step of the implicit Euler scheme via Picard iteration.
 
     Starting from the previous state, each iterate solves the linear block
-    system with the permeability frozen at the preceding iterate, by
-    GMRES warm-started from that iterate.  The block system is the run's
-    one operator with that iterate's C + tau*B written into its pressure
-    slots.  Its fixed-stress preconditioner uses the run's factor of A and
-    one factor of C + tau*B + beta*M per step, with B assembled at the
-    step's starting state: nothing carries over from the step before, so
-    a state changed in place between steps gets the step it asks for.
-    The loop stops once the scaled residual of the nonlinear step system
-    is below ``picard_tol`` or after ``picard_max`` iterates; running
-    into the cap is not an error (capped variants are legitimate schemes
-    of their own).
+    system with the permeability frozen at the preceding iterate, by CG on
+    its pressure Schur complement warm-started from that iterate's p
+    (``linsolve.solve_block``).  The block system is the run's one operator
+    with that iterate's C + tau*B written into its pressure block.  u is
+    eliminated with the run's factor of A, and CG is preconditioned by one
+    factor of C + tau*B + beta*M per step, with B assembled at the step's
+    starting state: nothing carries over from the step before, so a state
+    changed in place between steps gets the step it asks for.  The loop stops
+    once the scaled residual of the nonlinear step system is below
+    ``picard_tol`` or after ``picard_max`` iterates; running into the cap is
+    not an error (capped variants are legitimate schemes of their own).
 
     The first iterate of a step and the last one the cap allows are
     solved to ``DEFAULT_TOL``, so Picard(1) and Picard(2) are exact linear

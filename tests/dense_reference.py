@@ -4,16 +4,15 @@ Everything here is deliberately written differently from the library:
 dense matrices, plain element loops, basis gradients obtained by solving
 small linear systems, and quadrature evaluated from barycentric
 coordinates.  Slow but simple enough to audit by eye.  The one exception
-is the pair of solver pieces at the end: the library's GMRES cycle with
-its bookkeeping on numpy arrays and scalars, which the library's
-Python-float bookkeeping must reproduce, and the multigrid V-cycle with
-its coarse operators formed by scipy's sparse products, which the
-library's per-mesh Galerkin maps replace.
+is the pair of solver pieces at the end: the block solve through a dense
+pressure Schur complement, which the library's CG on that complement
+must reproduce, and the multigrid V-cycle with its coarse operators
+formed by scipy's sparse products, which the library's per-mesh Galerkin
+maps replace.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from biotbench import linsolve
@@ -243,47 +242,22 @@ def div_u_t(problem, x, y, t, delta):
     return dux + duy
 
 
-# the GMRES cycle with numpy bookkeeping
+# the block system through its dense pressure Schur complement
 
 
-def reference_gmres_cycle(op, precond, r, y, target):
-    """``linsolve._gmres_cycle`` with numpy scalars throughout: same signature,
-    same Arnoldi and the same non-finite checks, kept as its oracle."""
-    m = linsolve._GMRES_RESTART
-    beta = np.linalg.norm(r)
-    H = np.zeros((m + 1, m))
-    cs, sn = np.zeros(m), np.zeros(m)
-    g = np.zeros(m + 1)
-    g[0] = beta
-    V, Z = [r / beta], []
-    k = 0
-    while True:
-        Z.append(precond(V[k]))
-        w = op(Z[k])
-        for i, v in enumerate(V):
-            H[i, k] = v @ w
-            w -= H[i, k] * v
-        h_next = np.linalg.norm(w)
-        for i in range(k):
-            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
-                                    cs[i] * H[i + 1, k] - sn[i] * H[i, k])
-        rho = np.hypot(H[k, k], h_next)
-        cs[k], sn[k] = H[k, k] / rho, h_next / rho
-        H[k, k] = rho
-        g[k + 1] = -sn[k] * g[k]
-        g[k] *= cs[k]
-        k += 1
-        if abs(g[k]) <= target or h_next == 0.0 or k == m:
-            break
-        V.append(w / h_next)
-    if not (np.isfinite(H[:k, :k]).all() and np.isfinite(g[:k]).all()):
-        raise linsolve.SolverFailure("GMRES produced non-finite values", abs(g[k]))
-    coef = solve_triangular(H[:k, :k], g[:k])
-    if not np.isfinite(coef).all():
-        raise linsolve.SolverFailure("GMRES update is not finite")
-    for c, z in zip(coef, Z):
-        y = y + c * z
-    return y, k
+def reference_schur_solve(system, rhs_u, rhs_p):
+    """Solve K (u, p) = (f, g) with S = P + D A^-1 D^T formed densely.
+
+    A, D and the pressure block P are read off the dense monolithic K,
+    S is formed with ``np.linalg.solve`` on A, p solves S p = g - D A^-1 f
+    and u is recovered from p as A^-1 (f + D^T p).
+    """
+    K = system.monolithic().toarray()
+    nu = system.A.shape[0]
+    A, D, P = K[:nu, :nu], K[nu:, :nu], K[nu:, nu:]
+    S = P + D @ np.linalg.solve(A, D.T)
+    p = np.linalg.solve(S, rhs_p - D @ np.linalg.solve(A, rhs_u))
+    return np.linalg.solve(A, rhs_u + D.T @ p), p
 
 
 class ProductVCycle:

@@ -16,7 +16,7 @@ from biotbench import cli
 from biotbench.assembly import assemble_mass, pressure_prolongations
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
-from dense_reference import ProductVCycle, reference_gmres_cycle
+from dense_reference import ProductVCycle, reference_schur_solve
 
 CO = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
                   permeability=KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75))
@@ -104,7 +104,8 @@ def test_block_zero_coupling_decouples():
     rng = np.random.default_rng(1)
     rhs_u = rng.standard_normal(A.shape[0])
     rhs_p = rng.standard_normal(C.shape[0])
-    # without coupling the sweep is exact: one GMRES step
+    # without coupling S is the pressure block, which the preconditioner
+    # factors: one CG step
     u, p, steps = solve_block(BlockSystem(A, zero_D, C + tau * B), rhs_u, rhs_p,
                               *_sweep_factors(A, C + tau * B))
     assert steps == 1
@@ -233,8 +234,7 @@ def test_forcing_term_bounds_the_verified_error(name):
 
 def test_forcing_term_solve_fails_when_its_target_is_not_reached(monkeypatch):
     system, rhs_u, rhs_p, guess, factors = _second_picard_system("ex42")
-    monkeypatch.setattr(linsolve, "_GMRES_CYCLES", 1)
-    monkeypatch.setattr(linsolve, "_GMRES_RESTART", 1)  # one Krylov step in all
+    monkeypatch.setattr(linsolve, "_CG_MAX", 1)  # one Krylov step in all
     with pytest.raises(SolverFailure, match="block solve failed"):
         solve_block(system, rhs_u, rhs_p, *factors, guess, reduction=1e-2)
 
@@ -265,18 +265,27 @@ def test_block_solve_matches_monolithic_lu(name):
     assert _block_deviation((u, p), lu_block_solve(system, rhs_u, rhs_p)) <= 1e-12
 
 
-@pytest.mark.parametrize("name, n", [("ex42", 8), ("ex42", 16), ("ex43", 8)])
-def test_gmres_cycle_matches_the_numpy_reference_cycle(name, n, monkeypatch):
-    first = _first_picard_system(name, n)
-    second = _second_picard_system(name, n)
-    cases = [(first, None), (second, None), (second, 1e-1), (second, 1e-2)]
-    for (system, rhs_u, rhs_p, guess, factors), reduction in cases:
-        got = solve_block(system, rhs_u, rhs_p, *factors, guess, reduction=reduction)
-        with monkeypatch.context() as patch:
-            patch.setattr(linsolve, "_gmres_cycle", reference_gmres_cycle)
-            expected = solve_block(system, rhs_u, rhs_p, *factors, guess, reduction=reduction)
-        assert got[2] == expected[2] > 0
-        assert _block_deviation(got[:2], expected[:2]) <= 1e-13
+@pytest.mark.parametrize("name", ["ex41", "ex42", "ex43"])
+@pytest.mark.parametrize("system", [_first_picard_system, _second_picard_system],
+                         ids=["first", "second"])
+def test_block_solve_matches_the_dense_schur_reference(name, system):
+    system, rhs_u, rhs_p, guess, factors = system(name)
+    u, p, steps = solve_block(system, rhs_u, rhs_p, *factors, guess)
+    assert steps > 0
+    assert _block_deviation((u, p), reference_schur_solve(system, rhs_u, rhs_p)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["ex41", "ex42", "ex43"])
+def test_block_solve_keeps_the_displacement_rows_at_rounding_level(name):
+    # u is carried through CG's updates, not re-solved at the end, so its
+    # rows A u - D^T p = f must stay as exact as one back-solve leaves them
+    system, rhs_u, rhs_p, guess, factors = _second_picard_system(name)
+    for reduction in (None, 1e-2):
+        u, p, _ = solve_block(system, rhs_u, rhs_p, *factors, guess, reduction=reduction)
+        residual = system.A @ u - system.D.T @ p - rhs_u
+        scale = (abs(system.A).sum(axis=1).max() * np.linalg.norm(u)
+                 + abs(system.D.T).sum(axis=1).max() * np.linalg.norm(p) + np.linalg.norm(rhs_u))
+        assert np.linalg.norm(residual) <= 1e-14 * scale
 
 
 # the run's one block operator and its in-place rewrites, against the
@@ -399,21 +408,29 @@ def test_block_solve_fails_on_a_zero_diagonal():
         solve_block(BlockSystem(A, D, P), rhs_u, rhs_p, *factors)
 
 
-def test_block_solve_fails_before_a_non_finite_gmres_update():
-    # finite Hessenberg entries and g, but a triangular solve that gives
-    # nan and +-inf: the cycle must fail before it adds them to the iterate
-    _, A, C, D, _ = _block_parts(2)
-    with pytest.raises(SolverFailure, match="GMRES"):
-        solve_block(BlockSystem(A, 1e300 * D, 1e-300 * C), np.ones(A.shape[0]),
+def test_block_solve_fails_before_a_non_finite_cg_update():
+    # a finite equilibrated norm and a finite starting residual, but a
+    # preconditioned residual whose inner product with it overflows: CG
+    # must fail before it adds a step to the iterate
+    _, A, C, D, _ = _block_parts(4)
+    with pytest.raises(SolverFailure, match="CG broke down"):
+        solve_block(BlockSystem(A, 1e160 * D, C), np.ones(A.shape[0]),
                     np.ones(C.shape[0]), SpdFactorization(A), SpdFactorization(C))
 
 
-def test_gmres_cycle_fails_on_a_singular_hessenberg_system():
-    # op(precond(r)) = 0: the first column is zero, so its rotation is 0/0
-    r, y = np.ones(4), np.zeros(4)
-    with pytest.raises(SolverFailure, match="GMRES"):
-        linsolve._gmres_cycle(np.zeros_like, lambda v: v, r, y, 0.0)
-    assert np.all(y == 0.0)
+def test_block_cg_breaks_down_on_an_indefinite_pressure_block():
+    _, A, C, D, _ = _block_parts(4)
+    # S = -C + D A^-1 D^T is not positive definite
+    Ad, Dd = A.toarray(), D.toarray()
+    assert np.linalg.eigvalsh(-C.toarray() + Dd @ np.linalg.solve(Ad, Dd.T)).min() < 0.0
+    rhs_u, rhs_p = np.ones(A.shape[0]), np.ones(C.shape[0])
+    with pytest.raises(SolverFailure, match="CG broke down"):
+        solve_block(BlockSystem(A, D, -C), rhs_u, rhs_p, SpdFactorization(A),
+                    SpdFactorization(C))
+    # and a preconditioner that is not positive definite gives r.z < 0
+    with pytest.raises(SolverFailure, match="CG broke down"):
+        solve_block(BlockSystem(A, D, C), rhs_u, rhs_p, SpdFactorization(A),
+                    SpdFactorization(-C))
 
 
 def test_block_solve_fails_when_the_equilibrated_norm_overflows():
@@ -646,8 +663,9 @@ def test_multigrid_pressure_solve_fails_at_its_iteration_cap(monkeypatch):
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 def test_matvec_gives_the_bits_of_scipy_products(index_dtype):
-    # matvec calls scipy's private csr_matvec kernel; a scipy that moves or
-    # changes it fails here, not deep inside a pressure solve
+    # matvec and rmatvec call scipy's private csr_matvec and csc_matvec
+    # kernels; a scipy that moves or changes them fails here, not deep
+    # inside a pressure or block solve
     mesh, op, _, _ = _pressure_system("ex42", 32, steps=0)
     level = pressure_prolongations(mesh)[0]
     rng = np.random.default_rng(4)
@@ -662,6 +680,13 @@ def test_matvec_gives_the_bits_of_scipy_products(index_dtype):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="vector of shape"):
             linsolve.matvec(A, x[:-1])
+        # and the transposed product, against scipy's product with the CSC view A.T
+        x = rng.standard_normal(A.shape[0])
+        expected = A.T @ x
+        got = linsolve.rmatvec(A, x)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="vector of shape"):
+            linsolve.rmatvec(A, x[:-1])
 
 
 def _check_mapped_levels(op, levels):

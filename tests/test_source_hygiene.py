@@ -30,3 +30,36 @@ def test_every_module_reads_each_name_it_imports():
     assert len(modules) > 5
     unread = {(path.stem, name) for path in modules for name in _unread_imports(path)}
     assert unread == UNREAD_ALLOWED
+
+
+def _private_definitions(tree):
+    """The private names a module defines at its top level: functions, classes, constants."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in defined if name.startswith("_") and not name.startswith("__")}
+
+
+def _names_read(tree):
+    """Every name a module reads, bare or as an attribute of another object."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def test_every_private_module_level_name_is_read_somewhere_in_the_package():
+    # a private name is the module's own business, so one that no module
+    # reads is left over from code that is gone
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert len(trees) > 5
+    read = set().union(*map(_names_read, trees.values()))
+    unread = {(module, name) for module, tree in trees.items()
+              for name in _private_definitions(tree) if name not in read}
+    assert unread == set()
