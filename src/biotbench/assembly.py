@@ -24,8 +24,9 @@ crossover on, the pressure space's multigrid hierarchy
 prolongation, ``mesh.prolongation`` restricted to the interior nodes,
 and the Galerkin map, a sparse map from the values of any operator on
 the level's pattern to those of its coarsening P^T A P on the next
-one.  C and every B(u) share the scalar plan's pattern, so the map
-replaces two sparse products per level and step.  The load vectors
+one.  C and every B(u) share the scalar plan's pattern, and every sum
+of them keeps it (``pressure_sum``), so the map replaces two sparse
+products per level and step.  The load vectors
 evaluate the forcing once per mesh edge, on those midpoints, and gather
 the values to the elements.  A plan fixes the CSR pattern and maps every
 element-matrix entry to its nonzero slot.  It is built by replaying
@@ -295,6 +296,20 @@ def _scatter(mesh: Mesh, local, interior_only, rows="scalar", cols="scalar"):
     plan = _plan(mesh, rows, cols, interior_only)
     return _csr(plan, np.bincount(plan.slots, weights=local.ravel()[plan.perm],
                                   minlength=plan.indices.size))
+
+
+def pressure_sum(X, w, Y) -> sp.csr_matrix:
+    """X + w*Y for two CSR operators on one pattern, as C, M and every B(u) are.
+
+    The values X.data + w*Y.data on X's index arrays, which the sum shares:
+    a slot whose values cancel stays an explicit zero, so every
+    pressure-space operator keeps the scalar plan's pattern.  Operators
+    on different patterns raise ValueError.
+    """
+    if X.shape != Y.shape or not (np.array_equal(X.indptr, Y.indptr)
+                                  and np.array_equal(X.indices, Y.indices)):
+        raise ValueError("the terms of a pressure sum lie on different patterns")
+    return sp.csr_matrix((X.data + w * Y.data, X.indices, X.indptr), shape=X.shape)
 
 
 def _permeability_map(mesh: Mesh, interior_only):

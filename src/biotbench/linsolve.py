@@ -6,16 +6,17 @@ times, by ``cholesky_banded`` while its band is small (``factor_banded``),
 and every other operator, or a wide-band A, by ``splu``.  Every factor is
 an ``SpdFactorization``, the one place factors are counted: a run reports
 the difference of its count between the run's start and end.  The
-semi-explicit pressure operator C + tau*B(u), which changes every step,
-is solved by ``solve_pressure`` on the multigrid hierarchy its caller
-passes: by its LU when the hierarchy is empty, and otherwise by CG from
-the previous pressure, preconditioned by one geometric multigrid V-cycle
-whose coarsest level is the step's one ``splu`` factor.  The V-cycle's
-coarse operators are read off the operator's values through the
-hierarchy's per-mesh Galerkin maps, one matrix-vector product per level,
-and the solve's products with CSR operators go through ``matvec``,
-scipy's compiled kernel without its Python dispatch: a step builds no
-sparse matrix but its coarsest level's.  Each SPD solve, direct or
+semi-explicit pressure operator C + tau*B(u), which changes every step
+and keeps the scalar plan's pattern, is solved by ``solve_pressure`` on
+the multigrid hierarchy its caller passes: by its LU when the hierarchy
+is empty, and otherwise by CG from the previous pressure, preconditioned
+by one geometric multigrid V-cycle whose coarsest level is the step's one
+``splu`` factor.  The V-cycle's coarse operators are read off the
+operator's own values through the hierarchy's per-mesh Galerkin maps, one
+matrix-vector product per level, and the solve's products with CSR
+operators go through ``matvec``, scipy's compiled kernel without its
+Python dispatch: a pressure solve builds no sparse matrix but its
+coarsest level's.  Each SPD solve, direct or
 iterative, is verified post hoc by the normwise backward error of an
 independent matrix-vector residual (``NormwiseError``), with iterative
 refinement.  The coupled two-by-two block systems of the implicit/Picard
@@ -276,16 +277,17 @@ def solve_spd(op, rhs) -> np.ndarray:
 def solve_pressure(op, rhs, guess, levels):
     """Solve a per-step pressure operator C + tau*B(u), verified as ``SpdFactorization.solve``.
 
-    ``levels`` is the multigrid hierarchy of the operator's space, one
-    ``assembly.MultigridLevel`` per level, finest first
-    (``assembly.pressure_prolongations``).  With no level the operator is
-    factored by this module's ``splu`` and solved by ``solve_spd``.
-    Otherwise its values are taken on the finest level's pattern
-    (``_on_pattern``) and it is solved by CG from the warm start
-    ``guess``, preconditioned by one multigrid V-cycle (``_VCycle``) on
-    ``levels``; its coarsest level is factored by ``splu``.  So each call
-    makes exactly one factor, and every product with the operator, a
-    prolongation or a restriction goes through ``matvec``.
+    ``op`` is CSR, taken as it is, explicit zeros included.  ``levels``
+    is the multigrid hierarchy of its space, one ``assembly.MultigridLevel``
+    per level, finest first (``assembly.pressure_prolongations``).  With
+    no level the operator is factored by this module's ``splu`` and solved
+    by ``solve_spd``.  Otherwise op's index arrays must be the finest
+    level's pattern (ValueError before anything is factored), and it is
+    solved by CG from the warm start ``guess``, preconditioned by one
+    multigrid V-cycle (``_VCycle``) on its own values; its coarsest level
+    is factored by ``splu``.  So each call makes exactly one factor, and
+    every product with the operator, a prolongation or a restriction goes
+    through ``matvec``.
 
     The V-cycle is not symmetric (one smoothing sweep before the coarse
     correction, two after), so CG takes the Polak-Ribiere direction
@@ -303,7 +305,9 @@ def solve_pressure(op, rhs, guess, levels):
     """
     if not levels:
         return solve_spd(op, rhs), 0
-    op = _on_pattern(op, levels[0].fine)
+    fine = levels[0].fine
+    if not (np.array_equal(op.indptr, fine.indptr) and np.array_equal(op.indices, fine.indices)):
+        raise ValueError("pressure operator is not on the multigrid hierarchy's pattern")
     precondition = _VCycle(op.data, levels)
     rhs = np.asarray(rhs, dtype=float)
     if not rhs.any():
@@ -339,31 +343,6 @@ def solve_pressure(op, rhs, guess, levels):
                 rz_old, rz = rz, float(r @ z)
                 p = z + ((rz - float(r_old @ z)) / rz_old) * p
             r = rhs - matvec(op, x)
-
-
-def _on_pattern(op, pattern) -> CsrArrays:
-    """The square CSR ``op`` on ``pattern``, whose slots hold all of op's.
-
-    An operator assembled on the pattern keeps its values array.  One
-    with fewer slots, such as a scipy sum that pruned a slot whose
-    values cancel exactly, is spread onto it with an explicit zero in
-    each slot it lacks; duplicate entries add up.  An entry outside the
-    pattern, or another shape, raises ValueError.
-    """
-    n = pattern.indptr.size - 1
-    op = op.tocsr()
-    if op.shape != (n, n):
-        raise ValueError(f"operator of shape {op.shape} on a pattern of {n} rows")
-    if np.array_equal(op.indptr, pattern.indptr) and np.array_equal(op.indices, pattern.indices):
-        return CsrArrays(op.data, pattern.indices, pattern.indptr, op.shape)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
-    slot_keys = rows * n + pattern.indices
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr)) * n + op.indices
-    slots = np.minimum(np.searchsorted(slot_keys, keys), slot_keys.size - 1)
-    if not np.array_equal(slot_keys[slots], keys):
-        raise ValueError("operator has an entry outside the multigrid pattern")
-    data = np.bincount(slots, weights=op.data, minlength=slot_keys.size)
-    return CsrArrays(data, pattern.indices, pattern.indptr, op.shape)
 
 
 class _VCycle:

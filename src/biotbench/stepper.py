@@ -28,7 +28,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 (perfbench/spans.py binds ste
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass,
-                       pressure_prolongations)
+                       pressure_prolongations, pressure_sum)
 from .linsolve import (BlockSystem, SpdFactorization, factor_banded, solve_block,
                        solve_pressure)
 from .mesh import Mesh
@@ -166,14 +166,15 @@ class StepOperators:
     displacement solve, every semi-explicit step and, on the Picard path,
     every elimination of u in the Schur complement CG of
     ``linsolve.solve_block``, which the fixed-stress factor
-    preconditions.  The pressure operator changes with u, so no step keeps
-    it: the semi-explicit step forms C + tau*B(u) as scipy's sum, the same
-    expression the delay path solves, so both see one pattern (a slot that
-    cancels to zero is pruned in both), and the Picard path refactorizes the
-    fixed-stress C + beta*M + tau*B(u) per step.  The Picard path's block
-    system is the run's own and the one operator rewritten in place: built
-    on its first iterate and then kept, every iterate writes C + tau*B into
-    the values of its pressure block, on the pattern C and every B(u) share
+    preconditions.  Every pressure-space operator is formed by
+    ``assembly.pressure_sum`` on the pattern C, M and every B(u) share, a
+    slot that cancels kept as an explicit zero.  The pressure operator
+    changes with u, so no step keeps it: the semi-explicit step solves
+    C + tau*B(u) by the same call the delay path makes, and the Picard path
+    refactorizes the fixed-stress C + beta*M + tau*B(u) per step.  The
+    Picard path's block system is the run's own and the one operator
+    rewritten in place: built on its first iterate and then kept, every
+    iterate writes C + tau*B into the values of its pressure block
     (``block_system``).  A semi-explicit run never builds it.  Apart from
     that system, whose pressure slots every iterate rewrites, a step reads
     nothing that an earlier step left here: each starts from its state
@@ -203,11 +204,12 @@ class StepOperators:
                                 lambda: factor_banded(self.A))
 
     def fixed_stress_factor(self, B, tau) -> SpdFactorization:
-        """Factor C + beta*M + tau*B with beta = alpha^2/(2*(lam + mu)).
+        """Factor (C + beta*M) + tau*B with beta = alpha^2/(2*(lam + mu)).
 
-        M is the unscaled P1 mass matrix; beta*M stands in for D A^-1 D^T,
-        so the factor preconditions CG on the pressure Schur complement
-        C + tau*B + D A^-1 D^T (``linsolve.solve_block``).
+        Both sums are ``assembly.pressure_sum``s, and C + beta*M is kept in
+        the store.  M is the unscaled P1 mass matrix; beta*M stands in for
+        D A^-1 D^T, so the factor preconditions CG on the pressure Schur
+        complement C + tau*B + D A^-1 D^T (``linsolve.solve_block``).
         beta is the optimized fixed-stress weight alpha^2/(2*(2*mu/d + lam))
         of Storvik et al. (IJNME 2019) for d = 2, half the classical
         alpha^2/(lam + mu).
@@ -215,20 +217,20 @@ class StepOperators:
         co, shared = self.coeffs, self._shared
         beta = co.alpha ** 2 / (2.0 * (co.lam + co.mu))
         mass = shared.get(("M",), lambda: assemble_mass(self.mesh))
-        stabilized = shared.get(("C + beta M", co.M, beta), lambda: self.C + beta * mass)
-        return SpdFactorization(stabilized + tau * B)
+        stabilized = shared.get(("C + beta M", co.M, beta),
+                                lambda: pressure_sum(self.C, beta, mass))
+        return SpdFactorization(pressure_sum(stabilized, tau, B))
 
     def block_system(self, B, tau) -> BlockSystem:
         """The run's block system [[A, -D^T], [D, C + tau*B]], with B's values written in.
 
-        Built on C's pattern on the first call; every call writes
-        C + tau*B into the pressure slots of the same operator.  Its
-        pressure block keeps the full shared pattern: a slot that cancels
-        to zero stays an explicit zero, which changes no product.
+        Built on C's pattern on the first call; every call writes the
+        values of C + tau*B (``assembly.pressure_sum``) into the pressure
+        slots of the same operator.
         """
         if self._block is None:
             self._block = BlockSystem(self.A, self.D, self.C)
-        self._block.set_pressure_block(self.C.data + tau * B.data)
+        self._block.set_pressure_block(pressure_sum(self.C, tau, B).data)
         return self._block
 
     def permeability_stiffness(self, u):
@@ -264,7 +266,7 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new, _ = solve_pressure(ops.C + tau * B, rhs_p, state.p,
+    p_new, _ = solve_pressure(pressure_sum(ops.C, tau, B), rhs_p, state.p,
                               pressure_prolongations(ops.mesh))
 
     return State(u_new, p_new, state.t + tau), StepReport()
@@ -407,12 +409,12 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     ``semi_explicit_step`` so the two paths can be compared against each
     other: its own loop, and its own operators rather than those of
     ``StepOperators``.  One factor of A by ``linsolve.factor_banded``
-    serves u0 and every step, and each C + tau*B is solved by
-    ``linsolve.solve_pressure`` from the previous pressure on the mesh's
-    ``pressure_prolongations``, the same call as on the semi-explicit
-    path, so its solves are verified and refined exactly alike and each
-    makes one factor (the LU of C + tau*B, or of its coarsest multigrid
-    level).
+    serves u0 and every step, and each ``assembly.pressure_sum`` C + tau*B
+    is solved by ``linsolve.solve_pressure`` from the previous pressure on
+    the mesh's ``pressure_prolongations``: the same calls as on the
+    semi-explicit path, so its solves are verified and refined exactly
+    alike and each makes one factor (the LU of C + tau*B, or of its
+    coarsest multigrid level).
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0, interior=True)
@@ -449,7 +451,7 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
             - D @ (u_n - states[-1].u)
-        p_n, _ = solve_pressure(C + tau * B, rhs, pressures[-1],
+        p_n, _ = solve_pressure(pressure_sum(C, tau, B), rhs, pressures[-1],
                                 pressure_prolongations(mesh))
         pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))

@@ -2,20 +2,39 @@
 
 Everything here is deliberately written differently from the library:
 dense matrices, plain element loops, basis gradients obtained by solving
-small linear systems, and quadrature evaluated from barycentric
-coordinates.  Slow but simple enough to audit by eye.  The one exception
-is the pair of solver pieces at the end: the block solve through a dense
-pressure Schur complement, which the library's CG on that complement
-must reproduce, and the multigrid V-cycle with its coarse operators
-formed by scipy's sparse products, which the library's per-mesh Galerkin
-maps replace.
+small linear systems (once per element and mesh), and quadrature
+evaluated from barycentric coordinates.  Slow but simple enough to audit
+by eye.  The one exception is the pair of solver pieces at the end: the
+block solve through a dense pressure Schur complement, which the
+library's CG on that complement must reproduce, and the multigrid
+V-cycle with its coarse operators formed by scipy's sparse products,
+which the library's per-mesh Galerkin maps replace.
 """
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from biotbench import linsolve
+
+_ELEMENTS = weakref.WeakKeyDictionary()
+
+
+def _elements(mesh):
+    """Each element's node numbers, basis gradients and area, in element order.
+
+    Computed by one loop over the elements on a mesh's first use and kept
+    while the mesh lives, so an oracle called once per time step solves
+    no linear system after its first call.
+    """
+    elements = _ELEMENTS.get(mesh)
+    if elements is None:
+        elements = _ELEMENTS[mesh] = [
+            (tri, _basis_gradients(mesh.nodes[tri]), _tri_area(mesh.nodes[tri]))
+            for tri in mesh.triangles]
+    return elements
 
 
 def _basis_gradients(pts):
@@ -44,14 +63,10 @@ def dense_laplace(mesh, weight_per_element=None):
     """Full-space grad-grad matrix, optionally with a per-element weight."""
     N = mesh.num_nodes
     out = np.zeros((N, N))
-    for e, tri in enumerate(mesh.triangles):
-        pts = mesh.nodes[tri]
-        grads = _basis_gradients(pts)
-        area = _tri_area(pts)
+    for e, (tri, grads, area) in enumerate(_elements(mesh)):
         w = 1.0 if weight_per_element is None else weight_per_element[e]
-        for i in range(3):
-            for j in range(3):
-                out[tri[i], tri[j]] += w * area * grads[i] @ grads[j]
+        # entry (i, j) of the element matrix is w * area * grad_i . grad_j
+        out[np.ix_(tri, tri)] += w * area * (grads @ grads.T)
     return out
 
 
@@ -75,25 +90,17 @@ def dense_elasticity(mesh, lam, mu):
     """Full-space elastic stiffness; dofs interleaved as (2*node, 2*node+1)."""
     N = mesh.num_nodes
     out = np.zeros((2 * N, 2 * N))
-    for tri in mesh.triangles:
-        pts = mesh.nodes[tri]
-        grads = _basis_gradients(pts)
-        area = _tri_area(pts)
+    for tri, grads, area in _elements(mesh):
+        # the six local basis fields: dof, symmetric gradient, divergence
+        fields = []
         for i in range(3):
             for ci in range(2):
-                eps_i = np.zeros((2, 2))
-                eps_i[ci] = grads[i]
-                eps_i = 0.5 * (eps_i + eps_i.T)
-                div_i = grads[i][ci]
-                for j in range(3):
-                    for cj in range(2):
-                        eps_j = np.zeros((2, 2))
-                        eps_j[cj] = grads[j]
-                        eps_j = 0.5 * (eps_j + eps_j.T)
-                        div_j = grads[j][cj]
-                        val = area * (2 * mu * np.tensordot(eps_i, eps_j)
-                                      + lam * div_i * div_j)
-                        out[2 * tri[i] + ci, 2 * tri[j] + cj] += val
+                eps = np.zeros((2, 2))
+                eps[ci] = grads[i]
+                fields.append((2 * tri[i] + ci, 0.5 * (eps + eps.T), grads[i][ci]))
+        for row, eps_i, div_i in fields:
+            for col, eps_j, div_j in fields:
+                out[row, col] += area * (2 * mu * np.sum(eps_i * eps_j) + lam * div_i * div_j)
     return out
 
 
@@ -101,10 +108,7 @@ def dense_coupling(mesh, alpha):
     """Full-space coupling matrix: rows pressure nodes, columns u dofs."""
     N = mesh.num_nodes
     out = np.zeros((N, 2 * N))
-    for tri in mesh.triangles:
-        pts = mesh.nodes[tri]
-        grads = _basis_gradients(pts)
-        area = _tri_area(pts)
+    for tri, grads, area in _elements(mesh):
         for i in range(3):           # pressure basis, int_T lambda_i = area/3
             for j in range(3):
                 for cj in range(2):
@@ -116,9 +120,7 @@ def dense_permeability_stiffness(mesh, coeffs, u_interior):
     """Full-space nonlinear-diffusion stiffness with kappa at div(u_h)."""
     full_u = mesh.extend_vector(u_interior)
     weights = []
-    for tri in mesh.triangles:
-        pts = mesh.nodes[tri]
-        grads = _basis_gradients(pts)
+    for tri, grads, _ in _elements(mesh):
         div = sum(full_u[2 * tri[j]] * grads[j][0] + full_u[2 * tri[j] + 1] * grads[j][1]
                   for j in range(3))
         weights.append(coeffs.kappa_over_nu * coeffs.permeability.eval(div))

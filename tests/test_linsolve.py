@@ -13,7 +13,7 @@ from biotbench import (BlockSystem, Coefficients, KozenyCarman, SolverFailure,
                        experiment_43_data, initial_displacement, linsolve, run, solve_block,
                        solve_spd, stepper)
 from biotbench import cli
-from biotbench.assembly import assemble_mass, pressure_prolongations
+from biotbench.assembly import assemble_mass, pressure_prolongations, pressure_sum
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
 from dense_reference import ProductVCycle, reference_schur_solve
@@ -324,39 +324,59 @@ def test_run_block_operator_equals_a_fresh_stack_after_every_rewrite(name):
     assert _same_csr(ops.C, assemble_pressure_mass(mesh, prob.coeffs))
 
 
+def _on_pattern_of(op, C, dense):
+    """Assert that op has C's index arrays and, slot by slot, the entries of
+    ``dense``, which is zero off that pattern."""
+    assert np.array_equal(op.indptr, C.indptr) and np.array_equal(op.indices, C.indices)
+    rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    assert op.data.tobytes() == dense[rows, C.indices].tobytes()
+    off_pattern = dense.copy()
+    off_pattern[rows, C.indices] = 0.0
+    assert not off_pattern.any()
+
+
 def test_in_place_pressure_sums_equal_scipy_sums():
     prob = experiment_42_data()
     mesh = build_structured_mesh(8)
     ops = StepOperators(mesh, prob.coeffs)
+    C = ops.C.copy()
     rng = np.random.default_rng(2)
     B = ops.permeability_stiffness(1e-2 * rng.standard_normal(mesh.num_displacement_dofs))
     tau = 2.0**-5
-    op = ops.C + tau * B
-    # the sum, entry by entry, of the dense operators, stored without zeros
-    expected = sp.csr_matrix(ops.C.toarray() + tau * B.toarray())
-    assert _same_csr(op, expected) and op.nnz == ops.C.nnz
+    op = pressure_sum(ops.C, tau, B)
+    _on_pattern_of(op, C, C.toarray() + tau * B.toarray())
+    # where no slot cancels, scipy's sum has the same pattern and bits
+    assert _same_csr(op, ops.C + tau * B)
 
+    # the fixed-stress operator is the nested sum (C + beta*M) + tau*B
     co = prob.coeffs
-    stabilized = ops.C + co.alpha**2 / (2.0 * (co.lam + co.mu)) * assemble_mass(mesh)
-    assert _same_csr(ops.fixed_stress_factor(B, tau).op, stabilized + tau * B)
+    M = assemble_mass(mesh).toarray()
+    beta = co.alpha**2 / (2.0 * (co.lam + co.mu))
+    _on_pattern_of(ops.fixed_stress_factor(B, tau).op, C,
+                   (C.toarray() + beta * M) + tau * B.toarray())
+    # the sums leave C, which a study shares, as it was
+    assert _same_csr(ops.C, C)
 
 
-def test_in_place_pressure_sum_drops_a_slot_that_cancels_like_scipy():
+def test_pressure_sum_keeps_a_slot_that_cancels_as_an_explicit_zero():
     mesh = build_structured_mesh(4)
     ops = StepOperators(mesh, CO)
-    indices, indptr = ops.C.indices.copy(), ops.C.indptr.copy()
+    C = ops.C.copy()
     tau = 0.5  # a power of two, so tau * (-2 c) is exactly -c
     B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
     B.data[7] = -2.0 * ops.C.data[7]
-    # the dense sum holds an exact zero in the cancelled slot, which csr_matrix does not store
-    expected = sp.csr_matrix(ops.C.toarray() + tau * B.toarray())
-    assert expected.nnz == ops.C.nnz - 1
-    op = ops.C + tau * B
-    assert _same_csr(op, expected) and op.nnz == expected.nnz
-    # pruning works on copies: C keeps its full pattern
-    assert np.array_equal(ops.C.indices, indices) and np.array_equal(ops.C.indptr, indptr)
-    # and the factorization sees the pattern the delay path's (C + tau*B).tocsc() has
-    assert _same_csr(sp.csc_matrix(op).tocsr(), expected.tocsc().tocsr())
+    dense = C.toarray() + tau * B.toarray()
+    assert np.count_nonzero(dense) == C.nnz - 1
+    op = pressure_sum(ops.C, tau, B)
+    # the cancelled slot is stored as an explicit 0.0, every other one is the dense sum's
+    _on_pattern_of(op, C, dense)
+    assert op.nnz == C.nnz and op.data[7] == 0.0
+    assert _same_csr(ops.C, C)
+    # a factorization sees it too: csc_matrix keeps explicit zeros
+    assert sp.csc_matrix(op).nnz == C.nnz
+    # a term on another pattern, such as scipy's pruned sum, is refused
+    with pytest.raises(ValueError, match="different patterns"):
+        pressure_sum(ops.C, tau, ops.C + tau * B)
 
 
 def test_picard_run_stacks_its_block_operator_once(monkeypatch):
@@ -565,7 +585,7 @@ def _pressure_system(name, n, steps=3, tau=2.0**-5):
         u_new = ops.a_factor().solve(load_u(k * tau) + ops.DT @ p)
         B = ops.permeability_stiffness(u_new)
         rhs = tau * assemble_load_q(mesh, prob.g, k * tau) + ops.C @ p - ops.D @ (u_new - u)
-        op = ops.C + tau * B
+        op = pressure_sum(ops.C, tau, B)
         if k == steps + 1:
             return mesh, op, rhs, p
         p, u = SpdFactorization(op).solve(rhs), u_new
@@ -736,36 +756,26 @@ def test_galerkin_maps_give_the_product_operators_and_its_cg_iterations(name, n,
     assert all(steps == product_steps > 0 for steps, product_steps in counts)
 
 
-def test_multigrid_pressure_solve_spreads_a_pruned_operator_onto_the_pattern(factors):
+def test_multigrid_pressure_solve_takes_explicit_zeros_and_refuses_another_pattern(factors):
     mesh, op, rhs, guess = _pressure_system("ex42", 32, steps=0)
     levels = pressure_prolongations(mesh)
-    # an exact zero in a symmetric pair of off-diagonal slots, which csr_matrix does not store
-    dense = op.toarray()
-    dense[0, 1] = dense[1, 0] = 0.0
-    pruned = sp.csr_matrix(dense)
-    assert pruned.nnz == op.nnz - 2
-    x, steps = linsolve.solve_pressure(pruned, rhs, guess, levels)
-    lu = SpdFactorization(pruned).solve(rhs)
-    assert steps > 0 and np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
-    # the same operator with an explicit zero stored, or with its entries split
-    # into duplicates, is the same operator on the pattern: the same bits
+    # an explicit zero in a symmetric pair of off-diagonal slots
     stored = op.copy()
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     stored.data[((rows == 0) & (op.indices == 1)) | ((rows == 1) & (op.indices == 0))] = 0.0
-    assert np.count_nonzero(stored.data != op.data) == 2
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(pruned.indptr))
-    order = np.argsort(np.tile(rows, 2), kind="stable")  # each row twice over
-    split = sp.csr_matrix((np.tile(0.5 * pruned.data, 2)[order],
-                           np.tile(pruned.indices, 2)[order], 2 * pruned.indptr), shape=op.shape)
-    assert split.nnz == 2 * pruned.nnz
-    for same in (stored, split):
-        assert linsolve.solve_pressure(same, rhs, guess, levels)[0].tobytes() == x.tobytes()
-    # an entry outside the pattern is refused before anything is factored
+    assert np.count_nonzero(stored.data != op.data) == 2 and stored.nnz == op.nnz
+    x, steps = linsolve.solve_pressure(stored, rhs, guess, levels)
+    lu = SpdFactorization(stored).solve(rhs)
+    assert steps > 0 and np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
+    # index arrays other than the hierarchy's pattern are refused before
+    # anything is factored: the same operator without its zeros, and one
+    # with an entry outside the pattern
     factors.clear()
     outside = op.tolil()
     outside[0, op.shape[0] - 1] = outside[op.shape[0] - 1, 0] = 1e-3
-    with pytest.raises(ValueError, match="outside the multigrid pattern"):
-        linsolve.solve_pressure(outside.tocsr(), rhs, guess, levels)
+    for other in (sp.csr_matrix(stored.toarray()), outside.tocsr()):
+        with pytest.raises(ValueError, match="not on the multigrid hierarchy's pattern"):
+            linsolve.solve_pressure(other, rhs, guess, levels)
     assert factors == []
 
 

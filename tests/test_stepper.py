@@ -11,7 +11,8 @@ from biotbench import (Coefficients, Constant, KozenyCarman, SolverFailure, Stat
                        initial_displacement, run, solve_spd, tau_bound_diagnostic,
                        with_coefficients)
 from biotbench import linsolve, stepper
-from biotbench.assembly import assemble_permeability_stiffness, assemble_pressure_mass
+from biotbench.assembly import (assemble_mass, assemble_permeability_stiffness,
+                                assemble_pressure_mass)
 from biotbench.stepper import StepOperators, picard_residual
 from dense_reference import (dense_coupling, dense_elasticity, dense_mass,
                              dense_permeability_stiffness, restrict_dense)
@@ -442,10 +443,10 @@ def test_delay_rejects_a_nan_history_before_any_factorization(factors):
     assert not factors
 
 
-def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(factors,
-                                                                              monkeypatch):
+def test_semi_and_delay_paths_factor_byte_identical_pressure_operators_with_explicit_zeros(
+        factors, monkeypatch):
     # unit coefficients and kappa = C[0, 1] / tau: on every axis-parallel
-    # interior edge tau*B = -C exactly, and scipy's sum prunes the slot
+    # interior edge tau*B = -C exactly, and the sum keeps the slot as a zero
     mesh = build_structured_mesh(4)
     tau = 0.25
     C = assemble_pressure_mass(mesh, coeffs())
@@ -468,10 +469,10 @@ def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(fa
                     for op in ops] for ops in operands)
     assert len(semi) == len(delay) == cfg.n_steps
     assert semi == delay
-    assert all(op.nnz < C.nnz for ops in operands for op in ops)
+    assert all(op.nnz == C.nnz and (op.data == 0.0).any() for ops in operands for op in ops)
 
     # above the multigrid crossover the factor is the coarsest level's, so
-    # record the pressure solves: each pruned operator is spread onto the
+    # record the pressure solves: each operator with its zeros is on the
     # pattern its Galerkin maps read, and CG solves it as its LU does
     factors.around = None
     mesh = build_structured_mesh(32)
@@ -496,9 +497,67 @@ def test_semi_and_delay_paths_factor_byte_identical_pruned_pressure_operators(fa
         assert a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
     assert len(solves) == 2 * cfg.n_steps
     for op, rhs, x, steps in solves:
-        assert op.nnz < C.nnz and steps > 0
+        assert op.nnz == C.nnz and (op.data == 0.0).any() and steps > 0
         lu = linsolve.SpdFactorization(op).solve(rhs)
         assert np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_every_pressure_space_operator_lies_on_the_pattern_of_c(n, factors, monkeypatch):
+    # on unit coefficients, tau*B cancels C (kappa = C[0, 1] / tau) or the
+    # fixed-stress C + beta*M (kappa = (C + beta*M)[0, 1] / tau) on every
+    # axis-parallel interior edge: a sum that prunes a cancelled slot has
+    # fewer slots than C, one that keeps it has C's index arrays
+    mesh = build_structured_mesh(n)
+    tau = 2.0**-4
+    C = assemble_pressure_mass(mesh, coeffs())
+    beta = 1.0 / 4.0  # alpha^2 / (2*(lam + mu))
+    stabilized = C + beta * assemble_mass(mesh)
+    n_p = mesh.num_pressure_dofs
+    prob = experiment_42_data()
+    operators = []
+
+    def recording(factor, op, build):
+        if factor.shape == (n_p, n_p):  # not A's, nor a coarse multigrid level's
+            operators.append(("factor", op))
+        return build()
+
+    solve, solve_block = stepper.solve_pressure, stepper.solve_block
+
+    def recorded_solve(op, *args):
+        operators.append(("solve_pressure", op))
+        return solve(op, *args)
+
+    def recorded_block_solve(system, *args, **kwargs):
+        operators.append(("block", system.pressure))
+        return solve_block(system, *args, **kwargs)
+
+    factors.around = recording
+    monkeypatch.setattr(stepper, "solve_pressure", recorded_solve)
+    monkeypatch.setattr(stepper, "solve_block", recorded_block_solve)
+    zeros = set()
+    for cancelled in (C, stabilized):
+        co = coeffs(model=Constant(kappa=cancelled[0, 1] / tau))
+        for scheme in ("semi_explicit", "delay_implicit", "implicit_picard"):
+            operators.clear()
+            run(mesh, co, StepperConfig(scheme=scheme, tau=tau, T=2 * tau),
+                prob.f, prob.g, prob.p0)
+            assert {kind for kind, _ in operators} == (
+                {"factor", "block"} if scheme == "implicit_picard"
+                else {"solve_pressure"} | ({"factor"} if n < 24 else set()))
+            for kind, op in operators:
+                # a factor sees the CSC copy, whose arrays are C's on C's symmetric pattern
+                assert np.array_equal(op.indptr, C.indptr)
+                assert np.array_equal(op.indices, C.indices)
+                if (op.data == 0.0).any():
+                    zeros.add((cancelled is C, scheme, kind))
+    # every sum whose slots cancel was seen to keep them
+    assert zeros == {(True, "semi_explicit", "solve_pressure"),
+                     (True, "delay_implicit", "solve_pressure"),
+                     (True, "implicit_picard", "block"),
+                     (False, "implicit_picard", "factor")} | (
+        {(True, "semi_explicit", "factor"), (True, "delay_implicit", "factor")}
+        if n < 24 else set())
 
 
 def test_delay_path_factors_through_stepper_splu(factors, monkeypatch):
