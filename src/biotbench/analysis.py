@@ -114,8 +114,8 @@ def error_vs_manufactured(mesh: Mesh, coeffs: Coefficients, trajectory, exact_u,
                           exact_p, t=None, kinds=ERROR_KEYS) -> ErrorReport:
     """Errors of a trajectory against the nodal interpolant of an exact pair."""
     state = _state_at(trajectory, t)
-    uI = mesh.nodal_vector(exact_u, state.t, interior=True)
-    pI = mesh.nodal_scalar(exact_p, state.t, interior=True)
+    uI = mesh.nodal_vector(exact_u, state.t)
+    pI = mesh.nodal_scalar(exact_p, state.t)
     calc = NormCalculator(mesh, coeffs)
     return _measure(calc, state.u - uI, state.p - pI, uI, pI, state.t, kinds)
 
@@ -165,7 +165,7 @@ def p_error_time_integrated(mesh: Mesh, coeffs: Coefficients, trajectory,
         mid = 0.5 * (cur.t + prev.t)
         for x, w in zip(xi, wi):
             t = mid + half * x
-            diff = mesh.nodal_scalar(exact_p, t, interior=True) - cur.p
+            diff = mesh.nodal_scalar(exact_p, t) - cur.p
             total += w * half * calc.norm(NormKind.Q, p=diff) ** 2
     return math.sqrt(total)
 

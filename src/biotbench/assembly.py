@@ -423,8 +423,9 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     interior nodal values on the mesh with n/2^(k+1) cells per side to
     the values of their P1 interpolant at the interior nodes of the one
     with n/2^k.  Level 0's fine pattern is the scalar plan's, which C and
-    every B(u) are assembled on, and each level's Galerkin map carries an
-    operator's values on it down to the next pattern: the per-step
+    every B(u) are assembled on, held as the plan's own index arrays,
+    which ``_pattern`` makes read-only.  Each level's Galerkin map carries
+    an operator's values on it down to the next pattern: the per-step
     coarse operators cost one sparse matrix-vector product per level.
     The hierarchy halves n while n is even and its half has at least
     ``_COARSEST_CELLS`` cells per side.  A mesh with fewer than
@@ -441,7 +442,7 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     levels = data.maps.get("prolongations")
     if levels is None:
         plan = _plan(mesh, "scalar", "scalar", True)
-        pattern = _pattern(plan.indptr.copy(), plan.indices.copy())
+        pattern = _pattern(plan.indptr, plan.indices)
         levels, fine = [], mesh
         while fine.n % 2 == 0 and fine.n // 2 >= _COARSEST_CELLS:
             coarse = build_structured_mesh(fine.n // 2)

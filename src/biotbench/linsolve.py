@@ -94,8 +94,8 @@ def matvec(op, x) -> np.ndarray:
 
 
 def rmatvec(op, x) -> np.ndarray:
-    """``op.T @ x`` for a CSR ``op``, checked as ``matvec``: scipy's compiled CSC
-    kernel on op's own arrays, which are op.T's in CSC, so no transpose is stored."""
+    """``op.T @ x`` for a CSR ``op``, checked as ``matvec``: the compiled CSC kernel
+    ``op.T @ x`` dispatches to, on op's own arrays (op.T's in CSC), so no transpose is built."""
     if x.shape != (op.shape[0],):
         raise ValueError(f"vector of shape {x.shape} for the transpose of an operator "
                          f"of shape {op.shape}")
@@ -371,8 +371,8 @@ class _VCycle:
             self._levels.append((op, _JACOBI_WEIGHT / d, level.P, level.R))
             data = matvec(level.galerkin, data)
         coarse, n = levels[-1].coarse, levels[-1].P.shape[1]
-        self._coarse = SpdFactorization(sp.csr_matrix(
-            (data, coarse.indices.copy(), coarse.indptr.copy()), shape=(n, n)))
+        self._coarse = SpdFactorization(sp.csr_matrix((data, coarse.indices, coarse.indptr),
+                                                      shape=(n, n)))
 
     def __call__(self, b, level=0):
         if level == len(self._levels):

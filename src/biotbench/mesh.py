@@ -45,16 +45,12 @@ class Mesh:
         return np.flatnonzero(~self.boundary_mask)
 
     @property
-    def num_interior(self) -> int:
+    def num_pressure_dofs(self) -> int:
         return int((~self.boundary_mask).sum())
 
     @property
-    def num_pressure_dofs(self) -> int:
-        return self.num_interior
-
-    @property
     def num_displacement_dofs(self) -> int:
-        return 2 * self.num_interior
+        return 2 * self.num_pressure_dofs
 
     def interior_displacement_dofs(self) -> np.ndarray:
         """Full-space displacement dof numbers (2*node+comp) kept after elimination."""
@@ -79,21 +75,20 @@ class Mesh:
         full[self.interior_displacement_dofs()] = interior
         return full
 
-    def nodal_scalar(self, fn, t=None, interior=False) -> np.ndarray:
-        """Interpolate a scalar function fn(x, y[, t]) at the mesh nodes."""
+    def nodal_scalar(self, fn, t=None) -> np.ndarray:
+        """Interior values of a scalar function fn(x, y[, t]) at the mesh nodes."""
         x, y = self.nodes[:, 0], self.nodes[:, 1]
         values = fn(x, y) if t is None else fn(x, y, t)
-        values = np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
-        return self.restrict_scalar(values) if interior else values
+        return self.restrict_scalar(np.broadcast_to(np.asarray(values, dtype=float), x.shape))
 
-    def nodal_vector(self, fn, t=None, interior=False) -> np.ndarray:
-        """Interpolate a vector function fn(x, y[, t]) -> (v1, v2), interleaved."""
+    def nodal_vector(self, fn, t=None) -> np.ndarray:
+        """Interior values of a vector function fn(x, y[, t]) -> (v1, v2), interleaved."""
         x, y = self.nodes[:, 0], self.nodes[:, 1]
         v1, v2 = fn(x, y) if t is None else fn(x, y, t)
         full = np.empty(2 * self.num_nodes)
         full[0::2] = np.broadcast_to(np.asarray(v1, dtype=float), x.shape)
         full[1::2] = np.broadcast_to(np.asarray(v2, dtype=float), x.shape)
-        return self.restrict_vector(full) if interior else full
+        return self.restrict_vector(full)
 
 
 def build_structured_mesh(n: int) -> Mesh:

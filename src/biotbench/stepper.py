@@ -29,8 +29,8 @@ from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass,
                        pressure_prolongations, pressure_sum)
-from .linsolve import (BlockSystem, SpdFactorization, factor_banded, solve_block,
-                       solve_pressure)
+from .linsolve import (BlockSystem, SpdFactorization, factor_banded, rmatvec,
+                       solve_block, solve_pressure)
 from .mesh import Mesh
 
 #: forcing term of the Picard inner solves: an iterate that is neither the
@@ -130,13 +130,13 @@ class RunReport:
 class SharedOperators:
     """Time-independent operators of one mesh, each built on first request.
 
-    Every semi-explicit or Picard run reads its A, A's factor, C, D, D^T,
+    Every semi-explicit or Picard run reads its A, A's factor, C, D,
     the unscaled mass M and the fixed-stress C + beta*M from a store: its
     own when it is given none, or one that the runs of a study on one mesh
     share.  Those runs differ in scheme, step size or alpha.  Each piece
     is kept under the coefficients it reads: A and its factor (banded
     while A's band is small, see ``linsolve.factor_banded``) under lam
-    and mu, C under M, D and D^T under alpha, M once per mesh and
+    and mu, C under M, D under alpha, M once per mesh and
     C + beta*M under M and beta.  D is assembled for each alpha: alpha
     times another alpha's D is not bit-identical.  A piece is built by the
     run that first asks for it, and stored only once it is complete, so a
@@ -160,7 +160,7 @@ class StepOperators:
     A semi-explicit or Picard run forms and factors its SPD operators
     here: A by ``linsolve.factor_banded`` and the fixed-stress pressure
     operator by ``linsolve.SpdFactorization``, which counts every factor.
-    A, its factor, C, D, D^T, M and C + beta*M are read through ``shared``,
+    A, its factor, C, D, M and C + beta*M are read through ``shared``,
     a private ``SharedOperators`` of the mesh when none is given, so each is
     built once per store.  The elasticity factor serves the initial
     displacement solve, every semi-explicit step and, on the Picard path,
@@ -193,8 +193,6 @@ class StepOperators:
                             lambda: assemble_elasticity(mesh, coeffs))
         self.C = shared.get(("C", coeffs.M), lambda: assemble_pressure_mass(mesh, coeffs))
         self.D = shared.get(("D", coeffs.alpha), lambda: assemble_coupling(mesh, coeffs))
-        # D's CSC view: the same csc_matvec as the delay path's D.T @, built once
-        self.DT = shared.get(("D^T", coeffs.alpha), lambda: self.D.T)
         self._block = None
 
     def a_factor(self) -> SpdFactorization:
@@ -245,7 +243,7 @@ def initial_displacement(ops: StepOperators, p0, f0=None) -> np.ndarray:
     an optional assembled interior load vector.  The solve uses the run's
     shared elasticity factor, which the semi-explicit steps then reuse.
     """
-    rhs = ops.DT @ np.asarray(p0, dtype=float)
+    rhs = rmatvec(ops.D, np.asarray(p0, dtype=float))
     if f0 is not None:
         rhs = rhs + f0
     return ops.a_factor().solve(rhs)
@@ -262,7 +260,7 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     crossover, see ``assembly.pressure_prolongations``).
     """
     tau = cfg.tau
-    u_new = ops.a_factor().solve(load_u + ops.DT @ state.p)
+    u_new = ops.a_factor().solve(load_u + rmatvec(ops.D, state.p))
 
     B = ops.permeability_stiffness(u_new)
     rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
@@ -284,7 +282,7 @@ def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
     normalizations agree up to a small factor.
     """
     Au = ops.A @ u
-    DTp = ops.DT @ p
+    DTp = rmatvec(ops.D, p)
     Du = ops.D @ u
     Cp = ops.C @ p
     Bp = tau * (B @ p)
@@ -378,7 +376,7 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
         return states, report
 
     ops = StepOperators(mesh, coeffs, shared)
-    p0_vec = mesh.nodal_scalar(p0, interior=True)
+    p0_vec = mesh.nodal_scalar(p0)
     zero_u = np.zeros(mesh.num_displacement_dofs)
     f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
     u0 = initial_displacement(ops, p0_vec, f0)
@@ -408,16 +406,18 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     both endpoints of [-tau, 0].  Written independently of
     ``semi_explicit_step`` so the two paths can be compared against each
     other: its own loop, and its own operators rather than those of
-    ``StepOperators``.  One factor of A by ``linsolve.factor_banded``
-    serves u0 and every step, and each ``assembly.pressure_sum`` C + tau*B
-    is solved by ``linsolve.solve_pressure`` from the previous pressure on
-    the mesh's ``pressure_prolongations``: the same calls as on the
-    semi-explicit path, so its solves are verified and refined exactly
-    alike and each makes one factor (the LU of C + tau*B, or of its
-    coarsest multigrid level).
+    ``StepOperators``; the pressure history it reads is its own states.
+    It makes the semi-explicit path's calls: D^T is applied by
+    ``linsolve.rmatvec`` on D, one factor of A by
+    ``linsolve.factor_banded`` serves u0 and every step, and each
+    ``assembly.pressure_sum`` C + tau*B is solved by
+    ``linsolve.solve_pressure`` from the previous pressure on the mesh's
+    ``pressure_prolongations``, so its solves are verified and refined
+    exactly alike and each makes one factor (the LU of C + tau*B, or of
+    its coarsest multigrid level).
     """
     tau = cfg.tau
-    p0_vec = mesh.nodal_scalar(p0, interior=True)
+    p0_vec = mesh.nodal_scalar(p0)
     history = cfg.history if cfg.history is not None else (lambda t: p0_vec)
 
     scale = max(1.0, float(np.max(np.abs(p0_vec))) if p0_vec.size else 1.0)
@@ -440,20 +440,18 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     # one factor of A serves u0 and every step
     a_lu = factor_banded(A)
     # initial displacement from the delayed pressure at -tau
-    u0 = a_lu.solve(load_u_at(0.0) + D.T @ history(-tau))
+    u0 = a_lu.solve(load_u_at(0.0) + rmatvec(D, np.asarray(history(-tau), dtype=float)))
 
-    pressures = [p0_vec]
     states = [State(u0, p0_vec, 0.0)]
     for n in range(1, cfg.n_steps + 1):
         t_n = n * tau
-        delayed = history(t_n - tau) if n == 1 else pressures[n - 1]
-        u_n = a_lu.solve(load_u_at(t_n) + D.T @ np.asarray(delayed, dtype=float))
+        last = states[-1]
+        delayed = history(t_n - tau) if n == 1 else last.p
+        u_n = a_lu.solve(load_u_at(t_n) + rmatvec(D, np.asarray(delayed, dtype=float)))
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
-        rhs = tau * assemble_load_q(mesh, g, t_n) + C @ pressures[-1] \
-            - D @ (u_n - states[-1].u)
-        p_n, _ = solve_pressure(pressure_sum(C, tau, B), rhs, pressures[-1],
+        rhs = tau * assemble_load_q(mesh, g, t_n) + C @ last.p - D @ (u_n - last.u)
+        p_n, _ = solve_pressure(pressure_sum(C, tau, B), rhs, last.p,
                                 pressure_prolongations(mesh))
-        pressures.append(p_n)
         states.append(State(u_n, p_n, t_n))
     return states
 

@@ -59,7 +59,7 @@ def test_criterion_02_delay_equivalence():
     cfg_semi = bb.StepperConfig(scheme="semi_explicit", tau=tau, T=1.0)
     semi, _ = bb.run(mesh, prob.coeffs, cfg_semi, prob.f, prob.g, prob.p0)
 
-    p0 = mesh.nodal_scalar(prob.p0, interior=True)
+    p0 = mesh.nodal_scalar(prob.p0)
     histories = {
         "constant": None,
         "smooth nonconstant": lambda t: p0 * (1.0 + math.sin(math.pi * t / tau) ** 2),

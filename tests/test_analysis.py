@@ -86,8 +86,8 @@ def test_manufactured_error_vanishes_for_exact_input():
     mesh = build_structured_mesh(6)
     t = 0.5
     from biotbench.stepper import State
-    state = State(u=mesh.nodal_vector(prob.exact_u, t, interior=True),
-                  p=mesh.nodal_scalar(prob.exact_p, t, interior=True), t=t)
+    state = State(u=mesh.nodal_vector(prob.exact_u, t),
+                  p=mesh.nodal_scalar(prob.exact_p, t), t=t)
     report = error_vs_manufactured(mesh, prob.coeffs, [state], prob.exact_u,
                                    prob.exact_p)
     for value in report.absolute.values():

@@ -524,7 +524,7 @@ def test_pressure_prolongations_are_the_interior_restriction_of_mesh_prolong():
     for (P, R, *_), m in zip(levels, (16, 8)):
         coarse, fine = build_structured_mesh(m), build_structured_mesh(2 * m)
         columns = [fine.restrict_scalar(prolong(coarse, fine, coarse.extend_scalar(e)))
-                   for e in np.eye(coarse.num_interior)]
+                   for e in np.eye(coarse.num_pressure_dofs)]
         assert np.array_equal(P.toarray(), np.column_stack(columns))
         # no stored zero, which would widen every Galerkin product
         assert np.all((P.data == 1.0) | (P.data == 0.5))

@@ -15,7 +15,7 @@ def test_counts(n, nodes, tris, bnodes, inodes):
     assert mesh.num_nodes == nodes == (n + 1) ** 2
     assert mesh.num_triangles == tris == 2 * n * n
     assert mesh.boundary_mask.sum() == bnodes == 4 * n
-    assert mesh.num_interior == inodes
+    assert mesh.num_pressure_dofs == inodes
 
 
 def test_rejects_zero_subdivisions():
@@ -47,7 +47,7 @@ def test_interior_index_is_compaction():
     mesh = build_structured_mesh(4)
     assert (mesh.interior_index[mesh.boundary_mask] == -1).all()
     inner = mesh.interior_index[~mesh.boundary_mask]
-    assert sorted(inner) == list(range(mesh.num_interior))
+    assert sorted(inner) == list(range(mesh.num_pressure_dofs))
 
 
 def test_prolong_zero_and_linear_reproduction():
