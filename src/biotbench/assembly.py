@@ -16,9 +16,9 @@ once per element, and loads use the three edge-midpoint quadrature rule
 Everything that depends on the mesh alone is computed once per mesh and
 kept in a cache keyed weakly by the ``Mesh`` object, so it is dropped with
 the mesh: the element geometry, the dof tables, the unique edge midpoints
-with the element->edge map, per pair of spaces a scatter plan, per space
-the dof each load addend goes to, the two sparse maps the
-permeability stiffness B(u) is read through, and, from the multigrid
+with the element->edge map and each edge's endpoints, per pair of spaces
+a scatter plan, the load map, the two sparse maps the permeability
+stiffness B(u) is read through, and, from the multigrid
 crossover on, the pressure space's multigrid hierarchy
 (``pressure_prolongations``, built on its first request): per level the
 prolongation, ``mesh.prolongation`` restricted to the interior nodes,
@@ -26,16 +26,19 @@ and the Galerkin map, a sparse map from the values of any operator on
 the level's pattern to those of its coarsening P^T A P on the next
 one.  C and every B(u) share the scalar plan's pattern, and every sum
 of them keeps it (``pressure_sum``), so the map replaces two sparse
-products per level and step.  The load vectors
-evaluate the forcing once per mesh edge, on those midpoints, and gather
-the values to the elements.  A plan fixes the CSR pattern and maps every
-element-matrix entry to its nonzero slot.  It is built by replaying
-scipy's COO to CSR conversion (a row-stable counting sort, a per-row sort
-on column keys, summation of duplicate runs in order) on entry numbers
-instead of values.  Applying it with one weighted ``np.bincount``
+products per level and step.  The load vectors evaluate the forcing
+once per mesh edge, on those midpoints, and take the values to the
+nodes by one sparse product with the load map, whose entry (i, e) is the
+sum of |T|/6 over the elements T sharing edge e, at the rows of e's
+endpoints i; the displacement load applies it to the (edges x 2) values
+at once, which gives its interleaved dofs.  A plan fixes the CSR pattern
+and maps every element-matrix entry to its nonzero slot.  It is built by
+replaying scipy's COO to CSR conversion (a row-stable counting sort, a
+per-row sort on column keys, summation of duplicate runs in order) on
+entry numbers instead of values.  Applying it with one weighted ``np.bincount``
 therefore adds every slot's addends one after another in exactly the
-order ``coo_matrix(...).tocsr()`` adds them, so the operators and load
-vectors are bit-identical to those of a plain COO assembly.
+order ``coo_matrix(...).tocsr()`` adds them, so the operators are
+bit-identical to those of a plain COO assembly.
 
 B(u) is the one operator that changes with the state, so it costs two
 sparse products per call and builds no element matrices.  The
@@ -130,13 +133,13 @@ class _MeshData:
         i, j = start[first], end[first]
         node_x, node_y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         self.x, self.y = 0.5 * (node_x[i] + node_x[j]), 0.5 * (node_y[i] + node_y[j])
+        self.edge_nodes = np.stack([i, j], axis=1)
         self.element_edges = edges.reshape(mesh.num_triangles, 3)
         self.spaces = {"scalar": (mesh.triangles, node_map), "vector": (element_dofs, dof_map)}
-        for arr in (b, c, area, self.grad_grad, self.x, self.y, self.element_edges,
-                    element_dofs, dof_map):
+        for arr in (b, c, area, self.grad_grad, self.x, self.y, self.edge_nodes,
+                    self.element_edges, element_dofs, dof_map):
             arr.flags.writeable = False
         self.plans = {}
-        self.loads = {}
         self.maps = {}
 
 
@@ -338,9 +341,10 @@ def _permeability_map(mesh: Mesh, interior_only):
 
 
 #: a mesh of fewer cells per side has no pressure hierarchy, so its per-step
-#: pressure operator is solved by its LU: the measured crossover, where that
-#: and multigrid-preconditioned CG take about equally long
-_MULTIGRID_CELLS = 24
+#: pressure operator is solved by its LU: multigrid-preconditioned CG was
+#: measured faster from n = 16 on, and n = 16, where criterion 2 compares the
+#: semi-explicit and delay paths, keeps the LU
+_MULTIGRID_CELLS = 18
 #: the pressure hierarchy stops at a mesh of at least this many cells per side
 _COARSEST_CELLS = 8
 
@@ -519,60 +523,59 @@ def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior
     return _csr(plan, bmap @ (kappa / (4.0 * area)))
 
 
-# vertex weights of the edge-midpoint rule: vertex i gets 1/2 on its two edges
-_MIDPOINT_VERTEX_WEIGHTS = 0.5 * np.array([[1.0, 0.0, 1.0],
-                                           [1.0, 1.0, 0.0],
-                                           [0.0, 1.0, 1.0]])
+def _load_map(mesh: Mesh, interior_only) -> sp.csr_matrix:
+    """The CSR map from values at the unique edge midpoints to the nodal load, cached per mesh.
 
-
-def _midpoint_load(mesh: Mesh, kind, components, interior_only):
-    """int v q dx over the scalar or vector space from the values of v at the
-    unique edge midpoints, one value array (or scalar) per component.
-
-    Each element gathers its three edge values through the element->edge
-    map, so the weights are those of the element-local rule, and
-    ``np.bincount`` adds each dof's contributions in element order, as
-    ``np.add.at`` on the full vector does.
+    The edge-midpoint rule gives vertex i of an element T the weight
+    |T|/3 * 1/2 at the midpoints of its two edges, so entry (i, e) is the
+    sum of |T|/6 over the (one or two) elements that share edge e, at
+    the rows of e's two endpoints: interior nodes in their interior
+    numbering, or every node if not ``interior_only``.  Built straight
+    from the edge endpoints, which are its columns in CSC; the conversion
+    to CSR keeps each node's edges in increasing order.  Cached per mesh
+    and ``interior_only``; both loads read the same map.
     """
     data = _mesh_data(mesh)
-    _, _, area = data.geometry
-    edges = data.element_edges
-    weights = [(area / 3.0)[:, None]
-               * (np.broadcast_to(np.asarray(vals, dtype=float), data.x.shape)[edges]
-                  @ _MIDPOINT_VERTEX_WEIGHTS.T)
-               for vals in components]
-    seg, n = _load_targets(mesh, kind, interior_only)
-    return np.bincount(seg, weights=np.concatenate(weights).ravel(), minlength=n + 1)[:n]
+    key = ("load", interior_only)
+    lmap = data.maps.get(key)
+    if lmap is None:
+        _, node_map = _space(mesh, "scalar", interior_only)
+        _, _, area = data.geometry
+        n_edges = data.x.size
+        weight = np.bincount(data.element_edges.ravel(), weights=np.repeat(area / 6.0, 3),
+                             minlength=n_edges)
+        ends = node_map[data.edge_nodes].astype(np.int32)
+        keep = ends >= 0
+        per_edge = np.count_nonzero(keep, axis=1)
+        indptr = np.zeros(n_edges + 1, dtype=np.int32)
+        np.cumsum(per_edge, out=indptr[1:])
+        columns = sp.csc_matrix((np.repeat(weight, per_edge), ends[keep], indptr),
+                                shape=(int(np.count_nonzero(node_map >= 0)), n_edges))
+        lmap = data.maps[key] = columns.tocsr()
+    return lmap
 
 
-def _load_targets(mesh: Mesh, kind, interior_only):
-    """The assembled dof each load addend goes to, flattened in the order
-    ``_midpoint_load`` stacks its weights, and the dof count n; an addend
-    on a dropped Dirichlet dof goes to n.  Cached per mesh."""
-    loads = _mesh_data(mesh).loads
-    key = (kind, interior_only)
-    targets = loads.get(key)
-    if targets is None:
-        element_dofs, dof_map = _space(mesh, kind, interior_only)
-        components = element_dofs.shape[1] // 3
-        # component k of a vector field sits on the dofs 2*node + k
-        dofs = np.concatenate([element_dofs[:, k::components] for k in range(components)])
-        n = int(np.count_nonzero(dof_map >= 0))
-        seg = np.where(dof_map >= 0, dof_map, n)[dofs].ravel()
-        seg.flags.writeable = False
-        targets = loads[key] = (seg, n)
-    return targets
+def _midpoint_load(mesh: Mesh, components, interior_only) -> np.ndarray:
+    """int v q dx from the values of v at the unique edge midpoints, one value
+    array (or scalar) per component: the load map times the (edges x
+    components) values, which for a vector field gives the interleaved
+    dofs 2*node + component."""
+    data = _mesh_data(mesh)
+    values = np.empty((data.x.size, len(components)))
+    for k, vals in enumerate(components):
+        values[:, k] = vals
+    return (_load_map(mesh, interior_only) @ values).ravel()
 
 
 def assemble_load_q(mesh: Mesh, g, t: float, interior_only=True) -> np.ndarray:
     """Pressure load vector int g q dx by the edge-midpoint rule; g is
     evaluated once, on the mesh's unique edge midpoints."""
     data = _mesh_data(mesh)
-    return _midpoint_load(mesh, "scalar", [g(data.x, data.y, t)], interior_only)
+    return _midpoint_load(mesh, [g(data.x, data.y, t)], interior_only)
 
 
 def assemble_load_v(mesh: Mesh, f, t: float, interior_only=True) -> np.ndarray:
     """Displacement load vector int f . v dx by the edge-midpoint rule; f is
     evaluated once, on the mesh's unique edge midpoints."""
     data = _mesh_data(mesh)
-    return _midpoint_load(mesh, "vector", list(f(data.x, data.y, t)), interior_only)
+    return _midpoint_load(mesh, list(f(data.x, data.y, t)), interior_only)

@@ -9,19 +9,23 @@ the difference of its count between the run's start and end.  The
 semi-explicit pressure operator C + tau*B(u), which changes every step
 and keeps the scalar plan's pattern, is solved by ``solve_pressure`` on
 the multigrid hierarchy its caller passes: by its LU when the hierarchy
-is empty, and otherwise by CG from the previous pressure, preconditioned
-by one geometric multigrid V-cycle whose coarsest level is the step's one
-``splu`` factor.  The V-cycle's coarse operators are read off the
-operator's own values through the hierarchy's per-mesh Galerkin maps, one
+is empty, and otherwise by CG from the caller's warm start,
+preconditioned by one geometric multigrid V-cycle whose coarsest level
+is the step's one ``splu`` factor.  The CG loop and the V-cycle update
+vectors made once per solve, in place (``matvec`` writes into a given
+vector), with the same two roundings per update as a freshly allocated
+expression.  The V-cycle's coarse operators are read off the operator's
+own values through the hierarchy's per-mesh Galerkin maps, one
 matrix-vector product per level, and the solve's products with CSR
 operators go through ``matvec``, scipy's compiled kernel without its
 Python dispatch: a pressure solve builds no sparse matrix but its
-coarsest level's.  Each SPD solve, direct or
-iterative, is verified post hoc by the normwise backward error of an
-independent matrix-vector residual (``NormwiseError``), with iterative
-refinement.  The coupled two-by-two block systems of the implicit/Picard
-path are solved by ``solve_block``: u is eliminated with the exact factor
-of A, and CG solves the SPD pressure Schur complement
+coarsest level's.  Each SPD solve, direct or iterative, is verified post
+hoc by the normwise backward error of an independent matrix-vector
+residual (``NormwiseError``), with iterative refinement; its residuals
+go through ``matvec`` and its norms through one dot product and square
+root (``_norm``).  The coupled two-by-two block systems of the
+implicit/Picard path are solved by ``solve_block``: u is eliminated with
+the exact factor of A, and CG solves the SPD pressure Schur complement
 C + tau*B + D A^-1 D^T, preconditioned by the factor of the fixed-stress
 operator; both factors are kept by the caller, so a block solve
 factorizes nothing.  It is verified by the normwise backward error of
@@ -77,20 +81,27 @@ class CsrArrays(NamedTuple):
     shape: tuple
 
 
-def matvec(op, x) -> np.ndarray:
+def matvec(op, x, out=None) -> np.ndarray:
     """``op @ x`` for a CSR ``op`` (a scipy CSR matrix or ``CsrArrays``) and a float vector.
 
     The compiled kernel scipy's own product calls, on a zeroed result of
     the same type, so the same bits, without scipy's Python dispatch
-    around it.  The index arrays may be int32 or int64.  The kernel
-    reads x at op's column indices unchecked, so x's length is checked
-    here, as scipy's product checks it.
+    around it.  The result is written into ``out`` when given, a float
+    vector of op's row count that is zeroed first, so a Krylov loop
+    allocates nothing.  The index arrays may be int32 or int64.  The
+    kernel reads x at op's column indices unchecked, so x's length is
+    checked here, as scipy's product checks it.
     """
     if x.shape != (op.shape[1],):
         raise ValueError(f"vector of shape {x.shape} for an operator of shape {op.shape}")
-    y = np.zeros(op.shape[0])
-    _sparsetools.csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data, x, y)
-    return y
+    if out is None:
+        out = np.zeros(op.shape[0])
+    elif out.shape != (op.shape[0],):
+        raise ValueError(f"output of shape {out.shape} for an operator of shape {op.shape}")
+    else:
+        out.fill(0.0)
+    _sparsetools.csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data, x, out)
+    return out
 
 
 def rmatvec(op, x) -> np.ndarray:
@@ -126,7 +137,7 @@ class NormwiseError:
 
     def scale(self, x, rhs_norm):
         """The denominator ||op||_inf ||x|| + ||rhs||."""
-        return self._ratio * (self._peak * np.linalg.norm(x)) + rhs_norm
+        return self._ratio * (self._peak * _norm(x)) + rhs_norm
 
 
 class SpdFactorization:
@@ -161,7 +172,7 @@ class SpdFactorization:
     def _backward_error(self, x, rhs):
         if self._error is None:
             self._error = NormwiseError(self.op)
-        return self._error(np.linalg.norm(self.op @ x - rhs), x, np.linalg.norm(rhs))
+        return self._error(_norm(matvec(self.op, x) - rhs), x, _norm(rhs))
 
     def solve(self, rhs):
         """Solve, refining until the normwise backward error is at most ``DEFAULT_TOL``.
@@ -182,7 +193,7 @@ class SpdFactorization:
         for _ in range(2):
             if np.isfinite(err) and err <= DEFAULT_TOL:
                 break
-            x = x + self._lu.solve(rhs - self.op @ x)
+            x = x + self._lu.solve(rhs - matvec(self.op, x))
             err = self._backward_error(x, rhs)
         if not np.isfinite(err) or err > DEFAULT_TOL:
             raise SolverFailure("SPD solve failed", err)
@@ -314,35 +325,38 @@ def solve_pressure(op, rhs, guess, levels):
         return np.zeros_like(rhs), 0
     error = NormwiseError(op)
     norm_b = _norm(rhs)
+    # the iterate, two residuals (current and previous), the preconditioned
+    # residual, the direction, op times the direction, and a scratch vector
     x = np.array(guess, dtype=float)
+    r, r_old, z, p, q, t = (np.empty_like(rhs) for _ in range(6))
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
-        r = rhs - matvec(op, x)
+        np.subtract(rhs, matvec(op, x, out=q), out=r)
         while True:
             err = error(_norm(r), x, norm_b)
             if err <= DEFAULT_TOL:
                 return x, iterations
             if not math.isfinite(err) or iterations >= _CG_MAX:
                 raise SolverFailure("pressure CG solve failed", err)
-            z = precondition(r)
+            precondition(r, z)
             rz = float(r @ z)
-            p = z
+            np.copyto(p, z)
             while iterations < _CG_MAX:
-                q = matvec(op, p)
+                matvec(op, p, out=q)
                 curvature = float(p @ q)
                 if not (rz > 0.0 and 0.0 < curvature < math.inf):
                     raise SolverFailure("pressure CG broke down: the operator or its "
                                         "preconditioner is not SPD", err)
                 step = rz / curvature
-                x = x + step * p
-                r_old, r = r, r - step * q
+                np.add(x, np.multiply(step, p, out=t), out=x)
+                r_old, r = r, np.subtract(r, np.multiply(step, q, out=t), out=r_old)
                 iterations += 1
                 if _norm(r) <= DEFAULT_TOL * error.scale(x, norm_b):
                     break
-                z = precondition(r)
+                precondition(r, z)
                 rz_old, rz = rz, float(r @ z)
-                p = z + ((rz - float(r_old @ z)) / rz_old) * p
-            r = rhs - matvec(op, x)
+                np.add(z, np.multiply((rz - float(r_old @ z)) / rz_old, p, out=p), out=p)
+            np.subtract(rhs, matvec(op, x, out=q), out=r)
 
 
 class _VCycle:
@@ -356,7 +370,9 @@ class _VCycle:
     Jacobi with weight ``_JACOBI_WEIGHT``: one sweep from zero before the
     coarse correction and two after.  A diagonal entry that is not
     positive and finite raises SolverFailure, since Jacobi cannot smooth
-    with it.
+    with it.  Each level keeps a scratch vector and the right-hand side
+    and iterate of the level below it, made with the cycle, so applying
+    it allocates nothing but the coarsest back-solve's result.
     """
 
     def __init__(self, data, levels):
@@ -366,22 +382,28 @@ class _VCycle:
             if not np.all((d > 0.0) & (d < np.inf)):
                 raise SolverFailure("pressure operator has a diagonal entry that is not "
                                     "positive and finite")
-            n = level.P.shape[0]
+            n, m = level.P.shape
             op = CsrArrays(data, level.fine.indices, level.fine.indptr, (n, n))
-            self._levels.append((op, _JACOBI_WEIGHT / d, level.P, level.R))
+            self._levels.append((op, _JACOBI_WEIGHT / d, level.P, level.R,
+                                 np.empty(n), np.empty(m), np.empty(m)))
             data = matvec(level.galerkin, data)
         coarse, n = levels[-1].coarse, levels[-1].P.shape[1]
         self._coarse = SpdFactorization(sp.csr_matrix((data, coarse.indices, coarse.indptr),
                                                       shape=(n, n)))
 
-    def __call__(self, b, level=0):
-        if level == len(self._levels):
-            return self._coarse.back_solve(b)
-        op, weight, P, R = self._levels[level]
-        x = weight * b
-        x += matvec(P, self(matvec(R, b - matvec(op, x)), level + 1))
+    def __call__(self, b, x, level=0):
+        """Write the cycle applied to ``b`` into ``x``, and return ``x``."""
+        op, weight, P, R, t, coarse_b, coarse_x = self._levels[level]
+        np.multiply(weight, b, out=x)
+        matvec(R, np.subtract(b, matvec(op, x, out=t), out=t), out=coarse_b)
+        if level + 1 == len(self._levels):
+            coarse_x = self._coarse.back_solve(coarse_b)
+        else:
+            self(coarse_b, coarse_x, level + 1)
+        np.add(x, matvec(P, coarse_x, out=t), out=x)
         for _ in range(_POST_SWEEPS):
-            x += weight * (b - matvec(op, x))
+            np.subtract(b, matvec(op, x, out=t), out=t)
+            np.add(x, np.multiply(weight, t, out=t), out=x)
         return x
 
 

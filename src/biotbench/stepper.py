@@ -29,8 +29,8 @@ from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_load_q, assemble_load_v, assemble_mass,
                        assemble_permeability_stiffness, assemble_pressure_mass,
                        pressure_prolongations, pressure_sum)
-from .linsolve import (BlockSystem, SpdFactorization, factor_banded, rmatvec,
-                       solve_block, solve_pressure)
+from .linsolve import (BlockSystem, SpdFactorization, _norm, factor_banded, matvec,
+                       rmatvec, solve_block, solve_pressure)
 from .mesh import Mesh
 
 #: forcing term of the Picard inner solves: an iterate that is neither the
@@ -250,24 +250,40 @@ def initial_displacement(ops: StepOperators, p0, f0=None) -> np.ndarray:
 
 
 def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
-                       cfg: StepperConfig):
+                       cfg: StepperConfig, guess):
     """Advance one step with the decoupled, linearized scheme.
 
     Exactly two sequential SPD solves: the elasticity solve lags the
     pressure by one step, then the flow solve uses the permeability
-    evaluated at the new displacement, warm-started from the previous
-    pressure, on the mesh's multigrid hierarchy (none below the
-    crossover, see ``assembly.pressure_prolongations``).
+    evaluated at the new displacement, on the mesh's multigrid hierarchy
+    (none below the crossover, see ``assembly.pressure_prolongations``).
+    ``guess`` is the pressure CG's warm start, which ``run`` extrapolates
+    from the last two pressures (``pressure_guess``); the LU path below
+    the crossover ignores it.
     """
     tau = cfg.tau
     u_new = ops.a_factor().solve(load_u + rmatvec(ops.D, state.p))
 
     B = ops.permeability_stiffness(u_new)
-    rhs_p = tau * load_p + ops.C @ state.p - ops.D @ (u_new - state.u)
-    p_new, _ = solve_pressure(pressure_sum(ops.C, tau, B), rhs_p, state.p,
+    rhs_p = tau * load_p + matvec(ops.C, state.p) - matvec(ops.D, u_new - state.u)
+    p_new, _ = solve_pressure(pressure_sum(ops.C, tau, B), rhs_p, guess,
                               pressure_prolongations(ops.mesh))
 
     return State(u_new, p_new, state.t + tau), StepReport()
+
+
+def pressure_guess(states) -> np.ndarray:
+    """The warm start of a step's pressure CG, from the trajectory so far.
+
+    The linear extrapolation 2 p_{n-1} - p_{n-2} of the last two
+    pressures, or p_{n-1} on the first step: the simplest projection of a
+    solution that moves smoothly in time (Fischer, CMAME 1998).  The
+    semi-explicit and delay paths both take their guess from here, so
+    their solves start from the same bits.
+    """
+    if len(states) < 2:
+        return states[-1].p
+    return 2.0 * states[-1].p - states[-2].p
 
 
 def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
@@ -281,16 +297,16 @@ def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
     far above floating-point resolution; for unit-scale coefficients both
     normalizations agree up to a small factor.
     """
-    Au = ops.A @ u
+    Au = matvec(ops.A, u)
     DTp = rmatvec(ops.D, p)
-    Du = ops.D @ u
-    Cp = ops.C @ p
-    Bp = tau * (B @ p)
+    Du = matvec(ops.D, u)
+    Cp = matvec(ops.C, p)
+    Bp = tau * matvec(B, p)
     r_u = Au - DTp - rhs_u
     r_p = Du + Cp + Bp - rhs_p
-    residual = math.hypot(np.linalg.norm(r_u), np.linalg.norm(r_p))
-    scale = math.hypot(np.linalg.norm(rhs_u), np.linalg.norm(rhs_p)) + sum(
-        np.linalg.norm(v) for v in (Au, DTp, Du, Cp, Bp))
+    residual = math.hypot(_norm(r_u), _norm(r_p))
+    scale = math.hypot(_norm(rhs_u), _norm(rhs_p)) + sum(
+        _norm(v) for v in (Au, DTp, Du, Cp, Bp))
     return residual / scale if scale > 0 else residual
 
 
@@ -380,7 +396,6 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
     zero_u = np.zeros(mesh.num_displacement_dofs)
     f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
     u0 = initial_displacement(ops, p0_vec, f0)
-    step = semi_explicit_step if cfg.scheme == SEMI_EXPLICIT else implicit_picard_step
 
     states = [State(u0, p0_vec, 0.0)]
     reports = []
@@ -389,7 +404,11 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
         t_n = n * cfg.tau
         load_u = assemble_load_v(mesh, f, t_n) if f is not None else zero_u
         load_p = assemble_load_q(mesh, g, t_n)
-        state, rep = step(ops, states[-1], load_u, load_p, cfg)
+        if cfg.scheme == SEMI_EXPLICIT:
+            state, rep = semi_explicit_step(ops, states[-1], load_u, load_p, cfg,
+                                            pressure_guess(states))
+        else:
+            state, rep = implicit_picard_step(ops, states[-1], load_u, load_p, cfg)
         states.append(state)
         reports.append(rep)
     wall = time.perf_counter() - tic
@@ -408,13 +427,14 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     other: its own loop, and its own operators rather than those of
     ``StepOperators``; the pressure history it reads is its own states.
     It makes the semi-explicit path's calls: D^T is applied by
-    ``linsolve.rmatvec`` on D, one factor of A by
-    ``linsolve.factor_banded`` serves u0 and every step, and each
-    ``assembly.pressure_sum`` C + tau*B is solved by
-    ``linsolve.solve_pressure`` from the previous pressure on the mesh's
-    ``pressure_prolongations``, so its solves are verified and refined
-    exactly alike and each makes one factor (the LU of C + tau*B, or of
-    its coarsest multigrid level).
+    ``linsolve.rmatvec`` on D, and C p and D (u_n - u_{n-1}) by
+    ``linsolve.matvec``, one factor of A by ``linsolve.factor_banded``
+    serves u0 and every step, and each ``assembly.pressure_sum``
+    C + tau*B is solved by ``linsolve.solve_pressure`` on the mesh's
+    ``pressure_prolongations``, from the warm start ``pressure_guess``
+    extrapolates from its own states, so its solves are verified and
+    refined exactly alike and each makes one factor (the LU of C + tau*B,
+    or of its coarsest multigrid level).
     """
     tau = cfg.tau
     p0_vec = mesh.nodal_scalar(p0)
@@ -449,8 +469,9 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
         delayed = history(t_n - tau) if n == 1 else last.p
         u_n = a_lu.solve(load_u_at(t_n) + rmatvec(D, np.asarray(delayed, dtype=float)))
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
-        rhs = tau * assemble_load_q(mesh, g, t_n) + C @ last.p - D @ (u_n - last.u)
-        p_n, _ = solve_pressure(pressure_sum(C, tau, B), rhs, last.p,
+        rhs = (tau * assemble_load_q(mesh, g, t_n) + matvec(C, last.p)
+               - matvec(D, u_n - last.u))
+        p_n, _ = solve_pressure(pressure_sum(C, tau, B), rhs, pressure_guess(states),
                                 pressure_prolongations(mesh))
         states.append(State(u_n, p_n, t_n))
     return states

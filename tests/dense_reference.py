@@ -283,12 +283,17 @@ class ProductVCycle:
             op = level.R @ (op @ level.P)
         self._coarse = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
 
-    def __call__(self, b, level=0):
+    def __call__(self, b, x):
+        """Write the cycle applied to ``b`` into ``x``, as ``linsolve._VCycle`` does."""
+        x[:] = self._cycle(b, 0)
+        return x
+
+    def _cycle(self, b, level):
         if level == len(self._levels):
             return self._coarse.solve(b)
         op, weight, P, R = self._levels[level]
         x = weight * b
-        x += P @ self(R @ (b - op @ x), level + 1)
+        x += P @ self._cycle(R @ (b - op @ x), level + 1)
         for _ in range(linsolve._POST_SWEEPS):
             x += weight * (b - op @ x)
         return x

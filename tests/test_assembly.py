@@ -344,23 +344,39 @@ def test_divergence_map_agrees_with_the_element_gather(n):
         assert np.abs(div - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+# vertex weights of the element-local edge-midpoint rule, edges (0,1), (1,2),
+# (2,0): vertex i gets 1/2 on its two edges
+MIDPOINT_VERTEX_WEIGHTS = 0.5 * np.array([[1.0, 0.0, 1.0],
+                                          [1.0, 1.0, 0.0],
+                                          [0.0, 1.0, 1.0]])
+
+
 def add_at_load(mesh, components, interior_only):
-    """Edge-midpoint load summed with np.add.at into the full vector, then restricted."""
+    """Edge-midpoint load summed element by element with np.add.at into the
+    full vector, then restricted."""
     _, _, area = assembly.triangle_geometry(mesh)
     k = len(components)
     out = np.zeros(k * mesh.num_nodes)
     for comp, vals in enumerate(components):
         dofs = k * mesh.triangles + comp
         vals = np.broadcast_to(np.asarray(vals, dtype=float), dofs.shape)
-        np.add.at(out, dofs, (area / 3.0)[:, None] * (vals @ assembly._MIDPOINT_VERTEX_WEIGHTS.T))
+        np.add.at(out, dofs, (area / 3.0)[:, None] * (vals @ MIDPOINT_VERTEX_WEIGHTS.T))
     if not interior_only:
         return out
     return mesh.restrict_scalar(out) if k == 1 else mesh.restrict_vector(out)
 
 
+def assert_load_matches(load, reference):
+    # the load map adds each node's edge values in another order than the
+    # element-by-element sum, so the two agree to rounding, not bit for bit
+    assert load.shape == reference.shape
+    assert np.abs(load - reference).max(initial=0.0) <= 1e-15 * np.abs(reference).max(initial=0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 @pytest.mark.parametrize("interior_only", [True, False])
 def test_loads_equal_add_at_reference_bit_for_bit(n, interior_only):
+    # named for the element-order sum it once reproduced; see assert_load_matches
     mesh = build_structured_mesh(n)
     pts = mesh.nodes[mesh.triangles]
     mid = 0.5 * (pts + np.roll(pts, -1, axis=1))
@@ -368,12 +384,12 @@ def test_loads_equal_add_at_reference_bit_for_bit(n, interior_only):
     g = lambda x, y, t: np.exp(x - y) * np.sin(7.0 * x * y + t)
     f = lambda x, y, t: (x * y - t, np.cos(5.0 * x) + y ** 3)
     lq = assemble_load_q(mesh, g, 0.3, interior_only)
-    assert np.array_equal(lq, add_at_load(mesh, [g(x, y, 0.3)], interior_only))
+    assert_load_matches(lq, add_at_load(mesh, [g(x, y, 0.3)], interior_only))
     lv = assemble_load_v(mesh, f, 0.3, interior_only)
-    assert np.array_equal(lv, add_at_load(mesh, list(f(x, y, 0.3)), interior_only))
+    assert_load_matches(lv, add_at_load(mesh, list(f(x, y, 0.3)), interior_only))
     # a constant source comes back as a scalar and is broadcast over the midpoints
     lc = assemble_load_q(mesh, lambda x, y, t: 2.0, 0.0, interior_only)
-    assert np.array_equal(lc, add_at_load(mesh, [2.0], interior_only))
+    assert_load_matches(lc, add_at_load(mesh, [2.0], interior_only))
 
 
 def element_midpoints(mesh):
@@ -390,8 +406,13 @@ def test_unique_edge_midpoints_match_the_element_local_ones(n):
     x, y, edges = data.x, data.y, data.element_edges
     assert x.shape == y.shape == (3 * n * n + 2 * n,)
     assert x.flags.c_contiguous and y.flags.c_contiguous
-    assert not any(arr.flags.writeable for arr in (x, y, edges, data.grad_grad, *data.geometry))
+    assert not any(arr.flags.writeable for arr in (x, y, edges, data.edge_nodes,
+                                                   data.grad_grad, *data.geometry))
     assert len(set(zip(x.tolist(), y.tolist()))) == x.size
+    # each midpoint lies halfway between its edge's two endpoints
+    ends = mesh.nodes[data.edge_nodes]
+    assert np.array_equal(0.5 * (ends[:, 0, 0] + ends[:, 1, 0]), x)
+    assert np.array_equal(0.5 * (ends[:, 0, 1] + ends[:, 1, 1]), y)
     local_x, local_y = element_midpoints(mesh)
     assert np.array_equal(x[edges], local_x) and np.array_equal(y[edges], local_y)
     # an interior edge is shared by two elements, a boundary edge belongs to one
@@ -422,17 +443,22 @@ def test_forcing_is_called_once_per_load_on_the_edge_midpoints():
 
 def test_experiment_loads_equal_add_at_reference_on_element_midpoints():
     # the reference feeds the forcing strided (E, 3) arrays, the assembly
-    # contiguous edge arrays: numpy's vectorised sin/cos/exp must agree on both
+    # contiguous edge arrays: numpy's vectorised sin/cos/exp must agree on
+    # both bit for bit, and the loads to rounding (assert_load_matches)
     mesh = build_structured_mesh(64)
     x, y = element_midpoints(mesh)
+    data = assembly._mesh_data(mesh)
+    edges = data.element_edges
     ex41, ex42 = experiment_41_data(), experiment_42_data()
     for t in (0.0, 0.03125, 0.5, 0.96875, 1.0):
-        assert np.array_equal(assemble_load_q(mesh, ex42.g, t),
-                              add_at_load(mesh, [ex42.g(x, y, t)], True))
-        assert np.array_equal(assemble_load_v(mesh, ex42.f, t),
-                              add_at_load(mesh, list(ex42.f(x, y, t)), True))
-        assert np.array_equal(assemble_load_q(mesh, ex41.g, t),
-                              add_at_load(mesh, [ex41.g(x, y, t)], True))
+        for forcing, load in ((ex42.g, assemble_load_q), (ex42.f, assemble_load_v),
+                              (ex41.g, assemble_load_q)):
+            local = forcing(x, y, t)
+            on_edges = forcing(data.x, data.y, t)
+            if load is assemble_load_q:
+                local, on_edges = [local], [on_edges]
+            assert all(np.array_equal(e[edges], v) for e, v in zip(on_edges, local))
+            assert_load_matches(load(mesh, forcing, t), add_at_load(mesh, list(local), True))
 
 
 def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
@@ -453,10 +479,10 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     error_vs_manufactured(mesh, prob.coeffs, trajectory, prob.exact_u, prob.exact_p)
     assert sorted(built) == [("scalar", "scalar", True), ("scalar", "vector", True),
                              ("vector", "vector", True)]
-    # the run built the dilatation map and the interior B map, and later
-    # B(u) calls read the same objects
+    # the run built the dilatation map, the interior B map and the interior
+    # load map, and later B(u) calls read the same objects
     maps = assembly._mesh_data(mesh).maps
-    assert sorted(maps, key=str) == [("B", True), "div"]
+    assert sorted(maps, key=str) == [("B", True), ("load", True), "div"]
     kept = dict(maps)
     assemble_permeability_stiffness(mesh, prob.coeffs, trajectory[-1].u)
     assert element_divergence(mesh, trajectory[-1].u).shape == (mesh.num_triangles,)
@@ -482,24 +508,40 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("interior_only", [True, False])
-def test_loads_on_one_mesh_reuse_one_index_array(interior_only, monkeypatch):
-    targets = []
-    real_bincount = np.bincount
+def test_load_maps_live_once_per_mesh_and_interior_choice(interior_only, monkeypatch):
+    gc.collect()
+    cached_before = len(assembly._MESH_DATA)
+    used = []
+    real_map = assembly._load_map
 
-    def recording(x, *args, **kwargs):
-        targets.append(x)
-        return real_bincount(x, *args, **kwargs)
+    def recording(mesh, interior_only):
+        used.append(real_map(mesh, interior_only))
+        return used[-1]
 
-    monkeypatch.setattr(assembly.np, "bincount", recording)
+    monkeypatch.setattr(assembly, "_load_map", recording)
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
     for t in (0.25, 0.5):
         assemble_load_v(mesh, prob.f, t, interior_only)
-    for t in (0.25, 0.5):
         assemble_load_q(mesh, prob.g, t, interior_only)
-    assert len(targets) == 4
-    assert targets[0] is targets[1] and targets[2] is targets[3]
-    assert not targets[0].flags.writeable and not targets[2].flags.writeable
+    # both loads, at every time, read the one map the mesh keeps for the choice
+    assert len(used) == 4 and all(m is used[0] for m in used)
+    maps = assembly._mesh_data(mesh).maps
+    assert list(maps) == [("load", interior_only)] and maps["load", interior_only] is used[0]
+    rows = mesh.num_pressure_dofs if interior_only else mesh.num_nodes
+    assert used[0].shape == (rows, assembly._mesh_data(mesh).x.size)
+    # the other choice and another mesh get maps of their own
+    other = real_map(mesh, not interior_only)
+    assert other is not used[0] and other.shape[0] != rows
+    assert real_map(build_structured_mesh(4), interior_only) is not used[0]
+    map_refs = [weakref.ref(used[0]), weakref.ref(other)]
+    alive = weakref.ref(mesh)
+    used.clear()
+    del mesh, maps, other
+    gc.collect()
+    assert alive() is None
+    assert all(ref() is None for ref in map_refs)
+    assert len(assembly._MESH_DATA) == cached_before
 
 
 # the multigrid hierarchy of the pressure space
@@ -538,18 +580,18 @@ def test_pressure_prolongations_are_the_interior_restriction_of_mesh_prolong():
     (34, [(33 ** 2, 16 ** 2)]),
     (24, [(23 ** 2, 11 ** 2)]),
     (23, []),
-    (22, []),
+    (22, [(21 ** 2, 10 ** 2)]),
+    (18, [(17 ** 2, 8 ** 2)]),
     (16, []),
     (33, []),
     (8, []),
-], ids=["64", "36", "34", "crossover", "23", "22", "16", "odd", "coarsest"])
+], ids=["64", "36", "34", "24", "23", "22", "crossover", "16", "odd", "coarsest"])
 def test_pressure_hierarchy_halves_while_n_is_even_and_its_half_has_8_cells(n, shapes):
     mesh = build_structured_mesh(n)
     levels = assembly.pressure_prolongations(mesh)
     assert [level.P.shape for level in levels] == shapes
     # below the multigrid crossover the hierarchy is not even looked up
-    if n < 24:
-        assert "prolongations" not in assembly._mesh_data(mesh).maps
+    assert ("prolongations" in assembly._mesh_data(mesh).maps) == (n >= 18)
 
 
 def test_pressure_prolongations_live_once_per_mesh_and_only_where_asked_for(monkeypatch):

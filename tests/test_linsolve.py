@@ -537,14 +537,14 @@ def test_operator_over_the_band_budget_gets_the_lu(factors, monkeypatch):
     assert np.linalg.norm(factor.solve(rhs) - solve_spd(A, rhs)) <= 1e-12 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("n", [16, 23, 24, 32, 33, 64, 128])
+@pytest.mark.parametrize("n", [16, 18, 22, 23, 24, 32, 33, 64, 128])
 def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, factors):
     # a dof numbering that widened A's band would move a workload's A onto
     # SuperLU, or past the budget, without changing any number; this pins
     # it, and which factor the semi-explicit pressure solve makes: the LU
-    # of C + tau*B below the multigrid crossover (n = 24) or on an odd
-    # mesh, else the LU of the coarsest level, 11 x 11 or 7 x 7 interior nodes;
-    # SpdFactorization counts each of them once
+    # of C + tau*B below the multigrid crossover (n = 18) or on an odd
+    # mesh, else the LU of the coarsest level, 8 x 8 to 11 x 11 or 7 x 7
+    # interior nodes; SpdFactorization counts each of them once
     mesh = build_structured_mesh(n)
     prob = experiment_42_data()
     built = SpdFactorization.built
@@ -558,7 +558,8 @@ def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, fac
     ops.fixed_stress_factor(B, 0.25)
     nu = mesh.num_displacement_dofs
     a_factor = ("cholesky_banded", (nu, nu), 2 * n + 1) if n < 128 else ("splu", (nu, nu), None)
-    coarsest = {24: 11 ** 2, 32: 7 ** 2, 64: 7 ** 2, 128: 7 ** 2}.get(n, np_)
+    coarsest = {18: 8 ** 2, 22: 10 ** 2, 24: 11 ** 2, 32: 7 ** 2, 64: 7 ** 2,
+                128: 7 ** 2}.get(n, np_)
     multigrid = coarsest != np_
     pressure = ("splu", (coarsest, coarsest), None)
     assert factors == [a_factor, pressure, ("splu", (np_, np_), None)]
@@ -698,8 +699,15 @@ def test_matvec_gives_the_bits_of_scipy_products(index_dtype):
         for got in (linsolve.matvec(A, x),
                     linsolve.matvec(linsolve.CsrArrays(A.data, A.indices, A.indptr, A.shape), x)):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        # into a given output, which holds garbage (NaN included) until matvec zeroes it
+        out = rng.standard_normal(A.shape[0])
+        out[0] = np.nan
+        assert linsolve.matvec(A, x, out=out) is out
+        assert out.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="vector of shape"):
             linsolve.matvec(A, x[:-1])
+        with pytest.raises(ValueError, match="output of shape"):
+            linsolve.matvec(A, x, out=out[:-1])
         # and the transposed product, against scipy's product with the CSC view A.T
         x = rng.standard_normal(A.shape[0])
         expected = A.T @ x

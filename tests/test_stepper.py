@@ -696,6 +696,31 @@ def test_semi_and_delay_paths_stay_bit_identical_above_the_multigrid_crossover(f
         assert a.p.tobytes() == b.p.tobytes()
 
 
+def test_semi_and_delay_paths_warm_start_each_pressure_solve_by_extrapolation(monkeypatch):
+    # each pressure CG starts from p_0 on the first step and from the linear
+    # extrapolation 2 p_{n-1} - p_{n-2} of the trajectory on every later one
+    prob = experiment_41_data()
+    mesh = build_structured_mesh(32)
+    solve = linsolve.solve_pressure
+    guesses = []
+
+    def recording(op, rhs, guess, levels):
+        assert levels  # n = 32 is above the multigrid crossover: the guess is read
+        guesses.append(np.array(guess))
+        return solve(op, rhs, guess, levels)
+
+    monkeypatch.setattr(stepper, "solve_pressure", recording)
+    for scheme in ("semi_explicit", "delay_implicit"):
+        guesses.clear()
+        cfg = StepperConfig(scheme=scheme, tau=2.0**-5, T=0.25)
+        states, _ = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+        assert len(guesses) == cfg.n_steps
+        assert guesses[0].tobytes() == states[0].p.tobytes()
+        for n in range(2, cfg.n_steps + 1):
+            expected = 2.0 * states[n - 1].p - states[n - 2].p
+            assert guesses[n - 1].tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("field, kwargs", [
     ("tau", {"tau": math.inf, "T": 1.0}),
     ("tau", {"tau": math.nan, "T": 1.0}),
