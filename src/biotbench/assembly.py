@@ -41,7 +41,8 @@ order ``coo_matrix(...).tocsr()`` adds them, so the operators are
 bit-identical to those of a plain COO assembly.
 
 B(u) is the one operator that changes with the state, so it costs two
-sparse products per call and builds no element matrices.  The
+sparse products per call (``linsolve.matvec``, scipy's compiled kernel)
+and builds no element matrices.  The
 dilatation map (elements x interior displacement dofs, entries
 b/(2|T|) and c/(2|T|)) gives the elementwise divergence of u, and the
 permeability gives the element weights kappa/(4|T|).  The B map has one
@@ -60,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .linsolve import matvec
 from .mesh import Mesh, build_structured_mesh, prolongation
 from .permeability import PermeabilityModel
 
@@ -165,7 +167,7 @@ def triangle_geometry(mesh: Mesh):
 
 def element_divergence(mesh: Mesh, u_interior: np.ndarray) -> np.ndarray:
     """Elementwise-constant divergence of an interior displacement vector."""
-    return _divergence_map(mesh) @ np.asarray(u_interior, dtype=float)
+    return matvec(_divergence_map(mesh), np.asarray(u_interior, dtype=float))
 
 
 def _divergence_map(mesh: Mesh) -> sp.csr_matrix:
@@ -520,7 +522,7 @@ def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior
     _, _, area = triangle_geometry(mesh)
     kappa = coeffs.mobility(element_divergence(mesh, u_interior))
     plan, bmap = _permeability_map(mesh, interior_only)
-    return _csr(plan, bmap @ (kappa / (4.0 * area)))
+    return _csr(plan, matvec(bmap, kappa / (4.0 * area)))
 
 
 def _load_map(mesh: Mesh, interior_only) -> sp.csr_matrix:

@@ -143,8 +143,10 @@ class NormwiseError:
 class SpdFactorization:
     """Cached direct factorization of a sparse SPD operator.
 
-    The operator is factored by this module's ``splu`` or, given a
-    half-bandwidth ``kd``, by its ``cholesky_banded``, each looked up when
+    The operator is factored by this module's ``splu``, in symmetric mode
+    and with diagonal pivots only (an SPD operator needs no partial
+    pivoting), or, given a half-bandwidth ``kd``, by its
+    ``cholesky_banded``, each looked up when
     the factor is built: every factor of every scheme passes through
     these two names, and through here.  ``built`` counts the factors
     constructed in this process, each before its backend is called, so a
@@ -162,7 +164,8 @@ class SpdFactorization:
         self.op = op.tocsr()
         try:
             if kd is None:
-                self._lu = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
+                self._lu = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             else:
                 self._lu = cholesky_banded(self.op, kd)
         except RuntimeError as exc:

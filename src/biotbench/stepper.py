@@ -337,7 +337,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     """
     tau = cfg.tau
     rhs_u = np.asarray(load_u, dtype=float)
-    rhs_p = tau * load_p + ops.D @ state.u + ops.C @ state.p
+    rhs_p = tau * load_p + matvec(ops.D, state.u) + matvec(ops.C, state.p)
 
     u_j, p_j = state.u, state.p
     B_frozen = ops.permeability_stiffness(u_j)

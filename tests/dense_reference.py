@@ -157,6 +157,36 @@ def dense_load_v(mesh, f, t):
     return out
 
 
+def eight_trig_forcing(coeffs):
+    """ex42's f and g with each trig product written out, eight sin/cos calls apiece."""
+    PI = np.pi
+    lam, mu, alpha, M = coeffs.lam, coeffs.mu, coeffs.alpha, coeffs.M
+
+    def f(x, y, t):
+        S = np.sin(PI * x) * np.sin(PI * y)
+        CC = np.cos(PI * x) * np.cos(PI * y)
+        body = PI**2 / 6.0 * np.exp(-t) * ((3 * mu + lam) * S - (lam + mu) * CC)
+        f1 = body + alpha * PI * t * np.cos(PI * x) * np.sin(PI * y)
+        f2 = body + alpha * PI * t * np.sin(PI * x) * np.cos(PI * y)
+        return f1, f2
+
+    def g(x, y, t):
+        S = np.sin(PI * x) * np.sin(PI * y)
+        CC = np.cos(PI * x) * np.cos(PI * y)
+        C1 = np.cos(PI * x) * np.sin(PI * y)
+        C2 = np.sin(PI * x) * np.cos(PI * y)
+        ew = np.exp(-t)
+        s = PI / 6.0 * ew * (C1 + C2)                      # dilatation
+        m = coeffs.kappa_over_nu * coeffs.permeability.eval(s)
+        dm = coeffs.kappa_over_nu * coeffs.permeability.derivative(s)
+        storage = -alpha * PI / 6.0 * ew * (C1 + C2) + S / M
+        diffusion = 2.0 * PI**2 * t * m * S \
+            - dm * PI**3 * t / 6.0 * ew * (CC - S) * (C1 + C2)
+        return storage + diffusion
+
+    return f, g
+
+
 def restrict_dense(mesh, mat, rows="scalar", cols="scalar"):
     """Cut a dense full-space matrix down to interior dofs."""
     def keep(kind):

@@ -3,7 +3,8 @@ import pytest
 
 from biotbench import (Constant, experiment_41_data, experiment_42_data,
                        experiment_43_data, problem_by_name, with_coefficients)
-from dense_reference import strong_form_residual
+from biotbench import forcing
+from dense_reference import eight_trig_forcing, strong_form_residual
 
 
 def test_consolidation_data_values():
@@ -128,36 +129,6 @@ def test_registry_alpha_reaches_every_experiment():
     assert np.abs(res_momentum).max() < 1e-5 and abs(res_mass) < 1e-5
 
 
-def eight_trig_forcing(coeffs):
-    """ex42's f and g with each trig product written out, eight sin/cos calls apiece."""
-    PI = np.pi
-    lam, mu, alpha, M = coeffs.lam, coeffs.mu, coeffs.alpha, coeffs.M
-
-    def f(x, y, t):
-        S = np.sin(PI * x) * np.sin(PI * y)
-        CC = np.cos(PI * x) * np.cos(PI * y)
-        body = PI**2 / 6.0 * np.exp(-t) * ((3 * mu + lam) * S - (lam + mu) * CC)
-        f1 = body + alpha * PI * t * np.cos(PI * x) * np.sin(PI * y)
-        f2 = body + alpha * PI * t * np.sin(PI * x) * np.cos(PI * y)
-        return f1, f2
-
-    def g(x, y, t):
-        S = np.sin(PI * x) * np.sin(PI * y)
-        CC = np.cos(PI * x) * np.cos(PI * y)
-        C1 = np.cos(PI * x) * np.sin(PI * y)
-        C2 = np.sin(PI * x) * np.cos(PI * y)
-        ew = np.exp(-t)
-        s = PI / 6.0 * ew * (C1 + C2)                      # dilatation
-        m = coeffs.kappa_over_nu * coeffs.permeability.eval(s)
-        dm = coeffs.kappa_over_nu * coeffs.permeability.derivative(s)
-        storage = -alpha * PI / 6.0 * ew * (C1 + C2) + S / M
-        diffusion = 2.0 * PI**2 * t * m * S \
-            - dm * PI**3 * t / 6.0 * ew * (CC - S) * (C1 + C2)
-        return storage + diffusion
-
-    return f, g
-
-
 @pytest.mark.parametrize("overrides", [{}, {"alpha": 4, "mu": 2}])
 def test_shared_trig_factors_leave_the_forcing_bit_identical(overrides):
     prob = with_coefficients(experiment_42_data(), **overrides)
@@ -168,3 +139,35 @@ def test_shared_trig_factors_leave_the_forcing_bit_identical(overrides):
         r1, r2 = f_ref(x, y, t)
         assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
         assert np.array_equal(prob.g(x, y, t), g_ref(x, y, t))
+
+
+def test_memoized_fields_recompute_for_new_changed_or_scalar_points(monkeypatch):
+    # f and g share one memo of their spatial fields, keyed by the points'
+    # values: equal points hit it, and new values, an array changed in
+    # place and scalar points recompute the trig factors; every value
+    # equals the eight-trig forcing's
+    calls = []
+    trig = forcing._trig_factors
+    monkeypatch.setattr(forcing, "_trig_factors", lambda x, y: calls.append(1) or trig(x, y))
+    prob = experiment_42_data()
+    f_ref, g_ref = eight_trig_forcing(prob.coeffs)
+
+    def evaluations(x, y, t):
+        before = len(calls)
+        f1, f2 = prob.f(x, y, t)
+        r1, r2 = f_ref(x, y, t)
+        assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
+        assert np.array_equal(prob.g(x, y, t), g_ref(x, y, t))
+        return len(calls) - before
+
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(0.0, 1.0, (2, 500))
+    assert evaluations(x, y, 0.1) == 1
+    assert evaluations(x.copy(), y.copy(), 0.2) == 0
+    x, y = rng.uniform(0.0, 1.0, (2, 500))
+    assert evaluations(x, y, 0.3) == 1
+    x[17] += 0.25
+    assert evaluations(x, y, 0.4) == 1
+    assert evaluations(0.3, 0.6, 0.5) == 1
+    assert evaluations(0.3, 0.7, 0.5) == 1
+    assert evaluations(x, y, 0.6) == 1

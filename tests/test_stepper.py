@@ -10,12 +10,13 @@ from biotbench import (Coefficients, Constant, KozenyCarman, SolverFailure, Stat
                        experiment_42_data, experiment_43_data, implicit_picard_step,
                        initial_displacement, run, solve_spd, tau_bound_diagnostic,
                        with_coefficients)
-from biotbench import linsolve, stepper
-from biotbench.assembly import (assemble_mass, assemble_permeability_stiffness,
-                                assemble_pressure_mass)
+from biotbench import forcing, linsolve, stepper
+from biotbench.assembly import (assemble_coupling, assemble_mass,
+                                assemble_permeability_stiffness, assemble_pressure_mass)
 from biotbench.stepper import StepOperators, picard_residual
 from dense_reference import (dense_coupling, dense_elasticity, dense_mass,
-                             dense_permeability_stiffness, restrict_dense)
+                             dense_permeability_stiffness, eight_trig_forcing,
+                             restrict_dense)
 
 KC = KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75)
 
@@ -297,12 +298,35 @@ def test_forcing_term_keeps_picard_counts_and_states_of_exact_inner_solves(name,
             assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
 
 
+def _d_transposes(monkeypatch):
+    """A list that gains an entry whenever a run transposes its D: a CSR
+    matrix built by ``assemble_coupling`` or sharing its ``data`` array.
+    Transposes of other operators, such as the assembly's own maps, are
+    not counted."""
+    couplings, transposes = [], []
+    transpose = sp.csr_matrix.transpose
+
+    def coupling(*args, **kwargs):
+        couplings.append(assemble_coupling(*args, **kwargs))
+        return couplings[-1]
+
+    def counted(self, *args, **kwargs):
+        if any(np.shares_memory(self.data, D.data) for D in couplings):
+            transposes.append(1)
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "assemble_coupling", coupling)
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counted)
+    return transposes
+
+
 @pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard"])
 def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch):
     # guards the per-iterate work: one B(u) per Picard iterate plus the one
     # each step freezes first, at its own starting state, and no sparse
     # constructor for D^T in the loop
-    b_calls, transposes, before_step, after_step = [], [], [], []
+    b_calls, before_step, after_step = [], [], []
+    transposes = _d_transposes(monkeypatch)
 
     def counted(fn, calls):
         def wrapped(*args, **kwargs):
@@ -322,7 +346,6 @@ def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch
     monkeypatch.setattr(stepper, step_name, marking(getattr(stepper, step_name)))
     monkeypatch.setattr(stepper, "assemble_permeability_stiffness",
                         counted(stepper.assemble_permeability_stiffness, b_calls))
-    monkeypatch.setattr(sp.csr_matrix, "transpose", counted(sp.csr_matrix.transpose, transposes))
     prob = experiment_42_data()
     cfg = StepperConfig(scheme=scheme, tau=2.0**-3, T=1.0, picard_max=10)
     _, report = run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
@@ -343,18 +366,29 @@ def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch
 def test_no_run_transposes_d_but_the_picard_block_stacking(scheme, monkeypatch):
     # every path applies D^T by linsolve.rmatvec on D, u0 and the delay
     # path included; only the Picard block operator stacks -D^T, once
-    transposes = []
-    transpose = sp.csr_matrix.transpose
-
-    def counted(*args, **kwargs):
-        transposes.append(1)
-        return transpose(*args, **kwargs)
-
-    monkeypatch.setattr(sp.csr_matrix, "transpose", counted)
+    transposes = _d_transposes(monkeypatch)
     prob = experiment_42_data()
     cfg = StepperConfig(scheme=scheme, tau=2.0**-3, T=1.0)
     run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     assert len(transposes) == (scheme == "implicit_picard")
+
+
+def test_semi_run_computes_the_trig_factors_once_and_the_eight_trig_bits(monkeypatch):
+    # f and g share one memo of their spatial fields, so a whole run takes
+    # sin and cos on its edge midpoints once (the forcing used to take
+    # them in each of its 65 calls) and every state keeps its bits
+    calls = []
+    trig = forcing._trig_factors
+    monkeypatch.setattr(forcing, "_trig_factors", lambda x, y: calls.append(1) or trig(x, y))
+    prob = experiment_42_data()
+    mesh = build_structured_mesh(24)
+    cfg = StepperConfig(scheme="semi_explicit", tau=2.0**-5, T=1.0)
+    got, report = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert report.n_steps == 32 and len(calls) == 1
+    expected, _ = run(mesh, prob.coeffs, cfg, *eight_trig_forcing(prob.coeffs), prob.p0)
+    assert len(got) == len(expected) == 33
+    for a, b in zip(got, expected):
+        assert a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
 
 
 @pytest.mark.parametrize("cap", [1, 10])
