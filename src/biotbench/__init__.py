@@ -8,7 +8,7 @@ around them.
 
 from .analysis import (ERROR_KEYS, ErrorReport, NormKind, convergence_order,
                        coupling_diagnostic, error_vs_manufactured,
-                       error_vs_reference, norm, p_error_time_integrated)
+                       error_vs_reference, p_error_time_integrated)
 from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
                        assemble_laplace, assemble_load_q, assemble_load_v,
                        assemble_mass, assemble_permeability_stiffness,
@@ -17,7 +17,7 @@ from .forcing import (ProblemData, experiment_41_data, experiment_42_data,
                       experiment_43_data, manufactured_problem, problem_by_name,
                       with_coefficients)
 from .linsolve import BlockSystem, SolverFailure, solve_block, solve_spd
-from .mesh import Mesh, build_structured_mesh, prolong
+from .mesh import Mesh, build_structured_mesh
 from .permeability import (Constant, KozenyCarman, NetworkInspired,
                            PermeabilityModel, QuadraticClamped, model_from_config)
 from .stepper import (DELAY_IMPLICIT, IMPLICIT_PICARD, SEMI_EXPLICIT, RunReport,

@@ -30,55 +30,53 @@ class NormKind(str, Enum):
 ERROR_KEYS = ("u_a", "u_hv", "p_c", "p_q", "p_hq", "triple")
 
 
+#: the parts of (u, p) a form reads: all of u or p, or one component of the interleaved u
+_U, _P = ("u", slice(None)), ("p", slice(None))
+_UX, _UY = ("u", slice(0, None, 2)), ("u", slice(1, None, 2))
+
+#: each norm's square as a sum of quadratic forms (matrix, part), added in this order
+_FORMS = {
+    NormKind.A: (("A", _U),),
+    NormKind.C: (("C", _P),),
+    NormKind.V: (("L", _UX), ("L", _UY)),
+    NormKind.Q: (("L", _P),),
+    NormKind.HV: (("M", _UX), ("M", _UY)),
+    NormKind.HQ: (("M", _P),),
+    NormKind.TRIPLE: (("A", _U), ("C", _P)),
+}
+
+#: how each matrix is assembled; the module's functions are looked up at call time
+_BUILDERS = {
+    "A": lambda mesh, coeffs: assemble_elasticity(mesh, coeffs),
+    "C": lambda mesh, coeffs: assemble_pressure_mass(mesh, coeffs),
+    "L": lambda mesh, coeffs: assemble_laplace(mesh),
+    "M": lambda mesh, coeffs: assemble_mass(mesh),
+}
+
+
 class NormCalculator:
-    """Caches the assembled matrices behind the norm evaluations."""
+    """Evaluates every ``NormKind`` on one (mesh, coefficients).
+
+    A norm is the square root of a sum of quadratic forms v·(X v), read
+    from ``_FORMS``: X is one of A, C, L (Laplace) and M (mass), and v is
+    u, p or one component of u.  Each matrix is assembled on first use
+    and kept.
+    """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients):
         self.mesh = mesh
         self.coeffs = coeffs
         self._cache = {}
 
-    def _matrix(self, name):
-        if name not in self._cache:
-            build = {
-                "A": lambda: assemble_elasticity(self.mesh, self.coeffs),
-                "C": lambda: assemble_pressure_mass(self.mesh, self.coeffs),
-                "L": lambda: assemble_laplace(self.mesh),
-                "M": lambda: assemble_mass(self.mesh),
-            }[name]
-            self._cache[name] = build()
-        return self._cache[name]
-
-    def _quadratic(self, name, vec):
-        mat = self._matrix(name)
-        vec = np.asarray(vec, dtype=float)
-        return float(vec @ (mat @ vec))
-
-    def _componentwise(self, name, vec):
-        vec = np.asarray(vec, dtype=float)
-        return self._quadratic(name, vec[0::2]) + self._quadratic(name, vec[1::2])
-
     def norm(self, kind: NormKind, u=None, p=None) -> float:
-        kind = NormKind(kind)
-        if kind == NormKind.A:
-            return math.sqrt(max(self._quadratic("A", u), 0.0))
-        if kind == NormKind.C:
-            return math.sqrt(max(self._quadratic("C", p), 0.0))
-        if kind == NormKind.V:
-            return math.sqrt(max(self._componentwise("L", u), 0.0))
-        if kind == NormKind.Q:
-            return math.sqrt(max(self._quadratic("L", p), 0.0))
-        if kind == NormKind.HV:
-            return math.sqrt(max(self._componentwise("M", u), 0.0))
-        if kind == NormKind.HQ:
-            return math.sqrt(max(self._quadratic("M", p), 0.0))
-        if kind == NormKind.TRIPLE:
-            return math.sqrt(max(self._quadratic("A", u) + self._quadratic("C", p), 0.0))
-        raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def norm(mesh: Mesh, coeffs: Coefficients, kind, u=None, p=None) -> float:
-    return NormCalculator(mesh, coeffs).norm(kind, u=u, p=p)
+        parts = {"u": u, "p": p}
+        total = 0.0
+        for name, (vector, part) in _FORMS[NormKind(kind)]:
+            if name not in self._cache:
+                self._cache[name] = _BUILDERS[name](self.mesh, self.coeffs)
+            vec = np.asarray(parts[vector], dtype=float)[part]
+            total += float(vec @ (self._cache[name] @ vec))
+        return math.sqrt(max(total, 0.0))
 
 
 @dataclass

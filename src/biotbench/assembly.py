@@ -95,10 +95,6 @@ class Coefficients:
     def mobility(self, s):
         return self.kappa_over_nu * self.permeability.eval(s)
 
-    def mobility_bounds(self):
-        lo, hi = self.permeability.bounds()
-        return self.kappa_over_nu * lo, self.kappa_over_nu * hi
-
 
 class _MeshData:
     """What assembly needs of one mesh, computed once.

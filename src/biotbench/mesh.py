@@ -1,8 +1,8 @@
 """Structured triangulations of the unit square with P1 nodal unknowns.
 
 Nested meshes share one P1 interpolation, ``prolongation``: the sparse
-matrix that ``prolong``, the reference errors and the pressure multigrid
-hierarchy all apply.
+matrix that the reference errors and the pressure multigrid hierarchy
+both apply.
 """
 
 from dataclasses import dataclass
@@ -93,7 +93,7 @@ class Mesh:
 
 def build_structured_mesh(n: int) -> Mesh:
     """Build the uniform diagonal-split triangulation with mesh size h = 1/n."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
     n = int(n)
     side = np.linspace(0.0, 1.0, n + 1)
@@ -149,16 +149,3 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
     return sp.csr_matrix((weights[stored], cols[stored], indptr),
                          shape=(fine.num_nodes, coarse.num_nodes))
-
-
-def prolong(coarse: Mesh, fine: Mesh, coarse_values: np.ndarray) -> np.ndarray:
-    """Evaluate the P1 interpolant of a coarse nodal function at the fine nodes.
-
-    ``coarse_values`` is a full nodal vector on the coarse mesh, and the
-    result its product with ``prolongation(coarse, fine)``.
-    """
-    values = np.asarray(coarse_values, dtype=float)
-    if values.shape != (coarse.num_nodes,):
-        raise ValueError(
-            f"expected coarse nodal vector of length {coarse.num_nodes}, got shape {values.shape}")
-    return prolongation(coarse, fine) @ values

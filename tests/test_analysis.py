@@ -7,8 +7,11 @@ from biotbench import (Coefficients, KozenyCarman, NormKind, StepperConfig,
                        build_structured_mesh, convergence_order,
                        coupling_diagnostic, error_vs_manufactured,
                        error_vs_reference, experiment_41_data, experiment_42_data,
-                       experiment_43_data, norm, p_error_time_integrated, run)
+                       experiment_43_data, p_error_time_integrated, run)
+from biotbench import analysis
 from biotbench.analysis import NormCalculator
+from biotbench.assembly import (assemble_elasticity, assemble_laplace, assemble_mass,
+                                assemble_pressure_mass)
 from biotbench.config import SchemeSpec
 from biotbench.experiments import simulate
 from dense_reference import dense_mass, restrict_dense
@@ -22,7 +25,7 @@ def test_zero_vectors_have_zero_norm():
     u0 = np.zeros(mesh.num_displacement_dofs)
     p0 = np.zeros(mesh.num_pressure_dofs)
     for kind in NormKind:
-        assert norm(mesh, CO, kind, u=u0, p=p0) == 0.0
+        assert NormCalculator(mesh, CO).norm(kind, u=u0, p=p0) == 0.0
 
 
 def test_triple_norm_combines_energy_norms():
@@ -30,9 +33,9 @@ def test_triple_norm_combines_energy_norms():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(mesh.num_displacement_dofs)
     p = rng.standard_normal(mesh.num_pressure_dofs)
-    a = norm(mesh, CO, NormKind.A, u=u)
-    c = norm(mesh, CO, NormKind.C, p=p)
-    t = norm(mesh, CO, NormKind.TRIPLE, u=u, p=p)
+    a = NormCalculator(mesh, CO).norm(NormKind.A, u=u)
+    c = NormCalculator(mesh, CO).norm(NormKind.C, p=p)
+    t = NormCalculator(mesh, CO).norm(NormKind.TRIPLE, u=u, p=p)
     assert t == pytest.approx(math.hypot(a, c), rel=1e-14)
 
 
@@ -44,7 +47,7 @@ def test_c_norm_matches_dense_quadratic_form(n):
     for _ in range(10):
         p = rng.standard_normal(mesh.num_pressure_dofs)
         expected = math.sqrt(p @ (C_ref @ p))
-        assert abs(norm(mesh, CO, NormKind.C, p=p) - expected) < 1e-12
+        assert abs(NormCalculator(mesh, CO).norm(NormKind.C, p=p) - expected) < 1e-12
 
 
 def test_norm_axioms_on_random_pairs():
@@ -81,6 +84,51 @@ def test_elastic_and_gradient_norms_are_equivalent():
         assert math.sqrt(mu) - 1e-10 <= ratio <= math.sqrt(3 * mu + 2 * lam) + 1e-10
 
 
+def test_each_norm_is_the_root_of_its_quadratic_forms_bit_for_bit():
+    mesh = build_structured_mesh(5)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(mesh.num_displacement_dofs)
+    p = rng.standard_normal(mesh.num_pressure_dofs)
+    A, C = assemble_elasticity(mesh, CO), assemble_pressure_mass(mesh, CO)
+    L, M = assemble_laplace(mesh), assemble_mass(mesh)
+
+    def form(X, v):
+        return float(v @ (X @ v))
+
+    squares = {
+        NormKind.A: form(A, u),
+        NormKind.C: form(C, p),
+        NormKind.V: form(L, u[0::2]) + form(L, u[1::2]),
+        NormKind.Q: form(L, p),
+        NormKind.HV: form(M, u[0::2]) + form(M, u[1::2]),
+        NormKind.HQ: form(M, p),
+        NormKind.TRIPLE: form(A, u) + form(C, p),
+    }
+    assert set(squares) == set(NormKind)
+    calc = NormCalculator(mesh, CO)
+    for kind, square in squares.items():
+        assert calc.norm(kind, u=u, p=p) == math.sqrt(square)
+
+
+def test_a_calculator_assembles_each_matrix_once_in_first_use_order(monkeypatch):
+    calls = []
+    for name in ("assemble_elasticity", "assemble_pressure_mass", "assemble_laplace",
+                 "assemble_mass"):
+        def counted(*args, _name=name, _real=getattr(analysis, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(analysis, name, counted)
+    mesh = build_structured_mesh(4)
+    u = np.ones(mesh.num_displacement_dofs)
+    p = np.ones(mesh.num_pressure_dofs)
+    calc = NormCalculator(mesh, CO)
+    for _ in range(2):
+        for kind in NormKind:
+            calc.norm(kind, u=u, p=p)
+    assert calls == ["assemble_elasticity", "assemble_pressure_mass", "assemble_laplace",
+                     "assemble_mass"]
+
+
 def test_manufactured_error_vanishes_for_exact_input():
     prob = experiment_42_data()
     mesh = build_structured_mesh(6)
@@ -114,15 +162,15 @@ def test_reference_error_vanishes_for_prolonged_state():
     cfg = StepperConfig(scheme="semi_explicit", tau=0.5, T=1.0)
     traj, _ = run(coarse, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
 
-    from biotbench.mesh import prolong
+    from biotbench.mesh import prolongation
     from biotbench.stepper import State
     fine_states = []
     for s in traj:
-        pf = fine.restrict_scalar(prolong(coarse, fine, coarse.extend_scalar(s.p)))
+        pf = fine.restrict_scalar(prolongation(coarse, fine) @ coarse.extend_scalar(s.p))
         uf_full = np.empty(2 * fine.num_nodes)
         full = coarse.extend_vector(s.u)
-        uf_full[0::2] = prolong(coarse, fine, full[0::2])
-        uf_full[1::2] = prolong(coarse, fine, full[1::2])
+        uf_full[0::2] = prolongation(coarse, fine) @ full[0::2]
+        uf_full[1::2] = prolongation(coarse, fine) @ full[1::2]
         fine_states.append(State(u=fine.restrict_vector(uf_full), p=pf, t=s.t))
     report = error_vs_reference(traj, fine_states, coarse, fine, prob.coeffs)
     for value in report.absolute.values():

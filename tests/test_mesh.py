@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from biotbench import build_structured_mesh, prolong
+from biotbench import build_structured_mesh
+from biotbench.mesh import prolongation
 from dense_reference import barycentric_eval
 
 
@@ -21,6 +22,13 @@ def test_counts(n, nodes, tris, bnodes, inodes):
 def test_rejects_zero_subdivisions():
     with pytest.raises(ValueError):
         build_structured_mesh(0)
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_rejects_a_bool_subdivision_count(n):
+    # bool is an int, so True would build the n = 1 mesh
+    with pytest.raises(ValueError):
+        build_structured_mesh(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -53,10 +61,10 @@ def test_interior_index_is_compaction():
 def test_prolong_zero_and_linear_reproduction():
     coarse = build_structured_mesh(1)
     fine = build_structured_mesh(2)
-    assert np.all(prolong(coarse, fine, np.zeros(4)) == 0.0)
+    assert np.all(prolongation(coarse, fine) @ np.zeros(4) == 0.0)
 
     x1 = coarse.nodes[:, 0]
-    fine_vals = prolong(coarse, fine, x1)
+    fine_vals = prolongation(coarse, fine) @ x1
     assert np.allclose(fine_vals, fine.nodes[:, 0], atol=1e-15)
 
 
@@ -67,14 +75,14 @@ def test_prolong_matches_barycentric_oracle():
         coarse = build_structured_mesh(m)
         fine = build_structured_mesh(n)
         values = rng.standard_normal(coarse.num_nodes)
-        result = prolong(coarse, fine, values)
+        result = prolongation(coarse, fine) @ values
         for k, (x, y) in enumerate(fine.nodes):
             assert abs(result[k] - barycentric_eval(coarse, values, x, y)) < 1e-14
 
 
 def test_prolong_rejects_non_nested():
     with pytest.raises(ValueError):
-        prolong(build_structured_mesh(2), build_structured_mesh(3), np.zeros(9))
+        prolongation(build_structured_mesh(2), build_structured_mesh(3)) @ np.zeros(9)
 
 
 def test_prolong_linearity():
@@ -83,8 +91,8 @@ def test_prolong_linearity():
     rng = np.random.default_rng(7)
     v, w = rng.standard_normal((2, coarse.num_nodes))
     a, b = 1.7, -0.4
-    lhs = prolong(coarse, fine, a * v + b * w)
-    rhs = a * prolong(coarse, fine, v) + b * prolong(coarse, fine, w)
+    lhs = prolongation(coarse, fine) @ (a * v + b * w)
+    rhs = a * (prolongation(coarse, fine) @ v) + b * (prolongation(coarse, fine) @ w)
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
@@ -93,7 +101,7 @@ def test_prolong_restriction_roundtrip():
     fine = build_structured_mesh(9)
     rng = np.random.default_rng(11)
     values = rng.standard_normal(coarse.num_nodes)
-    fine_vals = prolong(coarse, fine, values)
+    fine_vals = prolongation(coarse, fine) @ values
     ratio = fine.n // coarse.n
     ci, cj = np.divmod(np.arange(coarse.num_nodes), coarse.n + 1)
     on_fine = (ci * ratio) * (fine.n + 1) + cj * ratio
