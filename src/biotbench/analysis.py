@@ -81,15 +81,14 @@ class NormCalculator:
 
 @dataclass
 class ErrorReport:
-    """Absolute and relative errors per norm at a fixed time."""
+    """Absolute and relative errors per norm at the final time."""
 
-    t: float
     absolute: dict = field(default_factory=dict)
     relative: dict = field(default_factory=dict)
 
 
-def _measure(calc: NormCalculator, du, dp, ref_u, ref_p, t, kinds) -> ErrorReport:
-    report = ErrorReport(t=t)
+def _measure(calc: NormCalculator, du, dp, ref_u, ref_p, kinds) -> ErrorReport:
+    report = ErrorReport()
     for kind in kinds:
         kind = NormKind(kind)
         err = calc.norm(kind, u=du, p=dp)
@@ -100,8 +99,6 @@ def _measure(calc: NormCalculator, du, dp, ref_u, ref_p, t, kinds) -> ErrorRepor
 
 
 def _state_at(trajectory, t):
-    if t is None:
-        return trajectory[-1]
     for state in trajectory:
         if abs(state.t - t) <= 1e-12 * max(1.0, abs(t)):
             return state
@@ -109,26 +106,25 @@ def _state_at(trajectory, t):
 
 
 def error_vs_manufactured(mesh: Mesh, coeffs: Coefficients, trajectory, exact_u,
-                          exact_p, t=None, kinds=ERROR_KEYS) -> ErrorReport:
-    """Errors of a trajectory against the nodal interpolant of an exact pair."""
-    state = _state_at(trajectory, t)
+                          exact_p, kinds=ERROR_KEYS) -> ErrorReport:
+    """Final-time errors of a trajectory against the nodal interpolant of an exact pair."""
+    state = trajectory[-1]
     uI = mesh.nodal_vector(exact_u, state.t)
     pI = mesh.nodal_scalar(exact_p, state.t)
     calc = NormCalculator(mesh, coeffs)
-    return _measure(calc, state.u - uI, state.p - pI, uI, pI, state.t, kinds)
+    return _measure(calc, state.u - uI, state.p - pI, uI, pI, kinds)
 
 
 def error_vs_reference(coarse_trajectory, reference_trajectory, coarse_mesh: Mesh,
-                       ref_mesh: Mesh, coeffs: Coefficients, t=None,
+                       ref_mesh: Mesh, coeffs: Coefficients,
                        kinds=ERROR_KEYS) -> ErrorReport:
-    """Errors of a coarse trajectory against a reference on a finer nested mesh.
+    """Final-time errors of a coarse trajectory against a reference on a finer nested mesh.
 
-    The coarse state is prolonged to the reference mesh and all norms are
-    evaluated there.
+    The coarse final state is prolonged to the reference mesh and all
+    norms are evaluated there against the reference state at its time.
+    ``prolongation`` refuses meshes that are not nested.
     """
-    if ref_mesh.n % coarse_mesh.n != 0:
-        raise ValueError("reference mesh is not a refinement of the coarse mesh")
-    coarse = _state_at(coarse_trajectory, t)
+    coarse = coarse_trajectory[-1]
     ref = _state_at(reference_trajectory, coarse.t)
 
     P = prolongation(coarse_mesh, ref_mesh)
@@ -140,7 +136,7 @@ def error_vs_reference(coarse_trajectory, reference_trajectory, coarse_mesh: Mes
     u_f = ref_mesh.restrict_vector(u_f)
 
     calc = NormCalculator(ref_mesh, coeffs)
-    return _measure(calc, u_f - ref.u, p_f - ref.p, ref.u, ref.p, coarse.t, kinds)
+    return _measure(calc, u_f - ref.u, p_f - ref.p, ref.u, ref.p, kinds)
 
 
 _GAUSS5_NODES = np.polynomial.legendre.leggauss(5)

@@ -8,10 +8,13 @@ Assembles, on a structured triangulation, the four operators
     d(u,q) = int alpha (div u) q dx            (coupling)
 
 plus load vectors, with homogeneous Dirichlet conditions imposed by
-interior-dof compaction.  All element integrals are exact for P1 spaces:
-the dilatation div(u_h) is elementwise constant, so kappa is evaluated
-once per element, and loads use the three edge-midpoint quadrature rule
-(exact for quadratic integrands).
+interior-dof compaction.  ``Mesh.interior_index`` is the one record of
+the Dirichlet nodes: every operator and load keeps the dofs of the nodes
+it numbers and drops the rest, so a mesh that numbers every node gives
+the unconstrained operators.  All element integrals are exact for P1
+spaces: the dilatation div(u_h) is elementwise constant, so kappa is
+evaluated once per element, and loads use the three edge-midpoint
+quadrature rule (exact for quadratic integrands).
 
 Everything that depends on the mesh alone is computed once per mesh and
 kept in a cache keyed weakly by the ``Mesh`` object, so it is dropped with
@@ -189,15 +192,6 @@ def _divergence_map(mesh: Mesh) -> sp.csr_matrix:
     return div
 
 
-def _space(mesh: Mesh, kind, interior_only):
-    """Element dof table of the scalar or vector P1 space, and the map from
-    its dofs to the assembled numbering (-1 for a dropped Dirichlet dof)."""
-    element_dofs, interior_map = _mesh_data(mesh).spaces[kind]
-    if interior_only:
-        return element_dofs, interior_map
-    return element_dofs, np.arange(interior_map.size)
-
-
 @dataclass(frozen=True)
 class _ScatterPlan:
     """Fixed CSR pattern of one pair of spaces plus the addends of each slot.
@@ -216,10 +210,11 @@ class _ScatterPlan:
     shape: tuple
 
 
-def _build_plan(mesh: Mesh, rows, cols, interior_only) -> _ScatterPlan:
+def _build_plan(mesh: Mesh, rows, cols) -> _ScatterPlan:
     """Replay ``coo_matrix(...).tocsr()``, restriction and sort on entry numbers."""
-    row_dof, row_map = _space(mesh, rows, interior_only)
-    col_dof, col_map = _space(mesh, cols, interior_only)
+    spaces = _mesh_data(mesh).spaces
+    row_dof, row_map = spaces[rows]
+    col_dof, col_map = spaces[cols]
     r, c = row_dof.shape[1], col_dof.shape[1]
     size = row_dof.size * c
     idx = np.int32 if size <= np.iinfo(np.int32).max else np.int64
@@ -267,13 +262,13 @@ def _build_plan(mesh: Mesh, rows, cols, interior_only) -> _ScatterPlan:
                         shape=(n_rows, n_cols))
 
 
-def _plan(mesh: Mesh, rows, cols, interior_only) -> _ScatterPlan:
+def _plan(mesh: Mesh, rows, cols) -> _ScatterPlan:
     """The mesh's scatter plan of a pair of spaces, built on first use."""
     plans = _mesh_data(mesh).plans
-    key = (rows, cols, interior_only)
+    key = (rows, cols)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _build_plan(mesh, rows, cols, interior_only)
+        plan = plans[key] = _build_plan(mesh, rows, cols)
     return plan
 
 
@@ -284,17 +279,17 @@ def _csr(plan: _ScatterPlan, data) -> sp.csr_matrix:
     return mat
 
 
-def _scatter(mesh: Mesh, local, interior_only, rows="scalar", cols="scalar"):
+def _scatter(mesh: Mesh, local, rows="scalar", cols="scalar"):
     """Sum (E, r, c) local matrices into a CSR matrix between two P1 spaces.
 
-    ``rows`` and ``cols`` name the spaces ("scalar" or "vector");
-    ``interior_only`` drops the Dirichlet dofs.  The mesh's cached scatter
+    ``rows`` and ``cols`` name the spaces ("scalar" or "vector"); the
+    Dirichlet dofs are dropped.  The mesh's cached scatter
     plan fixes the pattern, and one weighted ``np.bincount`` adds each
     slot's addends in the order scipy's COO to CSR conversion would, so
     the result equals ``coo_matrix(...).tocsr()`` restricted and sorted,
     bit for bit.
     """
-    plan = _plan(mesh, rows, cols, interior_only)
+    plan = _plan(mesh, rows, cols)
     return _csr(plan, np.bincount(plan.slots, weights=local.ravel()[plan.perm],
                                   minlength=plan.indices.size))
 
@@ -313,7 +308,7 @@ def pressure_sum(X, w, Y) -> sp.csr_matrix:
     return sp.csr_matrix((X.data + w * Y.data, X.indices, X.indptr), shape=X.shape)
 
 
-def _permeability_map(mesh: Mesh, interior_only):
+def _permeability_map(mesh: Mesh):
     """The scalar plan and the B map that reads B's values off the element weights.
 
     Row k of the B map lists the addends of slot k in the plan's order,
@@ -321,18 +316,17 @@ def _permeability_map(mesh: Mesh, interior_only):
     product adds a row's products front to back, as the plan's
     ``np.bincount`` adds the entries of the scaled element matrices, so
     the map times kappa/(4|T|) is the scatter's data bit for bit.  Cached
-    per mesh and ``interior_only``.
+    per mesh.
     """
     data = _mesh_data(mesh)
-    plan = _plan(mesh, "scalar", "scalar", interior_only)
-    key = ("B", interior_only)
-    bmap = data.maps.get(key)
+    plan = _plan(mesh, "scalar", "scalar")
+    bmap = data.maps.get("B")
     if bmap is None:
         nnz = plan.indices.size
         indptr = np.zeros(nnz + 1, dtype=plan.perm.dtype)
         np.cumsum(np.bincount(plan.slots, minlength=nnz), out=indptr[1:])
         local_size = data.grad_grad[0].size
-        bmap = data.maps[key] = sp.csr_matrix(
+        bmap = data.maps["B"] = sp.csr_matrix(
             (data.grad_grad.ravel()[plan.perm], plan.perm // local_size, indptr),
             shape=(nnz, mesh.num_triangles))
     return plan, bmap
@@ -443,7 +437,7 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     data = _mesh_data(mesh)
     levels = data.maps.get("prolongations")
     if levels is None:
-        plan = _plan(mesh, "scalar", "scalar", True)
+        plan = _plan(mesh, "scalar", "scalar")
         pattern = _pattern(plan.indptr, plan.indices)
         levels, fine = [], mesh
         while fine.n % 2 == 0 and fine.n // 2 >= _COARSEST_CELLS:
@@ -456,7 +450,7 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     return levels
 
 
-def assemble_elasticity(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:
+def assemble_elasticity(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
     """Stiffness of the linear elastic form a; SPD after elimination."""
     b, c, area = triangle_geometry(mesh)
     E = mesh.num_triangles
@@ -472,30 +466,30 @@ def assemble_elasticity(mesh: Mesh, coeffs: Coefficients, interior_only=True) ->
                      [lam, lam + 2 * mu, 0.0],
                      [0.0, 0.0, mu]])
     local = np.einsum("eki,kl,elj,e->eij", B, Dmat, B, area, optimize=True)
-    return _scatter(mesh, local, interior_only, rows="vector", cols="vector")
+    return _scatter(mesh, local, rows="vector", cols="vector")
 
 
-def assemble_pressure_mass(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:
+def assemble_pressure_mass(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
     """Consistent P1 mass matrix scaled by 1/M (the form c)."""
-    return assemble_mass(mesh, interior_only) * (1.0 / coeffs.M)
+    return assemble_mass(mesh) * (1.0 / coeffs.M)
 
 
-def assemble_mass(mesh: Mesh, interior_only=True) -> sp.csr_matrix:
+def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Unscaled consistent P1 mass matrix (exact integration)."""
     _, _, area = triangle_geometry(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * base
-    return _scatter(mesh, local, interior_only)
+    return _scatter(mesh, local)
 
 
-def assemble_laplace(mesh: Mesh, interior_only=True) -> sp.csr_matrix:
+def assemble_laplace(mesh: Mesh) -> sp.csr_matrix:
     """Unit-coefficient P1 stiffness (grad-grad), used for the H1-type norms."""
     data = _mesh_data(mesh)
     _, _, area = data.geometry
-    return _scatter(mesh, data.grad_grad / (4.0 * area)[:, None, None], interior_only)
+    return _scatter(mesh, data.grad_grad / (4.0 * area)[:, None, None])
 
 
-def assemble_coupling(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> sp.csr_matrix:
+def assemble_coupling(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
     """Rectangular coupling operator: d(u,q) = q^T D u on nodal vectors."""
     b, c, area = triangle_geometry(mesh)
     E = mesh.num_triangles
@@ -504,11 +498,11 @@ def assemble_coupling(mesh: Mesh, coeffs: Coefficients, interior_only=True) -> s
     local[:, :, 0::2] = b[:, None, :] / 6.0
     local[:, :, 1::2] = c[:, None, :] / 6.0
     local *= coeffs.alpha
-    return _scatter(mesh, local, interior_only, cols="vector")
+    return _scatter(mesh, local, cols="vector")
 
 
-def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior,
-                                    interior_only=True) -> sp.csr_matrix:
+def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients,
+                                    u_interior) -> sp.csr_matrix:
     """Stiffness of b(u; ., .) with the mobility frozen at the given displacement.
 
     The dilatation of a P1 displacement is constant per element, so the
@@ -517,27 +511,25 @@ def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients, u_interior
     """
     _, _, area = triangle_geometry(mesh)
     kappa = coeffs.mobility(element_divergence(mesh, u_interior))
-    plan, bmap = _permeability_map(mesh, interior_only)
+    plan, bmap = _permeability_map(mesh)
     return _csr(plan, matvec(bmap, kappa / (4.0 * area)))
 
 
-def _load_map(mesh: Mesh, interior_only) -> sp.csr_matrix:
+def _load_map(mesh: Mesh) -> sp.csr_matrix:
     """The CSR map from values at the unique edge midpoints to the nodal load, cached per mesh.
 
     The edge-midpoint rule gives vertex i of an element T the weight
     |T|/3 * 1/2 at the midpoints of its two edges, so entry (i, e) is the
     sum of |T|/6 over the (one or two) elements that share edge e, at
-    the rows of e's two endpoints: interior nodes in their interior
-    numbering, or every node if not ``interior_only``.  Built straight
-    from the edge endpoints, which are its columns in CSC; the conversion
-    to CSR keeps each node's edges in increasing order.  Cached per mesh
-    and ``interior_only``; both loads read the same map.
+    the rows of e's interior endpoints in their interior numbering.
+    Built straight from the edge endpoints, which are its columns in CSC;
+    the conversion to CSR keeps each node's edges in increasing order.
+    Cached per mesh; both loads read the same map.
     """
     data = _mesh_data(mesh)
-    key = ("load", interior_only)
-    lmap = data.maps.get(key)
+    lmap = data.maps.get("load")
     if lmap is None:
-        _, node_map = _space(mesh, "scalar", interior_only)
+        _, node_map = data.spaces["scalar"]
         _, _, area = data.geometry
         n_edges = data.x.size
         weight = np.bincount(data.element_edges.ravel(), weights=np.repeat(area / 6.0, 3),
@@ -549,11 +541,11 @@ def _load_map(mesh: Mesh, interior_only) -> sp.csr_matrix:
         np.cumsum(per_edge, out=indptr[1:])
         columns = sp.csc_matrix((np.repeat(weight, per_edge), ends[keep], indptr),
                                 shape=(int(np.count_nonzero(node_map >= 0)), n_edges))
-        lmap = data.maps[key] = columns.tocsr()
+        lmap = data.maps["load"] = columns.tocsr()
     return lmap
 
 
-def _midpoint_load(mesh: Mesh, components, interior_only) -> np.ndarray:
+def _midpoint_load(mesh: Mesh, components) -> np.ndarray:
     """int v q dx from the values of v at the unique edge midpoints, one value
     array (or scalar) per component: the load map times the (edges x
     components) values, which for a vector field gives the interleaved
@@ -562,18 +554,18 @@ def _midpoint_load(mesh: Mesh, components, interior_only) -> np.ndarray:
     values = np.empty((data.x.size, len(components)))
     for k, vals in enumerate(components):
         values[:, k] = vals
-    return (_load_map(mesh, interior_only) @ values).ravel()
+    return (_load_map(mesh) @ values).ravel()
 
 
-def assemble_load_q(mesh: Mesh, g, t: float, interior_only=True) -> np.ndarray:
+def assemble_load_q(mesh: Mesh, g, t: float) -> np.ndarray:
     """Pressure load vector int g q dx by the edge-midpoint rule; g is
     evaluated once, on the mesh's unique edge midpoints."""
     data = _mesh_data(mesh)
-    return _midpoint_load(mesh, [g(data.x, data.y, t)], interior_only)
+    return _midpoint_load(mesh, [g(data.x, data.y, t)])
 
 
-def assemble_load_v(mesh: Mesh, f, t: float, interior_only=True) -> np.ndarray:
+def assemble_load_v(mesh: Mesh, f, t: float) -> np.ndarray:
     """Displacement load vector int f . v dx by the edge-midpoint rule; f is
     evaluated once, on the mesh's unique edge midpoints."""
     data = _mesh_data(mesh)
-    return _midpoint_load(mesh, list(f(data.x, data.y, t)), interior_only)
+    return _midpoint_load(mesh, list(f(data.x, data.y, t)))

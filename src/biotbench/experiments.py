@@ -18,8 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .analysis import (NormCalculator, NormKind, convergence_order,
-                       error_vs_manufactured, error_vs_reference)
+from .analysis import (NormKind, convergence_order, error_vs_manufactured,
+                       error_vs_reference)
 from .config import (ERR_COLUMNS, ConfigError, ExperimentConfig, ResultsTable,
                      SchemeSpec, error_columns)
 from .forcing import ProblemData, problem_by_name
@@ -221,13 +221,8 @@ def _sweep_point(config, alpha, tau, study=None):
     try:
         mesh, semi_traj, semi_report = simulate(problem, semi, n, tau, study)
         _, impl_traj, _ = simulate(problem, impl, n, tau, study)
-        calc = NormCalculator(mesh, problem.coeffs)
-        du = semi_traj[-1].u - impl_traj[-1].u
-        dp = semi_traj[-1].p - impl_traj[-1].p
-        denom = calc.norm(NormKind.TRIPLE, u=impl_traj[-1].u, p=impl_traj[-1].p)
-        deviation = calc.norm(NormKind.TRIPLE, u=du, p=dp)
-        if denom > 0:
-            deviation /= denom
+        deviation = error_vs_reference(semi_traj, impl_traj, mesh, mesh, problem.coeffs,
+                                       kinds=(NormKind.TRIPLE,)).relative["triple"]
         row["wall_time_s"] = semi_report.wall_time
     except (SolverFailure, FloatingPointError, OverflowError):
         deviation = math.inf

@@ -22,15 +22,17 @@ class Mesh:
 
     Homogeneous Dirichlet conditions are built in: ``interior_index`` maps
     node numbers to compacted interior unknown numbers (-1 on the
-    boundary).  Displacement unknowns are interleaved, two per interior
-    node.
+    boundary).  It is the one record of the Dirichlet nodes: every
+    operator, load and nodal helper keeps exactly the nodes it numbers, so
+    a mesh whose ``interior_index`` numbers every node gives the
+    unconstrained operators.  Displacement unknowns are interleaved, two
+    per kept node.
     """
 
     n: int
     nodes: np.ndarray           # (num_nodes, 2) coordinates
     triangles: np.ndarray       # (num_triangles, 3) node indices, counterclockwise
-    boundary_mask: np.ndarray   # (num_nodes,) bool
-    interior_index: np.ndarray  # (num_nodes,) int, -1 on the boundary
+    interior_index: np.ndarray  # (num_nodes,) int, -1 at a Dirichlet node
 
     @property
     def num_nodes(self) -> int:
@@ -42,11 +44,11 @@ class Mesh:
 
     @property
     def interior_nodes(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_mask)
+        return np.flatnonzero(self.interior_index >= 0)
 
     @property
     def num_pressure_dofs(self) -> int:
-        return int((~self.boundary_mask).sum())
+        return int(np.count_nonzero(self.interior_index >= 0))
 
     @property
     def num_displacement_dofs(self) -> int:
@@ -111,13 +113,10 @@ def build_structured_mesh(n: int) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    i_idx, j_idx = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    boundary = (i_idx == 0) | (i_idx == n) | (j_idx == 0) | (j_idx == n)
-    interior_index = np.full((n + 1) ** 2, -1, dtype=np.int64)
-    interior_index[~boundary] = np.arange((~boundary).sum())
+    interior_index = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    interior_index[1:-1, 1:-1] = np.arange((n - 1) ** 2).reshape(n - 1, n - 1)
 
-    return Mesh(n=n, nodes=nodes, triangles=triangles,
-                boundary_mask=boundary, interior_index=interior_index)
+    return Mesh(n=n, nodes=nodes, triangles=triangles, interior_index=interior_index.ravel())
 
 
 def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:

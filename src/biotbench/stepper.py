@@ -32,6 +32,7 @@ from .assembly import (Coefficients, assemble_coupling, assemble_elasticity,
 from .linsolve import (BlockSystem, SpdFactorization, _norm, factor_banded, matvec,
                        rmatvec, solve_block, solve_pressure)
 from .mesh import Mesh
+from .permeability import is_finite_number
 
 #: forcing term of the Picard inner solves: an iterate that is neither the
 #: first of its step nor the last the cap allows is verified to this
@@ -65,10 +66,10 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and > 0, got {self.tau!r}")
-        if not (math.isfinite(self.T) and self.T >= 0):
-            raise ValueError(f"T must be finite and >= 0, got {self.T!r}")
+        if not (is_finite_number(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be a finite number > 0, got {self.tau!r}")
+        if not (is_finite_number(self.T) and self.T >= 0):
+            raise ValueError(f"T must be a finite number >= 0, got {self.T!r}")
         steps = self.T / self.tau
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"T/tau = {steps} is not an integer")
@@ -477,7 +478,7 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     return states
 
 
-def tau_bound_diagnostic(coeffs: Coefficients, p_bound: float, model=None) -> float:
+def tau_bound_diagnostic(coeffs: Coefficients, p_bound: float) -> float:
     """Heuristic upper bound on the admissible step size.
 
     Evaluates c_a*c_b / (2*L_b^2*p_bound^2) with c_b the lower mobility
@@ -488,10 +489,9 @@ def tau_bound_diagnostic(coeffs: Coefficients, p_bound: float, model=None) -> fl
     """
     if p_bound <= 0:
         raise ValueError("p_bound must be positive")
-    model = coeffs.permeability if model is None else model
     c_a = coeffs.mu
-    c_b = coeffs.kappa_over_nu * model.bounds()[0]
-    L_b = coeffs.kappa_over_nu * model.lipschitz_constant()
+    c_b = coeffs.kappa_over_nu * coeffs.permeability.bounds()[0]
+    L_b = coeffs.kappa_over_nu * coeffs.permeability.lipschitz_constant()
     if L_b == 0.0:
         return math.inf
     return c_a * c_b / (2.0 * L_b**2 * p_bound**2)

@@ -11,6 +11,7 @@ V-cycle with its coarse operators formed by scipy's sparse products,
 which the library's per-mesh Galerkin maps replace.
 """
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -185,6 +186,15 @@ def eight_trig_forcing(coeffs):
         return storage + diffusion
 
     return f, g
+
+
+def unconstrained(mesh):
+    """The mesh with no Dirichlet node, on which the library assembles the full-space operators.
+
+    Its displacement unknowns are all 2 * num_nodes dofs, so a state u of
+    ``mesh`` enters as ``mesh.extend_vector(u)``.
+    """
+    return dataclasses.replace(mesh, interior_index=np.arange(mesh.num_nodes))
 
 
 def restrict_dense(mesh, mat, rows="scalar", cols="scalar"):

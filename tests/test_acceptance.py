@@ -17,7 +17,7 @@ from biotbench.config import SchemeSpec
 from biotbench.experiments import simulate
 from dense_reference import (dense_coupling, dense_elasticity, dense_mass,
                              dense_permeability_stiffness, restrict_dense,
-                             strong_form_residual)
+                             strong_form_residual, unconstrained)
 
 SEMI = SchemeSpec(scheme="semi_explicit")
 
@@ -115,23 +115,23 @@ def test_criterion_04_assembly_oracle():
         mesh = bb.build_structured_mesh(n)
         rng = np.random.default_rng(n)
         u = rng.standard_normal(mesh.num_displacement_dofs)
+        free = unconstrained(mesh)
         pairs = [
-            (bb.assemble_elasticity(mesh, co, interior_only=False).toarray(),
+            (bb.assemble_elasticity(free, co).toarray(),
              dense_elasticity(mesh, co.lam, co.mu)),
-            (bb.assemble_pressure_mass(mesh, co, interior_only=False).toarray(),
+            (bb.assemble_pressure_mass(free, co).toarray(),
              dense_mass(mesh, 1.0 / co.M)),
-            (bb.assemble_coupling(mesh, co, interior_only=False).toarray(),
+            (bb.assemble_coupling(free, co).toarray(),
              dense_coupling(mesh, co.alpha)),
-            (bb.assemble_permeability_stiffness(mesh, co, u,
-                                                interior_only=False).toarray(),
+            (bb.assemble_permeability_stiffness(free, co, mesh.extend_vector(u)).toarray(),
              dense_permeability_stiffness(mesh, co, u)),
         ]
         worst = max(worst, *(np.abs(a - b).max() for a, b in pairs))
 
     mesh = bb.build_structured_mesh(4)
-    mass_gap = abs(bb.assemble_pressure_mass(mesh, co, interior_only=False).sum()
-                   - 1.0 / co.M)
-    D_full = bb.assemble_coupling(mesh, co, interior_only=False)
+    free = unconstrained(mesh)
+    mass_gap = abs(bb.assemble_pressure_mass(free, co).sum() - 1.0 / co.M)
+    D_full = bb.assemble_coupling(free, co)
     ones = np.ones(mesh.num_nodes)
     rng = np.random.default_rng(17)
     div_gap = max(abs(ones @ (D_full @ mesh.extend_vector(

@@ -16,7 +16,8 @@ from biotbench import assembly
 from biotbench.mesh import prolongation
 from dense_reference import (dense_coupling, dense_elasticity, dense_load_q,
                              dense_load_v, dense_mass,
-                             dense_permeability_stiffness, restrict_dense)
+                             dense_permeability_stiffness, restrict_dense,
+                             unconstrained)
 
 KC = KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75)
 
@@ -31,23 +32,30 @@ def mesh2():
     return build_structured_mesh(2)
 
 
+def mesh_of(n, dirichlet):
+    """The structured mesh for n, or that mesh without its Dirichlet nodes."""
+    mesh = build_structured_mesh(n)
+    return mesh if dirichlet else unconstrained(mesh)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_operators_match_dense_reference(n):
     mesh = build_structured_mesh(n)
     co = unit_coeffs()
     rng = np.random.default_rng(n)
     u = rng.standard_normal(mesh.num_displacement_dofs)
+    free = unconstrained(mesh)
 
-    A = assemble_elasticity(mesh, co, interior_only=False).toarray()
+    A = assemble_elasticity(free, co).toarray()
     assert np.abs(A - dense_elasticity(mesh, co.lam, co.mu)).max() < 1e-12
 
-    C = assemble_pressure_mass(mesh, co, interior_only=False).toarray()
+    C = assemble_pressure_mass(free, co).toarray()
     assert np.abs(C - dense_mass(mesh, 1.0 / co.M)).max() < 1e-12
 
-    D = assemble_coupling(mesh, co, interior_only=False).toarray()
+    D = assemble_coupling(free, co).toarray()
     assert np.abs(D - dense_coupling(mesh, co.alpha)).max() < 1e-12
 
-    B = assemble_permeability_stiffness(mesh, co, u, interior_only=False).toarray()
+    B = assemble_permeability_stiffness(free, co, mesh.extend_vector(u)).toarray()
     assert np.abs(B - dense_permeability_stiffness(mesh, co, u)).max() < 1e-12
 
 
@@ -96,11 +104,11 @@ def test_elasticity_scales_linearly_in_lame_coefficients(mesh2):
 
 
 def test_pressure_mass_entry_sum_is_domain_measure_over_M():
-    mesh = build_structured_mesh(4)
+    free = unconstrained(build_structured_mesh(4))
     for M in (1.0, 2.0, 7e9):
         co = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=M, kappa_over_nu=1.0,
                           permeability=KC)
-        C_full = assemble_pressure_mass(mesh, co, interior_only=False)
+        C_full = assemble_pressure_mass(free, co)
         assert abs(C_full.sum() - 1.0 / M) < 1e-12
 
 
@@ -116,7 +124,7 @@ def test_pressure_mass_ratio_in_M(mesh2):
 def test_coupling_divergence_theorem():
     mesh = build_structured_mesh(4)
     co = unit_coeffs()
-    D_full = assemble_coupling(mesh, co, interior_only=False)
+    D_full = assemble_coupling(unconstrained(mesh), co)
     ones = np.ones(mesh.num_nodes)
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -140,7 +148,8 @@ def test_constant_permeability_gives_laplace_stencil():
     mesh = build_structured_mesh(2)
     co = unit_coeffs(Constant(kappa=1.0))
     u = np.zeros(mesh.num_displacement_dofs)
-    B_full = assemble_permeability_stiffness(mesh, co, u, interior_only=False).toarray()
+    B_full = assemble_permeability_stiffness(unconstrained(mesh), co,
+                                             mesh.extend_vector(u)).toarray()
     center = 4  # node (1,1)
     row = B_full[center]
     assert row[center] == pytest.approx(4.0, abs=1e-13)
@@ -181,6 +190,7 @@ def test_stiffness_depends_on_u_only_through_element_divergence():
 
     mesh = build_structured_mesh(3)
     co = unit_coeffs()
+    free = unconstrained(mesh)
     rng = np.random.default_rng(4)
 
     div_rows = []
@@ -194,7 +204,7 @@ def test_stiffness_depends_on_u_only_through_element_divergence():
     for _ in range(5):
         u = rng.standard_normal(mesh.num_displacement_dofs)
         weights = co.mobility(element_divergence(mesh, u))
-        B = assemble_permeability_stiffness(mesh, co, u, interior_only=False).toarray()
+        B = assemble_permeability_stiffness(free, co, mesh.extend_vector(u)).toarray()
         B_from_div = dense_laplace(mesh, weight_per_element=weights)
         assert np.abs(B - B_from_div).max() < 1e-13
 
@@ -203,18 +213,18 @@ def test_loads_zero_and_partition_of_unity():
     mesh = build_structured_mesh(3)
     zero = assemble_load_v(mesh, lambda x, y, t: (0.0 * x, 0.0 * x), 0.3)
     assert np.all(zero == 0.0)
-    total = assemble_load_q(mesh, lambda x, y, t: np.ones_like(x), 0.0,
-                            interior_only=False).sum()
+    total = assemble_load_q(unconstrained(mesh), lambda x, y, t: np.ones_like(x), 0.0).sum()
     assert abs(total - 1.0) < 1e-14
 
 
 def test_loads_match_dense_quadrature_oracle(mesh2):
+    free = unconstrained(mesh2)
     g = lambda x, y, t: x
-    lq = assemble_load_q(mesh2, g, 0.0, interior_only=False)
+    lq = assemble_load_q(free, g, 0.0)
     assert np.abs(lq - dense_load_q(mesh2, g, 0.0)).max() < 1e-12
 
     f = lambda x, y, t: (x * y + t, np.cos(x))
-    lv = assemble_load_v(mesh2, f, 0.5, interior_only=False)
+    lv = assemble_load_v(free, f, 0.5)
     assert np.abs(lv - dense_load_v(mesh2, f, 0.5)).max() < 1e-12
 
 
@@ -251,8 +261,9 @@ def test_coefficients_validation():
 # exact agreement with a plain COO assembly
 
 
-def coo_scatter(mesh, local, interior_only, rows, cols):
-    """Sum (E, r, c) local matrices the plain way: COO to CSR, restrict, sort."""
+def coo_scatter(mesh, local, rows, cols):
+    """Sum (E, r, c) local matrices the plain way: COO to CSR, restrict to the
+    mesh's kept dofs, sort."""
     def space(kind):
         if kind == "scalar":
             return mesh.triangles, mesh.num_nodes, mesh.interior_nodes
@@ -264,8 +275,7 @@ def coo_scatter(mesh, local, interior_only, rows, cols):
     row_idx = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
     col_idx = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
     mat = sp.coo_matrix((local.ravel(), (row_idx, col_idx)), shape=(n_rows, n_cols)).tocsr()
-    if interior_only:
-        mat = mat[row_keep][:, col_keep]
+    mat = mat[row_keep][:, col_keep]
     mat.sort_indices()
     return mat
 
@@ -280,22 +290,22 @@ SPACE_PAIRS = [("scalar", "scalar"), ("vector", "vector"), ("scalar", "vector")]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
-@pytest.mark.parametrize("interior_only", [True, False])
-def test_scatter_equals_coo_assembly_bit_for_bit(n, interior_only):
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_scatter_equals_coo_assembly_bit_for_bit(n, dirichlet):
     # random element matrices make every difference in summation order visible
-    mesh = build_structured_mesh(n)
+    mesh = mesh_of(n, dirichlet)
     rng = np.random.default_rng(n)
     for rows, cols in SPACE_PAIRS:
         shape = (mesh.num_triangles, 3 if rows == "scalar" else 6, 3 if cols == "scalar" else 6)
         local = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-        mat = assembly._scatter(mesh, local, interior_only, rows, cols)
-        assert_same_csr(mat, coo_scatter(mesh, local, interior_only, rows, cols))
+        mat = assembly._scatter(mesh, local, rows, cols)
+        assert_same_csr(mat, coo_scatter(mesh, local, rows, cols))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
-@pytest.mark.parametrize("interior_only", [True, False])
-def test_operators_equal_coo_assembly_bit_for_bit(n, interior_only, monkeypatch):
-    mesh = build_structured_mesh(n)
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_operators_equal_coo_assembly_bit_for_bit(n, dirichlet, monkeypatch):
+    mesh = mesh_of(n, dirichlet)
     co = unit_coeffs()
     u = np.random.default_rng(n).standard_normal(mesh.num_displacement_dofs)
     # given the dilatation, B(u) read through the B map equals the COO
@@ -303,22 +313,21 @@ def test_operators_equal_coo_assembly_bit_for_bit(n, interior_only, monkeypatch)
     _, _, area = assembly.triangle_geometry(mesh)
     weights = co.mobility(element_divergence(mesh, u)) / (4.0 * area)
     grad_grad = assembly._mesh_data(mesh).grad_grad
-    B_ref = coo_scatter(mesh, grad_grad * weights[:, None, None], interior_only,
-                        "scalar", "scalar")
+    B_ref = coo_scatter(mesh, grad_grad * weights[:, None, None], "scalar", "scalar")
     scattered = []
     real_scatter = assembly._scatter
 
-    def recording_scatter(mesh, local, interior_only, rows="scalar", cols="scalar"):
-        mat = real_scatter(mesh, local, interior_only, rows, cols)
-        scattered.append((coo_scatter(mesh, local, interior_only, rows, cols), mat.copy()))
+    def recording_scatter(mesh, local, rows="scalar", cols="scalar"):
+        mat = real_scatter(mesh, local, rows, cols)
+        scattered.append((coo_scatter(mesh, local, rows, cols), mat.copy()))
         return mat
 
     monkeypatch.setattr(assembly, "_scatter", recording_scatter)
-    assert_same_csr(assemble_permeability_stiffness(mesh, co, u, interior_only), B_ref)
+    assert_same_csr(assemble_permeability_stiffness(mesh, co, u), B_ref)
     assert scattered == []
-    ops = [assemble_elasticity(mesh, co, interior_only), assemble_coupling(mesh, co, interior_only),
-           assemble_mass(mesh, interior_only), assemble_laplace(mesh, interior_only)]
-    C = assemble_pressure_mass(mesh, co, interior_only)
+    ops = [assemble_elasticity(mesh, co), assemble_coupling(mesh, co),
+           assemble_mass(mesh), assemble_laplace(mesh)]
+    C = assemble_pressure_mass(mesh, co)
     assert len(scattered) == 5
     for (ref, mat), op in zip(scattered, ops):
         assert_same_csr(mat, ref)
@@ -352,9 +361,9 @@ MIDPOINT_VERTEX_WEIGHTS = 0.5 * np.array([[1.0, 0.0, 1.0],
                                           [0.0, 1.0, 1.0]])
 
 
-def add_at_load(mesh, components, interior_only):
+def add_at_load(mesh, components):
     """Edge-midpoint load summed element by element with np.add.at into the
-    full vector, then restricted."""
+    full vector, then restricted to the mesh's kept dofs."""
     _, _, area = assembly.triangle_geometry(mesh)
     k = len(components)
     out = np.zeros(k * mesh.num_nodes)
@@ -362,8 +371,6 @@ def add_at_load(mesh, components, interior_only):
         dofs = k * mesh.triangles + comp
         vals = np.broadcast_to(np.asarray(vals, dtype=float), dofs.shape)
         np.add.at(out, dofs, (area / 3.0)[:, None] * (vals @ MIDPOINT_VERTEX_WEIGHTS.T))
-    if not interior_only:
-        return out
     return mesh.restrict_scalar(out) if k == 1 else mesh.restrict_vector(out)
 
 
@@ -375,22 +382,22 @@ def assert_load_matches(load, reference):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
-@pytest.mark.parametrize("interior_only", [True, False])
-def test_loads_equal_add_at_reference_bit_for_bit(n, interior_only):
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_loads_equal_add_at_reference_bit_for_bit(n, dirichlet):
     # named for the element-order sum it once reproduced; see assert_load_matches
-    mesh = build_structured_mesh(n)
+    mesh = mesh_of(n, dirichlet)
     pts = mesh.nodes[mesh.triangles]
     mid = 0.5 * (pts + np.roll(pts, -1, axis=1))
     x, y = mid[..., 0], mid[..., 1]
     g = lambda x, y, t: np.exp(x - y) * np.sin(7.0 * x * y + t)
     f = lambda x, y, t: (x * y - t, np.cos(5.0 * x) + y ** 3)
-    lq = assemble_load_q(mesh, g, 0.3, interior_only)
-    assert_load_matches(lq, add_at_load(mesh, [g(x, y, 0.3)], interior_only))
-    lv = assemble_load_v(mesh, f, 0.3, interior_only)
-    assert_load_matches(lv, add_at_load(mesh, list(f(x, y, 0.3)), interior_only))
+    lq = assemble_load_q(mesh, g, 0.3)
+    assert_load_matches(lq, add_at_load(mesh, [g(x, y, 0.3)]))
+    lv = assemble_load_v(mesh, f, 0.3)
+    assert_load_matches(lv, add_at_load(mesh, list(f(x, y, 0.3))))
     # a constant source comes back as a scalar and is broadcast over the midpoints
-    lc = assemble_load_q(mesh, lambda x, y, t: 2.0, 0.0, interior_only)
-    assert_load_matches(lc, add_at_load(mesh, [2.0], interior_only))
+    lc = assemble_load_q(mesh, lambda x, y, t: 2.0, 0.0)
+    assert_load_matches(lc, add_at_load(mesh, [2.0]))
 
 
 def element_midpoints(mesh):
@@ -459,7 +466,7 @@ def test_experiment_loads_equal_add_at_reference_on_element_midpoints():
             if load is assemble_load_q:
                 local, on_edges = [local], [on_edges]
             assert all(np.array_equal(e[edges], v) for e, v in zip(on_edges, local))
-            assert_load_matches(load(mesh, forcing, t), add_at_load(mesh, list(local), True))
+            assert_load_matches(load(mesh, forcing, t), add_at_load(mesh, list(local)))
 
 
 def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
@@ -468,9 +475,9 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     built = []
     real_build = assembly._build_plan
 
-    def counting_build(mesh, rows, cols, interior_only):
-        built.append((rows, cols, interior_only))
-        return real_build(mesh, rows, cols, interior_only)
+    def counting_build(mesh, rows, cols):
+        built.append((rows, cols))
+        return real_build(mesh, rows, cols)
 
     monkeypatch.setattr(assembly, "_build_plan", counting_build)
     prob = experiment_42_data()
@@ -478,12 +485,11 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     cfg = StepperConfig(scheme="semi_explicit", tau=0.25, T=0.5)
     trajectory, _ = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     error_vs_manufactured(mesh, prob.coeffs, trajectory, prob.exact_u, prob.exact_p)
-    assert sorted(built) == [("scalar", "scalar", True), ("scalar", "vector", True),
-                             ("vector", "vector", True)]
-    # the run built the dilatation map, the interior B map and the interior
-    # load map, and later B(u) calls read the same objects
+    assert sorted(built) == [("scalar", "scalar"), ("scalar", "vector"), ("vector", "vector")]
+    # the run built the dilatation map, the B map and the load map, and
+    # later B(u) calls read the same objects
     maps = assembly._mesh_data(mesh).maps
-    assert sorted(maps, key=str) == [("B", True), ("load", True), "div"]
+    assert sorted(maps) == ["B", "div", "load"]
     kept = dict(maps)
     assemble_permeability_stiffness(mesh, prob.coeffs, trajectory[-1].u)
     assert element_divergence(mesh, trajectory[-1].u).shape == (mesh.num_triangles,)
@@ -508,39 +514,39 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     assert len(assembly._MESH_DATA) == cached_before
 
 
-@pytest.mark.parametrize("interior_only", [True, False])
-def test_load_maps_live_once_per_mesh_and_interior_choice(interior_only, monkeypatch):
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_load_maps_live_once_per_mesh_and_interior_choice(dirichlet, monkeypatch):
     gc.collect()
     cached_before = len(assembly._MESH_DATA)
     used = []
     real_map = assembly._load_map
 
-    def recording(mesh, interior_only):
-        used.append(real_map(mesh, interior_only))
+    def recording(mesh):
+        used.append(real_map(mesh))
         return used[-1]
 
     monkeypatch.setattr(assembly, "_load_map", recording)
     prob = experiment_42_data()
-    mesh = build_structured_mesh(4)
+    mesh, other_mesh = mesh_of(4, dirichlet), mesh_of(4, not dirichlet)
     for t in (0.25, 0.5):
-        assemble_load_v(mesh, prob.f, t, interior_only)
-        assemble_load_q(mesh, prob.g, t, interior_only)
-    # both loads, at every time, read the one map the mesh keeps for the choice
+        assemble_load_v(mesh, prob.f, t)
+        assemble_load_q(mesh, prob.g, t)
+    # both loads, at every time, read the one map the mesh keeps
     assert len(used) == 4 and all(m is used[0] for m in used)
     maps = assembly._mesh_data(mesh).maps
-    assert list(maps) == [("load", interior_only)] and maps["load", interior_only] is used[0]
-    rows = mesh.num_pressure_dofs if interior_only else mesh.num_nodes
+    assert list(maps) == ["load"] and maps["load"] is used[0]
+    rows = mesh.num_pressure_dofs if dirichlet else mesh.num_nodes
     assert used[0].shape == (rows, assembly._mesh_data(mesh).x.size)
-    # the other choice and another mesh get maps of their own
-    other = real_map(mesh, not interior_only)
+    # the other choice of Dirichlet nodes and another mesh get maps of their own
+    other = real_map(other_mesh)
     assert other is not used[0] and other.shape[0] != rows
-    assert real_map(build_structured_mesh(4), interior_only) is not used[0]
+    assert real_map(mesh_of(4, dirichlet)) is not used[0]
     map_refs = [weakref.ref(used[0]), weakref.ref(other)]
-    alive = weakref.ref(mesh)
+    alive = [weakref.ref(mesh), weakref.ref(other_mesh)]
     used.clear()
-    del mesh, maps, other
+    del mesh, other_mesh, maps, other
     gc.collect()
-    assert alive() is None
+    assert all(ref() is None for ref in alive)
     assert all(ref() is None for ref in map_refs)
     assert len(assembly._MESH_DATA) == cached_before
 

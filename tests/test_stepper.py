@@ -794,6 +794,10 @@ def test_config_validation():
         StepperConfig(scheme="implicit_picard", tau=0.5, T=1.0, picard_tol=2.0)
     with pytest.raises(ValueError):
         StepperConfig(scheme="implicit_picard", tau=0.5, T=1.0, picard_max=0)
+    # bool is an int: tau=True would run one step of size 1 and T=False none
+    for tau, T in ((True, 1.0), (0.5, False), (0.5, True), (np.True_, 1.0)):
+        with pytest.raises(ValueError):
+            StepperConfig(scheme="semi_explicit", tau=tau, T=T)
 
 
 def test_semi_explicit_cost_structure():
