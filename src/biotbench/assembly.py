@@ -66,12 +66,14 @@ import scipy.sparse as sp
 
 from .linsolve import matvec
 from .mesh import Mesh, build_structured_mesh, prolongation
-from .permeability import PermeabilityModel
+from .permeability import PermeabilityModel, check_finite_fields
 
 
 @dataclass(frozen=True)
 class Coefficients:
     """Material data of the poroelastic model.
+
+    Each number is finite and not a bool.
 
     lam, mu   : Lame coefficients (lam >= 0, mu > 0)
     alpha     : fluid-solid coupling coefficient (alpha >= 0; zero decouples)
@@ -88,6 +90,7 @@ class Coefficients:
     permeability: PermeabilityModel
 
     def __post_init__(self):
+        check_finite_fields(self, skip=("permeability",))
         if self.lam < 0 or self.mu <= 0:
             raise ValueError("require lam >= 0 and mu > 0")
         if self.alpha < 0:
@@ -566,6 +569,9 @@ def assemble_load_q(mesh: Mesh, g, t: float) -> np.ndarray:
 
 def assemble_load_v(mesh: Mesh, f, t: float) -> np.ndarray:
     """Displacement load vector int f . v dx by the edge-midpoint rule; f is
-    evaluated once, on the mesh's unique edge midpoints."""
+    evaluated once, on the mesh's unique edge midpoints.  ``f=None`` is the
+    zero body force, whose load is the zero vector."""
+    if f is None:
+        return np.zeros(mesh.num_displacement_dofs)
     data = _mesh_data(mesh)
     return _midpoint_load(mesh, list(f(data.x, data.y, t)))

@@ -4,8 +4,9 @@ Subcommands: run, convergence, sweep-alpha, compare.  Each reads a JSON
 config, executes the corresponding driver and writes results.csv (plus
 auxiliary plot/snapshot files) into the output directory.
 
-Exit codes: 0 on success, 2 on config errors, 3 on solver failures in
-non-sweep runs.
+Exit codes: 0 on success, 2 on config errors (found before the first
+run, an output path that cannot be a directory among them), 3 on solver
+failures in non-sweep runs.
 """
 
 import argparse
@@ -34,9 +35,20 @@ def _build_parser():
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=None,
                          help="output directory (overrides the config)")
-        cmd.add_argument("--workers", type=int, default=None,
-                         help="parallel worker count for sweep points")
+        if name == "sweep-alpha":
+            cmd.add_argument("--workers", type=int, default=None,
+                             help="parallel worker count for sweep points")
     return parser
+
+
+def _check_output_dir(path, source):
+    """A config error unless the nearest existing component of ``path`` is a
+    directory; creates nothing, so a failed run leaves no directory behind."""
+    existing = Path(path).absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(source, f"{existing} exists and is not a directory")
 
 
 def main(argv=None) -> int:
@@ -45,10 +57,13 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.out is not None:
             config.output_dir = args.out
-        if args.workers is not None:
-            if args.workers < 1:
+        workers = getattr(args, "workers", None)
+        if workers is not None:
+            if workers < 1:
                 raise ConfigError("--workers", "expected a positive integer")
-            config.workers = args.workers
+            config.workers = workers
+        _check_output_dir(config.output_dir,
+                          "config.output_dir" if args.out is None else "--out")
         table, aux = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -59,14 +74,13 @@ def main(argv=None) -> int:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table.write_csv(out_dir / "results.csv")
-    for name, text in aux.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+    files = {"results.csv": table.to_csv(), **aux}
     if table.summary:
-        (out_dir / "summary.txt").write_text("\n".join(table.summary) + "\n",
-                                             encoding="utf-8")
-        for line in table.summary:
-            print(line)
+        files["summary.txt"] = "\n".join(table.summary) + "\n"
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    for line in table.summary:
+        print(line)
     print(f"wrote {out_dir / 'results.csv'} ({len(table.rows)} row(s))")
     return 0
 

@@ -256,6 +256,13 @@ def _format(value):
     return str(value)
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of every output file: the header line, then one line per row
+    of values, each formatted by ``_format``."""
+    lines = [",".join(header)] + [",".join(map(_format, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class ResultsTable:
     """Rows of benchmark results with a fixed CSV schema."""
@@ -274,14 +281,7 @@ class ResultsTable:
                                       -(r["tau"] or 0.0), r["alpha"] or 0.0))
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(_format(row[col]) for col in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        return csv_text(CSV_COLUMNS, ([row[col] for col in CSV_COLUMNS] for row in self.rows))
 
 
 def error_columns(report_relative: dict) -> dict:

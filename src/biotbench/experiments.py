@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import (NormKind, convergence_order, error_vs_manufactured,
                        error_vs_reference)
 from .config import (ERR_COLUMNS, ConfigError, ExperimentConfig, ResultsTable,
-                     SchemeSpec, error_columns)
+                     SchemeSpec, csv_text, error_columns)
 from .forcing import ProblemData, problem_by_name
 from .linsolve import SolverFailure
 from .mesh import build_structured_mesh
@@ -120,12 +120,12 @@ def cmd_run(config: ExperimentConfig):
     problem = build_problem(config)
     spec = config.schemes[0]
     n, tau = config.mesh_levels[0], config.tau_levels[0]
-    # a lone run shares nothing, so its factor of A dies with the run
-    ref = config.reference
-    study = {} if ref is not None and ref.n_ref == n and not problem.has_exact else None
+    study = {}
     reference = _compute_reference(config, problem, study)
+    # the run shares the study only if the reference joined it, else its factor
+    # of A dies with the run
     row, trajectory, mesh = _single_row(problem, spec, n, tau, config.norms, reference,
-                                        study)
+                                        study or None)
 
     table = ResultsTable()
     table.add_row(**row)
@@ -189,13 +189,10 @@ def _convergence_plot_data(config, levels, series):
     for key in ERR_COLUMNS:
         if not any(series[lab][0].get(key) is not None for lab in labels):
             continue
-        lines = [",".join([x_name] + labels)]
-        for i, (n, tau) in enumerate(levels):
-            x = 1.0 / n if config.tau_equals_h else tau
-            vals = [series[lab][i].get(key) for lab in labels]
-            lines.append(",".join([f"{x:.12g}"] +
-                                  ["" if v is None else f"{v:.12g}" for v in vals]))
-        aux[f"plot_{key}.csv"] = "\n".join(lines) + "\n"
+        rows = [[1.0 / n if config.tau_equals_h else tau]
+                + [series[lab][i].get(key) for lab in labels]
+                for i, (n, tau) in enumerate(levels)]
+        aux[f"plot_{key}.csv"] = csv_text([x_name] + labels, rows)
     return aux
 
 
@@ -259,13 +256,10 @@ def cmd_sweep_alpha(config: ExperimentConfig):
     table.sort()
 
     deviation = {(r["alpha"], r["tau"]): r["err_triple"] for r in table.rows}
-    lines = [",".join(["alpha"] + [f"tau_{tau:.8g}" for tau in config.tau_levels])]
-    for alpha in config.alpha_values:
-        vals = [deviation[alpha, tau] for tau in config.tau_levels]
-        lines.append(",".join([f"{alpha:.12g}"] +
-                              ["" if dev is None else f"{dev:.12g}" for dev in vals]))
-    aux = {"plot_alpha_sweep.csv": "\n".join(lines) + "\n"}
-    return table, aux
+    header = ["alpha"] + [f"tau_{tau:.8g}" for tau in config.tau_levels]
+    rows = [[alpha] + [deviation[alpha, tau] for tau in config.tau_levels]
+            for alpha in config.alpha_values]
+    return table, {"plot_alpha_sweep.csv": csv_text(header, rows)}
 
 
 def cmd_compare(config: ExperimentConfig):

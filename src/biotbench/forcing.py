@@ -35,10 +35,11 @@ PI = math.pi
 class ProblemData:
     """Right-hand sides, initial pressure and (optionally) the exact pair.
 
-    ``f`` maps (x, y, t) to the two load components (None means zero),
-    ``g`` maps (x, y, t) to the fluid source, ``p0`` maps (x, y) to the
-    initial pressure.  When a closed-form solution is known it vanishes on
-    the domain boundary for all times.
+    ``f`` maps (x, y, t) to the two load components; None is the zero body
+    force, whose zero load ``assembly.assemble_load_v`` returns.  ``g``
+    maps (x, y, t) to the fluid source, ``p0`` maps (x, y) to the initial
+    pressure.  When a closed-form solution is known it vanishes on the
+    domain boundary for all times.
     """
 
     name: str
@@ -164,7 +165,7 @@ def manufactured_problem(coeffs: Coefficients, name="ex42") -> ProblemData:
         k = fields(x, y)
         ew = np.exp(-t)
         s = PI / 6.0 * ew * k.C12                          # dilatation
-        m = coeffs.kappa_over_nu * coeffs.permeability.eval(s)
+        m = coeffs.mobility(s)
         dm = coeffs.kappa_over_nu * coeffs.permeability.derivative(s)
         storage = -alpha * PI / 6.0 * ew * k.C12 + k.S_over_M
         diffusion = 2.0 * PI**2 * t * m * k.S \

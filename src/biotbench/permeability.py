@@ -3,10 +3,12 @@
 Each model is a bounded, Lipschitz-continuous function of the dilatation
 together with the analytic quantities the solver and diagnostics need:
 global bounds, pointwise derivative, and a Lipschitz constant.  Models are
-immutable value types; all evaluations are vectorized and pure.
+immutable value types whose fields are finite numbers, checked at
+construction; all evaluations are vectorized and pure.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -28,6 +30,7 @@ class Constant:
     kappa: float
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.kappa <= 0:
             raise ValueError("constant permeability must be positive")
 
@@ -60,6 +63,7 @@ class KozenyCarman:
     C_s: float
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.kappa0 <= 0:
             raise ValueError("kappa0 must be positive")
         if not 0.0 < self.rho0 < 1.0:
@@ -112,6 +116,7 @@ class NetworkInspired:
     delta: float
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.kappa0 <= 0 or self.delta <= 0:
             raise ValueError("kappa0 and delta must be positive")
         if not 0.0 < self.rho_hat < self.rho0 < 1.0:
@@ -154,6 +159,7 @@ class QuadraticClamped:
     C_s: float
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.kappa0 <= 0:
             raise ValueError("kappa0 must be positive")
         if not 0.0 < self.rho0 < 1.0:
@@ -193,8 +199,18 @@ _MODEL_KINDS = {
 
 
 def is_finite_number(x):
-    """A finite int or float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite real number: an int, a float or a numpy integer or floating
+    value, not a bool (``numpy.bool_`` is not a ``numbers.Real``)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def check_finite_fields(obj, skip=()):
+    """Raise ValueError at the first field of the dataclass ``obj``, apart
+    from those named in ``skip``, that is not a finite number."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name not in skip and not is_finite_number(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 def model_from_config(obj: dict) -> PermeabilityModel:

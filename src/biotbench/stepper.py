@@ -370,9 +370,10 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
         shared: Optional[SharedOperators] = None):
     """Run a full trajectory from t = 0 to t = T.
 
-    ``f`` (volumetric load, may be None), ``g`` (fluid source) and ``p0``
-    (initial pressure) are functions of (x, y[, t]); right-hand sides are
-    evaluated pointwise at the step times.  Returns the list of N+1 states
+    ``f`` (volumetric load; None is the zero body force, see
+    ``assembly.assemble_load_v``), ``g`` (fluid source) and ``p0`` (initial
+    pressure) are functions of (x, y[, t]); right-hand sides are evaluated
+    pointwise at the step times.  Returns the list of N+1 states
     and an aggregate report.  Its wall time covers the stepping loop: on
     the semi-explicit and Picard paths that excludes the time-independent
     assembly and the initial solve, while the delay path, which assembles
@@ -394,16 +395,14 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
 
     ops = StepOperators(mesh, coeffs, shared)
     p0_vec = mesh.nodal_scalar(p0)
-    zero_u = np.zeros(mesh.num_displacement_dofs)
-    f0 = assemble_load_v(mesh, f, 0.0) if f is not None else zero_u
-    u0 = initial_displacement(ops, p0_vec, f0)
+    u0 = initial_displacement(ops, p0_vec, assemble_load_v(mesh, f, 0.0))
 
     states = [State(u0, p0_vec, 0.0)]
     reports = []
     tic = time.perf_counter()
     for n in range(1, cfg.n_steps + 1):
         t_n = n * cfg.tau
-        load_u = assemble_load_v(mesh, f, t_n) if f is not None else zero_u
+        load_u = assemble_load_v(mesh, f, t_n)
         load_p = assemble_load_q(mesh, g, t_n)
         if cfg.scheme == SEMI_EXPLICIT:
             state, rep = semi_explicit_step(ops, states[-1], load_u, load_p, cfg,
@@ -453,22 +452,19 @@ def delay_implicit_run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, 
     A = assemble_elasticity(mesh, coeffs)
     C = assemble_pressure_mass(mesh, coeffs)
     D = assemble_coupling(mesh, coeffs)
-    zero_u = np.zeros(mesh.num_displacement_dofs)
-
-    def load_u_at(t):
-        return assemble_load_v(mesh, f, t) if f is not None else zero_u
-
     # one factor of A serves u0 and every step
     a_lu = factor_banded(A)
     # initial displacement from the delayed pressure at -tau
-    u0 = a_lu.solve(load_u_at(0.0) + rmatvec(D, np.asarray(history(-tau), dtype=float)))
+    u0 = a_lu.solve(assemble_load_v(mesh, f, 0.0)
+                    + rmatvec(D, np.asarray(history(-tau), dtype=float)))
 
     states = [State(u0, p0_vec, 0.0)]
     for n in range(1, cfg.n_steps + 1):
         t_n = n * tau
         last = states[-1]
         delayed = history(t_n - tau) if n == 1 else last.p
-        u_n = a_lu.solve(load_u_at(t_n) + rmatvec(D, np.asarray(delayed, dtype=float)))
+        u_n = a_lu.solve(assemble_load_v(mesh, f, t_n)
+                         + rmatvec(D, np.asarray(delayed, dtype=float)))
         B = assemble_permeability_stiffness(mesh, coeffs, u_n)
         rhs = (tau * assemble_load_q(mesh, g, t_n) + matvec(C, last.p)
                - matvec(D, u_n - last.u))

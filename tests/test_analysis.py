@@ -187,6 +187,15 @@ def test_reference_error_rejects_non_nested_meshes():
         error_vs_reference(t3, t4, m3, m4, prob.coeffs)
 
 
+def test_reference_error_rejects_a_reference_without_the_final_time():
+    prob = experiment_41_data()
+    mesh = build_structured_mesh(4)
+    cfg = StepperConfig(scheme="semi_explicit", tau=0.5, T=1.0)
+    traj, _ = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    with pytest.raises(ValueError, match="no state at time 1.0"):
+        error_vs_reference(traj, traj[:-1], mesh, mesh, prob.coeffs)
+
+
 def test_convergence_order_basics():
     assert convergence_order([0.4, 0.2, 0.1]) == pytest.approx([1.0, 1.0])
     assert convergence_order([0.4, 0.1]) == pytest.approx([2.0])

@@ -217,6 +217,13 @@ def test_loads_zero_and_partition_of_unity():
     assert abs(total - 1.0) < 1e-14
 
 
+def test_no_body_force_is_the_zero_displacement_load():
+    # every path gets its displacement loads from this call, f or no f
+    mesh = build_structured_mesh(3)
+    load = assemble_load_v(mesh, None, 0.3)
+    assert load.shape == (mesh.num_displacement_dofs,) and not load.any()
+
+
 def test_loads_match_dense_quadrature_oracle(mesh2):
     free = unconstrained(mesh2)
     g = lambda x, y, t: x

@@ -349,7 +349,7 @@ EX41_N4 = {"experiment": "ex41", "mesh_levels": [4]}
 
 
 def _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path,
-                                 command="run"):
+                                 command="run", flags=()):
     """cli.main on a config file with this content (None: no file) exits 2 with path."""
     def no_run(*args, **kwargs):
         raise AssertionError("a run started on a malformed config")
@@ -360,7 +360,7 @@ def _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path,
         content = json.dumps(content).encode()
     if content is not None:
         config_path.write_bytes(content)
-    assert cli.main([command, "--config", str(config_path)]) == 2
+    assert cli.main([command, "--config", str(config_path), *flags]) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
 
 
@@ -414,13 +414,103 @@ def test_sweep_alpha_with_a_scheme_besides_its_two_exits_2(tmp_path, capsys, mon
                                  command="sweep-alpha")
 
 
+SWEEP = base_config(experiment="ex43", schemes=[SEMI, PICARD], mesh_levels=[4],
+                    tau_levels=[0.25], alpha_values=[1.0])
+
+
+@pytest.mark.parametrize("command, content, path", [
+    ("convergence", base_config(tau_levels=[], tau_equals_h=True), "config.mesh_levels"),
+    ("convergence", base_config(), "config.tau_levels"),
+    ("convergence", base_config(mesh_levels=[4, 8], tau_levels=[0.5, 0.25]),
+     "config.mesh_levels"),
+    ("convergence", base_config(schemes=[]), "config.schemes"),
+    ("sweep-alpha", {**SWEEP, "alpha_values": []}, "config.alpha_values"),
+    ("sweep-alpha", {**SWEEP, "mesh_levels": [4, 8]}, "config"),
+    ("compare", base_config(), "config.pairs"),
+    ("compare", base_config(mesh_levels=[4, 8], pairs=[{"scheme": SEMI, "tau": 0.25}]),
+     "config.mesh_levels"),
+], ids=["tau-equals-h-one-level", "one-tau-level", "two-mesh-levels", "no-schemes",
+        "sweep-no-alphas", "sweep-two-mesh-levels", "compare-no-pairs",
+        "compare-two-mesh-levels"])
+def test_driver_config_errors_exit_2_before_any_run(command, content, path, tmp_path,
+                                                    capsys, monkeypatch):
+    _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path,
+                                 command=command)
+
+
+def test_convergence_writes_a_plot_only_for_the_norms_it_reports(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(mesh_levels=[4], tau_levels=[0.5, 0.25],
+                                                  norms=["p_c"])))
+    out_dir = tmp_path / "out"
+    assert cli.main(["convergence", "--config", str(config_path),
+                     "--out", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["plot_err_p_c.csv", "results.csv"]
+
+
+def test_workers_is_a_flag_of_sweep_alpha_alone(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config()))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", str(config_path), "--workers", "2"])
+    assert exit_.value.code == 2
+
+
+def test_sweep_alpha_workers_below_one_exits_2(tmp_path, capsys, monkeypatch):
+    _config_error_before_any_run(tmp_path, capsys, monkeypatch, SWEEP, "--workers",
+                                 command="sweep-alpha", flags=("--workers", "0"))
+
+
+def test_workers_flag_overrides_the_config(tmp_path, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**SWEEP, "workers": 2}))
+    argv = ["sweep-alpha", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    with pytest.raises(AssertionError, match="worker pool"):
+        cli.main(argv)
+    assert cli.main([*argv, "--workers", "1"]) == 0
+
+
+def test_compare_writes_the_printed_speedups_to_its_summary(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(
+        schemes=[], mesh_levels=[4], tau_levels=[],
+        pairs=[{"scheme": SEMI, "tau": 0.25}, {"scheme": PICARD, "tau": 0.25}])))
+    out_dir = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("speedup")]
+    assert len(printed) == 1
+    assert (out_dir / "summary.txt").read_text().splitlines() == printed
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("flag", [True, False], ids=["--out", "output_dir"])
+def test_an_output_path_that_cannot_be_a_directory_exits_2_before_any_run(
+        flag, below, tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "sub" if below else afile
+    if flag:
+        content, flags, path = base_config(), ("--out", str(out)), "--out"
+    else:
+        content, flags, path = base_config(output_dir=str(out)), (), "config.output_dir"
+    _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path, flags=flags)
+    assert afile.read_text() == "kept"
+
+
 @pytest.mark.parametrize("permeability", [
     {"kind": "constant", "kappa": "2.5"},
     {"kind": "constant", "kappa": True},
     {"kind": "constant", "kappa": float("nan")},
     {"kind": "constant", "kappa": float("inf")},
     {"kind": "kozeny_carman", "kappa0": 1.0, "rho0": "0.5", "c_s": -0.75, "C_s": 0.75},
-], ids=["string", "bool", "nan", "inf", "kozeny_carman-string"])
+    5,
+], ids=["string", "bool", "nan", "inf", "kozeny_carman-string", "not-an-object"])
 def test_permeability_fields_that_are_not_finite_numbers_exit_2(permeability, tmp_path,
                                                                   capsys, monkeypatch):
     content = base_config(coefficients={"permeability": permeability})

@@ -183,13 +183,11 @@ def _first_picard_system(name, n=8, tau=2.0**-5):
     prob = PROBLEMS[name]()
     mesh = build_structured_mesh(n)
     ops = StepOperators(mesh, prob.coeffs)
-    zero_u = np.zeros(mesh.num_displacement_dofs)
     p0 = mesh.nodal_scalar(prob.p0)
-    f0 = assemble_load_v(mesh, prob.f, 0.0) if prob.f is not None else zero_u
-    u0 = initial_displacement(ops, p0, f0)
+    u0 = initial_displacement(ops, p0, assemble_load_v(mesh, prob.f, 0.0))
     B = ops.permeability_stiffness(u0)
     system = BlockSystem(ops.A, ops.D, ops.C + tau * B)
-    rhs_u = assemble_load_v(mesh, prob.f, tau) if prob.f is not None else zero_u
+    rhs_u = assemble_load_v(mesh, prob.f, tau)
     rhs_p = tau * assemble_load_q(mesh, prob.g, tau) + ops.D @ u0 + ops.C @ p0
     factors = (ops.a_factor(), ops.fixed_stress_factor(B, tau))
     return system, rhs_u, rhs_p, (u0, p0), factors
@@ -576,14 +574,11 @@ def _pressure_system(name, n, steps=3, tau=2.0**-5):
     prob = PROBLEMS[name]()
     mesh = build_structured_mesh(n)
     ops = StepOperators(mesh, prob.coeffs)
-
-    def load_u(t):
-        return assemble_load_v(mesh, prob.f, t) if prob.f is not None else 0.0
-
     p = mesh.nodal_scalar(prob.p0)
-    u = initial_displacement(ops, p, load_u(0.0))
+    u = initial_displacement(ops, p, assemble_load_v(mesh, prob.f, 0.0))
     for k in range(1, steps + 2):
-        u_new = ops.a_factor().solve(load_u(k * tau) + linsolve.rmatvec(ops.D, p))
+        u_new = ops.a_factor().solve(assemble_load_v(mesh, prob.f, k * tau)
+                                     + linsolve.rmatvec(ops.D, p))
         B = ops.permeability_stiffness(u_new)
         rhs = tau * assemble_load_q(mesh, prob.g, k * tau) + ops.C @ p - ops.D @ (u_new - u)
         op = pressure_sum(ops.C, tau, B)
@@ -670,6 +665,15 @@ def test_run_on_a_pressure_operator_that_is_not_spd_exits_3(fault, tmp_path, mon
         "tau_levels": [0.25], "output_dir": str(tmp_path / "out")}))
     assert cli.main(["run", "--config", str(config_path)]) == 3
     assert "solver failure: pressure" in capsys.readouterr().err
+
+
+def test_spd_solve_fails_when_two_refinements_leave_its_backward_error_high():
+    # a factor of -op for op: each refinement step moves away from op's solution
+    _, op, rhs, _ = _pressure_system("ex42", 8, steps=0)
+    factor = SpdFactorization(_faulty(op, "negated"))
+    factor.op = op
+    with pytest.raises(SolverFailure, match="SPD solve failed"):
+        factor.solve(rhs)
 
 
 def test_multigrid_pressure_solve_fails_at_its_iteration_cap(monkeypatch):

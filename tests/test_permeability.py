@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from biotbench import (Constant, KozenyCarman, NetworkInspired, QuadraticClamped,
-                       model_from_config)
+from biotbench import (Coefficients, Constant, KozenyCarman, NetworkInspired,
+                       QuadraticClamped, model_from_config)
 
 # the three nonlinear laws with their benchmark parameters
 KC = KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75)
@@ -151,6 +151,40 @@ def test_invalid_parameters_rejected():
         NetworkInspired(kappa0=1.0, rho0=0.2, rho_hat=0.4, delta=0.01)
     with pytest.raises(ValueError):
         QuadraticClamped(kappa0=1.0, rho0=0.4, c_s=-0.1, C_s=0.5)
+    for model, field, value, message in [
+            (KC, "kappa0", 0.0, "kappa0 must be positive"),
+            (KC, "rho0", 1.0, "rho0 must lie in"),
+            (NET, "kappa0", -1.0, "kappa0 and delta must be positive"),
+            (NET, "delta", 0.0, "kappa0 and delta must be positive"),
+            (QUAD, "kappa0", 0.0, "kappa0 must be positive"),
+            (QUAD, "rho0", 0.0, "rho0 must lie in")]:
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, **{field: value})
+
+
+# every numeric field of the material data and of each law, with valid values
+COEFFICIENTS = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
+                            permeability=KC)
+NUMERIC_FIELDS = [(obj, f.name) for obj in [COEFFICIENTS, *ALL_MODELS]
+                  for f in dataclasses.fields(obj) if f.name != "permeability"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, np.True_],
+                         ids=["nan", "inf", "bool", "numpy-bool"])
+@pytest.mark.parametrize("obj, field", NUMERIC_FIELDS,
+                         ids=[f"{type(obj).__name__}.{name}" for obj, name in NUMERIC_FIELDS])
+def test_library_refuses_a_field_that_is_not_a_finite_number(obj, field, value):
+    # the config layer refuses these first; a library caller gets the same refusal
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        dataclasses.replace(obj, **{field: value})
+
+
+@pytest.mark.parametrize("convert", [int, np.int64, np.uint8, np.float32, np.float64],
+                         ids=["int", "int64", "uint8", "float32", "float64"])
+def test_library_accepts_ints_and_numpy_numbers(convert):
+    for obj, field in NUMERIC_FIELDS:
+        if getattr(obj, field) == 1.0:
+            assert dataclasses.replace(obj, **{field: convert(1)}) == obj
 
 
 def test_model_from_config_roundtrip_and_strictness():

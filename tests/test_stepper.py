@@ -236,8 +236,7 @@ def test_picard_fixed_point_matches_the_dense_oracle_where_b_matters(make_proble
     worst_res = b_share = 0.0
     for prev, cur in zip(trajectory[:-1], trajectory[1:]):
         B = restrict_dense(mesh, dense_permeability_stiffness(mesh, co, cur.u))
-        rhs_u = (assemble_load_v(mesh, prob.f, cur.t) if prob.f is not None
-                 else np.zeros(mesh.num_displacement_dofs))
+        rhs_u = assemble_load_v(mesh, prob.f, cur.t)
         rhs_p = tau * assemble_load_q(mesh, prob.g, cur.t) + D @ prev.u + C @ prev.p
         terms = (A @ cur.u, D.T @ cur.p, D @ cur.u, C @ cur.p, tau * (B @ cur.p))
         r_u = terms[0] - terms[1] - rhs_u
@@ -500,12 +499,16 @@ def test_delay_zero_data_trajectory_is_zero():
         assert np.all(state.u == 0.0) and np.all(state.p == 0.0)
 
 
-def test_delay_rejects_history_violating_endpoint_conditions():
+@pytest.mark.parametrize("extra, value, message", [
+    (0, 42.0, "must equal the initial pressure"),
+    (1, 0.0, "must be interior pressure vectors"),
+], ids=["value", "length"])
+def test_delay_rejects_history_violating_endpoint_conditions(extra, value, message):
     prob = experiment_41_data()
     mesh = build_structured_mesh(4)
     cfg = StepperConfig(scheme="delay_implicit", tau=0.5, T=0.5,
-                        history=lambda t: np.full(mesh.num_pressure_dofs, 42.0))
-    with pytest.raises(ValueError):
+                        history=lambda t: np.full(mesh.num_pressure_dofs + extra, value))
+    with pytest.raises(ValueError, match=message):
         delay_implicit_run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
 
 
