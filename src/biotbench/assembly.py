@@ -24,12 +24,12 @@ a scatter plan, the load map, the two sparse maps the permeability
 stiffness B(u) is read through, and, from the multigrid
 crossover on, the pressure space's multigrid hierarchy
 (``pressure_prolongations``, built on its first request): per level the
-prolongation, ``mesh.prolongation`` restricted to the interior nodes,
-and the Galerkin map, a sparse map from the values of any operator on
-the level's pattern to those of its coarsening P^T A P on the next
-one.  C and every B(u) share the scalar plan's pattern, and every sum
-of them keeps it (``pressure_sum``), so the map replaces two sparse
-products per level and step.  The load vectors evaluate the forcing
+prolongation, ``mesh.interior_prolongation``, and the Galerkin map, a
+sparse map from the values of any operator on the level's pattern to
+those of its coarsening P^T A P on the next one.  C and every B(u)
+share the scalar plan's pattern, and every sum of them keeps it
+(``pressure_sum``), so the map replaces two sparse products per level
+and step.  The load vectors evaluate the forcing
 once per mesh edge, on those midpoints, and take the values to the
 nodes by one sparse product with the load map, whose entry (i, e) is the
 sum of |T|/6 over the elements T sharing edge e, at the rows of e's
@@ -65,7 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linsolve import matvec
-from .mesh import Mesh, build_structured_mesh, prolongation
+from .mesh import Mesh, interior_prolongation, structured_interior_index
 from .permeability import PermeabilityModel, check_finite_fields
 
 
@@ -432,8 +432,9 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     gets an empty tuple, so this is the one place that decides whether
     ``linsolve.solve_pressure`` runs multigrid; a mesh below the
     crossover leaves the per-mesh cache untouched.  Built on the first
-    call: P is ``mesh.prolongation`` restricted to interior rows and
-    columns, which is exact because boundary values are zero.
+    call: P is ``mesh.interior_prolongation``, the P1 interpolation on
+    interior rows and columns, which is exact because boundary values are
+    zero; level 0's rows are the mesh's own interior nodes.
     """
     if mesh.n < _MULTIGRID_CELLS:
         return ()
@@ -442,13 +443,13 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     if levels is None:
         plan = _plan(mesh, "scalar", "scalar")
         pattern = _pattern(plan.indptr, plan.indices)
-        levels, fine = [], mesh
-        while fine.n % 2 == 0 and fine.n // 2 >= _COARSEST_CELLS:
-            coarse = build_structured_mesh(fine.n // 2)
-            P = prolongation(coarse, fine)[fine.interior_nodes][:, coarse.interior_nodes]
+        levels, n, nodes = [], mesh.n, mesh.interior_nodes
+        while n % 2 == 0 and n // 2 >= _COARSEST_CELLS:
+            P = interior_prolongation(nodes, n)
             galerkin, coarse_pattern = _galerkin_map(pattern, P)
             levels.append(MultigridLevel(P, P.T.tocsr(), pattern, galerkin, coarse_pattern))
-            fine, pattern = coarse, coarse_pattern
+            n, pattern = n // 2, coarse_pattern
+            nodes = np.flatnonzero(structured_interior_index(n) >= 0)
         levels = data.maps["prolongations"] = tuple(levels)
     return levels
 

@@ -195,7 +195,7 @@ def experiment_43_data(alpha: float = 1.0) -> ProblemData:
     equations.
     """
     model = QuadraticClamped(kappa0=1.0, rho0=0.4, c_s=0.01, C_s=0.75)
-    coeffs = Coefficients(lam=1.0, mu=1.0, alpha=float(alpha), M=1.0,
+    coeffs = Coefficients(lam=1.0, mu=1.0, alpha=alpha, M=1.0,
                           kappa_over_nu=1.0, permeability=model)
 
     def g(x, y, t):
@@ -240,5 +240,5 @@ def problem_by_name(name: str, alpha=None, **overrides) -> ProblemData:
         raise ValueError(f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}")
     problem = EXPERIMENTS[name]()
     if alpha is not None:
-        overrides["alpha"] = float(alpha)
+        overrides["alpha"] = alpha
     return with_coefficients(problem, **overrides) if overrides else problem

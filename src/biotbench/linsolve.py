@@ -28,15 +28,19 @@ implicit/Picard path are solved by ``solve_block``: u is eliminated with
 the exact factor of A, and CG solves the SPD pressure Schur complement
 C + tau*B + D A^-1 D^T, preconditioned by the factor of the fixed-stress
 operator; both factors are kept by the caller, so a block solve
-factorizes nothing.  It is verified by the normwise backward error of
-the monolithic system, equilibrated symmetrically by its diagonal,
-either against a fixed tolerance or, for the inner solves of an outer
+factorizes nothing.  It starts from a warm start (u, p) whose u is
+consistent with its p, so it makes one back-solve of A per CG iteration
+and none to start, and its CG loop updates work vectors made once per
+solve, in place.  It is verified by the normwise backward error of the
+monolithic system, equilibrated symmetrically by its diagonal, either
+against a fixed tolerance or, for the inner solves of an outer
 iteration, against a forcing term: a fixed fraction of the backward
-error at its warm start.  A Picard run owns one block system: its CSR
-blocks, the stacked operator's pattern, the slots of its diagonal and
-its absolute values are built on the first iterate, and later iterates
-rewrite only the pressure block's values, in place, with no sparse
-constructor.
+error at its warm start.  The equilibration is built from the blocks,
+with no absolute value of the stacked operator.  A Picard run owns one
+block system: its CSR blocks, the stacked operator's pattern and what
+the equilibration reads of A and D are built on the first iterate, and
+later iterates rewrite only the pressure block's values, in place, with
+no sparse constructor.
 """
 
 import math
@@ -94,25 +98,39 @@ def matvec(op, x, out=None) -> np.ndarray:
     """
     if x.shape != (op.shape[1],):
         raise ValueError(f"vector of shape {x.shape} for an operator of shape {op.shape}")
-    if out is None:
-        out = np.zeros(op.shape[0])
-    elif out.shape != (op.shape[0],):
-        raise ValueError(f"output of shape {out.shape} for an operator of shape {op.shape}")
-    else:
-        out.fill(0.0)
+    out = _zeroed(out, op.shape[0], op.shape)
     _sparsetools.csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data, x, out)
     return out
 
 
-def rmatvec(op, x) -> np.ndarray:
-    """``op.T @ x`` for a CSR ``op``, checked as ``matvec``: the compiled CSC kernel
-    ``op.T @ x`` dispatches to, on op's own arrays (op.T's in CSC), so no transpose is built."""
+def rmatvec(op, x, out=None) -> np.ndarray:
+    """``op.T @ x`` for a CSR ``op``, checked and written as ``matvec``: the compiled
+    CSC kernel ``op.T @ x`` dispatches to, on op's own arrays (op.T's in CSC), so no
+    transpose is built."""
     if x.shape != (op.shape[0],):
         raise ValueError(f"vector of shape {x.shape} for the transpose of an operator "
                          f"of shape {op.shape}")
-    y = np.zeros(op.shape[1])
-    _sparsetools.csc_matvec(op.shape[1], op.shape[0], op.indptr, op.indices, op.data, x, y)
-    return y
+    out = _zeroed(out, op.shape[1], op.shape)
+    _sparsetools.csc_matvec(op.shape[1], op.shape[0], op.indptr, op.indices, op.data, x, out)
+    return out
+
+
+def _zeroed(out, size, shape) -> np.ndarray:
+    """A product's result vector of ``size`` entries: ``out`` zeroed, or a new zero vector."""
+    if out is None:
+        return np.zeros(size)
+    if out.shape != (size,):
+        raise ValueError(f"output of shape {out.shape} for an operator of shape {shape}")
+    out.fill(0.0)
+    return out
+
+
+def _diagonal(op) -> np.ndarray:
+    """The diagonal of a square CSR ``op``, by the compiled kernel scipy's ``diagonal``
+    calls: duplicates summed, zero where no entry is stored."""
+    d = np.empty(op.shape[0])
+    _sparsetools.csr_diagonal(0, op.shape[0], op.shape[1], op.indptr, op.indices, op.data, d)
+    return d
 
 
 class NormwiseError:
@@ -412,18 +430,18 @@ class _VCycle:
 
 @dataclass(eq=False)
 class BlockSystem:
-    """The block operator K = [[A, -D^T], [D, C + tau*B]] in the unknowns (u, p).
+    """The block operator K = [[A, -D^T], [D, P]] in the unknowns (u, p), P = C + tau*B.
 
     The blocks a Schur complement solve applies are kept as CSR: A, D, whose
-    transpose is applied by ``rmatvec``, and the pressure block C + tau*B
+    transpose is applied by ``rmatvec``, and the pressure block P
     (``pressure``, the ``CsrArrays`` of its own pattern).  The monolithic K,
-    for the block residuals and the equilibration, is stacked once, with the
-    one transpose of D: its CSR pattern, a mask of the pressure block's
-    slots and the slots of its diagonal are fixed from then on, and |K| is
-    kept beside it on the same index arrays.  ``set_pressure_block`` rewrites
-    the pressure values of ``pressure``, K and |K| in place, so a Picard run
-    owns one system (``StepOperators.block_system``) and no iterate stacks
-    or transposes a block, takes an absolute value outside the pressure
+    for the verification residual, is stacked once, with the one transpose
+    of D: its CSR pattern and a mask of the pressure block's slots are fixed
+    from then on.  The equilibration is built from the blocks
+    (``equilibration``), and what it reads of A and D alone is computed here,
+    once.  ``set_pressure_block`` rewrites the pressure values of
+    ``pressure`` and K in place, so a Picard run owns one system
+    (``StepOperators.block_system``) and no iterate stacks or transposes a
     block or forms a sparse sum.  The pressure block given at construction
     sets only the pattern and the first values: it is neither kept nor
     modified, so it may be a matrix that other runs share.
@@ -451,30 +469,49 @@ class BlockSystem:
         # the rows of p are the last slots; in each, D's slots come first
         self._tail = K.indptr[nu]
         self._pressure_mask = K.indices[self._tail:] >= nu
-        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-        self._diagonal_slots = np.flatnonzero(K.indices == rows)
-        self._diagonal_rows = rows[self._diagonal_slots]
-        self._abs_K = sp.csr_matrix((np.abs(K.data), K.indices, K.indptr), shape=K.shape)
+        # s_u = |diag A|^(-1/2), |A| s_u and |D| s_u; a zero or non-finite
+        # diagonal, and an overflow, are refused by equilibration
+        self._abs_D = CsrArrays(np.abs(self.D.data), self.D.indices, self.D.indptr,
+                                self.D.shape)
+        self._abs_diag_A = np.abs(self.A.diagonal())
+        abs_A = CsrArrays(np.abs(self.A.data), self.A.indices, self.A.indptr, self.A.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s_u = 1.0 / np.sqrt(self._abs_diag_A)
+            self._displacement_scaling = (s_u, matvec(abs_A, s_u), matvec(self._abs_D, s_u))
 
     def monolithic(self) -> sp.csr_matrix:
         """K itself: the same object on every call, with the current values."""
         return self._K
 
-    def abs_monolithic(self) -> sp.csr_matrix:
-        """|K|, entrywise: the same object on every call, on K's index arrays."""
-        return self._abs_K
+    def equilibration(self):
+        """The scaling s = |diag K|^(-1/2) and ||EKE||_inf with E = diag(s), from the blocks.
 
-    def abs_diagonal(self) -> np.ndarray:
-        """|diag K|, read off the cached |K| (zero where K stores no diagonal entry)."""
-        d = np.zeros(self._K.shape[0])
-        d[self._diagonal_rows] = self._abs_K.data[self._diagonal_slots]
-        return d
+        |diag K| is [|diag A|; |diag P|], and ||EKE||_inf is the largest entry
+        of s * (|K| s), whose rows are s_u * (|A| s_u + |D|^T s_p) and
+        s_p * (|D| s_u + |P| s_p): |A| s_u and |D| s_u are fixed with A, so a
+        call makes one product with |D|^T and one with |P|.  A zero, missing
+        or non-finite diagonal entry, or a norm that is not finite, raise
+        SolverFailure.  Returns (s, ||EKE||_inf).
+        """
+        s_u, abs_A_s, abs_D_s = self._displacement_scaling
+        P = self.pressure
+        d = np.concatenate([self._abs_diag_A, np.abs(_diagonal(P))])
+        if not np.all((d > 0.0) & (d < np.inf)):
+            raise SolverFailure("block operator has a zero or non-finite diagonal")
+        s_p = 1.0 / np.sqrt(d[s_u.size:])
+        abs_P = CsrArrays(np.abs(P.data), P.indices, P.indptr, P.shape)
+        with np.errstate(over="ignore"):  # reported just below
+            rows = np.concatenate([s_u * (abs_A_s + rmatvec(self._abs_D, s_p)),
+                                   s_p * (abs_D_s + matvec(abs_P, s_p))])
+        norm = float(rows.max())
+        if not math.isfinite(norm):
+            raise SolverFailure("equilibrated block operator is not finite")
+        return np.concatenate([s_u, s_p]), norm
 
     def set_pressure_block(self, values):
         """Write new values of the pressure block, in its own slot order, in place."""
         self.pressure.data[:] = values
         self._K.data[self._tail:][self._pressure_mask] = values
-        self._abs_K.data[self._tail:][self._pressure_mask] = np.abs(values)
 
 
 def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
@@ -483,98 +520,107 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
 
     ``a_factor`` factorizes the elasticity block A exactly, so u is
     eliminated, u = A^-1 (f + D^T p), and p solves S p = g - D A^-1 f
-    with S = C + tau*B + D A^-1 D^T, which is SPD.  S is never formed:
-    each CG iteration applies it to its direction d as D w + (C + tau*B) d
-    with w = A^-1 D^T d, one back-solve of ``a_factor``, and carries u
-    along as u += step * w, so u stays consistent with p.  ``s_factor``
-    factorizes an SPD operator close to S, such as the fixed-stress
-    C + tau*B + beta*M, and preconditions CG: one back-solve per
-    iteration.  CG starts from the p of ``guess``, an optional starting
-    pair (u, p), and the u consistent with it.  Returns (u, p, CG
-    iterations).
+    with S = P + D A^-1 D^T, which is SPD.  S is never formed: each CG
+    iteration applies it to its direction d as D w + P d with
+    w = A^-1 D^T d, one back-solve of ``a_factor``, and carries u along as
+    u += step * w, so u stays consistent with p.  ``s_factor`` factorizes
+    an SPD operator close to S, such as the fixed-stress P + beta*M, and
+    preconditions CG: one back-solve per iteration.  CG starts from
+    ``guess``, a pair (u, p) with A u = f + D^T p to rounding, such as the
+    result of an earlier solve with the same A, D and f, and makes no
+    back-solve of A for it; with no guess it starts from p = 0 and
+    u = A^-1 f.  The loop updates work vectors made once per solve, in
+    place, with the same two roundings per update as a freshly allocated
+    expression.  Returns (u, p, CG iterations).
 
     The blocks may differ in scale by many orders of magnitude (realistic
     material constants), so the solve is measured on the symmetrically
     equilibrated system E K E with E = diag(s), s = |diag K|^(-1/2).  The
     verified quantity is the normwise backward error
-    ||E(b - Kx)|| / (||EKE||_inf*||y|| + ||Eb||) with y = x / s, where
-    ||EKE||_inf is the largest entry of s * (|K| @ s); |diag K| and |K|
-    are the system's cached ones, so a solve allocates no sparse matrix.
-    It is verified against ``DEFAULT_TOL`` or, given a ``reduction``,
-    against the forcing term max(DEFAULT_TOL, reduction * e0), where e0 is
-    the backward error of ``guess`` itself: an inner solve of an outer
-    iteration then does only the work the outer residual needs.
+    ||E(b - Kx)|| / (||EKE||_inf*||y|| + ||Eb||) with y = x / s; s and
+    ||EKE||_inf are built from the blocks (``BlockSystem.equilibration``),
+    so a solve allocates no sparse matrix.  It is verified against
+    ``DEFAULT_TOL`` or, given a ``reduction``, against the forcing term
+    max(DEFAULT_TOL, reduction * e0), where e0 is the backward error of the
+    starting pair itself: an inner solve of an outer iteration then does
+    only the work the outer residual needs.
 
     CG stops on its recursive residual, the pressure rows' residual
     scaled as in the equilibrated error (u's rows carry only the rounding
     of its updates), once it is at most ``_CG_AIM`` times the target: a
     normwise error bounds p only relative to ||y||, which u dominates, so
     CG aims further than the normwise test needs.  The iterate is then
-    verified by an independent residual of K; a miss restarts CG from the
-    u consistent with its p and that pair's own residual.  A zero,
-    missing or non-finite diagonal entry, an equilibrated norm that
-    overflows, a curvature or preconditioned residual that is not
-    positive and finite (the breakdown of CG when S or the preconditioner
-    is not SPD), a non-finite error, or ``_CG_MAX`` iterations without
-    reaching the target raise SolverFailure.
+    verified by an independent residual of K; a miss, also one that a
+    guess whose u is not consistent leaves, restarts CG from the u
+    consistent with its p, one back-solve of A, and that pair's own
+    residual.  A zero, missing or non-finite diagonal entry, an
+    equilibrated norm that overflows, a curvature or preconditioned
+    residual that is not positive and finite (the breakdown of CG when S
+    or the preconditioner is not SPD), a non-finite error, or ``_CG_MAX``
+    iterations without reaching the target raise SolverFailure.
     """
     nu = system.A.shape[0]
-    K = system.monolithic()
+    K, D, P = system.monolithic(), system.D, system.pressure
     f, g = np.asarray(rhs_u, dtype=float), np.asarray(rhs_p, dtype=float)
     rhs = np.concatenate([f, g])
     if not rhs.any():
         return np.zeros(nu), np.zeros(g.size), 0
 
-    d = system.abs_diagonal()
-    if not np.all((d > 0.0) & (d < np.inf)):
-        raise SolverFailure("block operator has a zero or non-finite diagonal")
-    s = 1.0 / np.sqrt(d)
-    with np.errstate(over="ignore"):  # reported just below
-        norm_K = float((s * (system.abs_monolithic() @ s)).max())
-    if not math.isfinite(norm_K):
-        raise SolverFailure("equilibrated block operator is not finite")
+    s, norm_K = system.equilibration()
     norm_b = _norm(s * rhs)
     s_u, s_p = s[:nu], s[nu:]
+    # the iterate, the pressure residual, the direction, S times the
+    # direction, and a scratch vector of each length
+    if guess is None:
+        u, p = a_factor.back_solve(f), np.zeros(g.size)
+    else:
+        u, p = (np.array(v, dtype=float) for v in guess)
+    r, direction, q, t = (np.empty_like(g) for _ in range(4))
+    t_u = np.empty_like(f)
 
     def scale(u, p):  # denominator of the backward error
-        return norm_K * math.hypot(_norm(u / s_u), _norm(p / s_p)) + norm_b
+        return norm_K * math.hypot(_norm(np.divide(u, s_u, out=t_u)),
+                                   _norm(np.divide(p, s_p, out=t))) + norm_b
 
     def backward_error(u, p):  # from an independent residual of K
         return _norm(s * (rhs - matvec(K, np.concatenate([u, p])))) / scale(u, p)
 
-    p = np.zeros(g.size) if guess is None else np.array(guess[1], dtype=float)
     tol = DEFAULT_TOL
     if reduction is not None:  # the forcing term
-        u = np.zeros(nu) if guess is None else np.asarray(guess[0], dtype=float)
         tol = max(tol, reduction * backward_error(u, p))
     iterations, rz = 0, 0.0
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
         while True:
-            # a (re)start: the u consistent with p, and the residual of S p = g - D A^-1 f
-            start, direction = iterations, None
-            u = a_factor.back_solve(f + rmatvec(system.D, p))
-            r = g - matvec(system.D, u) - matvec(system.pressure, p)
-            while iterations < _CG_MAX and _norm(s_p * r) > _CG_AIM * tol * scale(u, p):
+            # a (re)start: the residual of S p = g - D A^-1 f at the pair (u, p)
+            start = iterations
+            np.subtract(g, matvec(D, u, out=r), out=r)
+            np.subtract(r, matvec(P, p, out=t), out=r)
+            while iterations < _CG_MAX and \
+                    _norm(np.multiply(s_p, r, out=t)) > _CG_AIM * tol * scale(u, p):
                 z = s_factor.back_solve(r)
                 rz_old, rz = rz, float(r @ z)
-                direction = z if direction is None else z + (rz / rz_old) * direction
-                w = a_factor.back_solve(rmatvec(system.D, direction))
-                q = matvec(system.D, w) + matvec(system.pressure, direction)
+                if iterations == start:
+                    np.copyto(direction, z)
+                else:
+                    np.add(z, np.multiply(rz / rz_old, direction, out=direction), out=direction)
+                w = a_factor.back_solve(rmatvec(D, direction, out=t_u))
+                np.add(matvec(D, w, out=q), matvec(P, direction, out=t), out=q)
                 curvature = float(direction @ q)
                 if not (0.0 < rz < math.inf and 0.0 < curvature < math.inf):
                     raise SolverFailure("block CG broke down: the Schur complement or its "
                                         "preconditioner is not SPD",
                                         _norm(s_p * r) / scale(u, p))
                 step = rz / curvature
-                p = p + step * direction
-                u = u + step * w
-                r = r - step * q
+                np.add(p, np.multiply(step, direction, out=t), out=p)
+                np.add(u, np.multiply(step, w, out=t_u), out=u)
+                np.subtract(r, np.multiply(step, q, out=t), out=r)
                 iterations += 1
             error = backward_error(u, p)
             if error <= tol:
                 return u, p, iterations
             if not math.isfinite(error) or iterations >= _CG_MAX or iterations == start:
                 raise SolverFailure("block solve failed", error)
+            u = a_factor.back_solve(f + rmatvec(D, p))
 
 
 def _norm(v) -> float:

@@ -1,8 +1,9 @@
 """Structured triangulations of the unit square with P1 nodal unknowns.
 
-Nested meshes share one P1 interpolation, ``prolongation``: the sparse
-matrix that the reference errors and the pressure multigrid hierarchy
-both apply.
+Nested meshes share one P1 interpolation: ``prolongation``, the sparse
+matrix that the reference errors apply, and ``interior_prolongation``,
+the same matrix on interior nodes only, which the pressure multigrid
+hierarchy applies.
 """
 
 from dataclasses import dataclass
@@ -113,10 +114,16 @@ def build_structured_mesh(n: int) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
+    return Mesh(n=n, nodes=nodes, triangles=triangles,
+                interior_index=structured_interior_index(n))
+
+
+def structured_interior_index(n: int) -> np.ndarray:
+    """The ``interior_index`` of ``build_structured_mesh(n)``: the nodes off the
+    boundary of the unit square, numbered lexicographically."""
     interior_index = np.full((n + 1, n + 1), -1, dtype=np.int64)
     interior_index[1:-1, 1:-1] = np.arange((n - 1) ** 2).reshape(n - 1, n - 1)
-
-    return Mesh(n=n, nodes=nodes, triangles=triangles, interior_index=interior_index.ravel())
+    return interior_index.ravel()
 
 
 def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
@@ -124,17 +131,44 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
     Requires fine.n to be a multiple r of coarse.n, so that every coarse
     node coincides with a fine node.  Built from the structured index
-    pattern alone: fine node (i, j) lies in coarse cell (i // r, j // r),
-    clamped to the last cell, at the offsets t = i/r - i // r (up) and
-    s = j/r - j // r (across), and takes the barycentric weights of the
-    cell's lower triangle where t <= s, else of its upper one.  Zero
-    weights are not stored, so for r = 2 every entry is exactly 1 or 1/2.
+    pattern alone (``_interpolation``).  Zero weights are not stored, so
+    for r = 2 every entry is exactly 1 or 1/2.
     """
     if fine.n % coarse.n != 0:
         raise ValueError(
             f"meshes are not nested: fine n={fine.n} is not a multiple of coarse n={coarse.n}")
-    cn, r = coarse.n, fine.n // coarse.n
-    i, j = np.divmod(np.arange(fine.num_nodes), fine.n + 1)
+    cols, weights = _interpolation(coarse.n, fine.n // coarse.n, np.arange(fine.num_nodes))
+    return _stored(cols, weights, weights != 0.0, (fine.num_nodes, coarse.num_nodes))
+
+
+def interior_prolongation(nodes, n: int) -> sp.csr_matrix:
+    """``prolongation`` from the structured mesh with n/2 cells per side to
+    the one with an even n, restricted to the fine ``nodes`` and to the
+    coarse interior nodes, numbered by ``structured_interior_index``.
+
+    Exact for coarse values that vanish on the boundary.  Built from the
+    index pattern alone, with no coarse mesh and no full matrix: the same
+    entries, in the same order, as ``prolongation`` indexed down to those
+    rows and columns.
+    """
+    cn = n // 2
+    cols, weights = _interpolation(cn, 2, nodes)
+    cols = structured_interior_index(cn)[cols]
+    stored = (weights != 0.0) & (cols >= 0)
+    return _stored(cols, weights, stored, (cols.shape[0], (cn - 1) ** 2))
+
+
+def _interpolation(cn, r, nodes):
+    """The coarse nodes and weights of the P1 interpolant at each fine node of ``nodes``.
+
+    Fine node (i, j) of the mesh with r*cn cells per side lies in coarse
+    cell (i // r, j // r), clamped to the last cell, at the offsets
+    t = i/r - i // r (up) and s = j/r - j // r (across), and takes the
+    barycentric weights of the cell's lower triangle where t <= s, else of
+    its upper one.  Returns two (len(nodes), 3) arrays, coarse node
+    numbers ascending along each row, and weights.
+    """
+    i, j = np.divmod(nodes, r * cn + 1)
     ci, cj = np.minimum(i // r, cn - 1), np.minimum(j // r, cn - 1)
     t, s = (i - r * ci) / r, (j - r * cj) / r
     lower = t <= s
@@ -144,7 +178,10 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     cols = np.stack([base, base + np.where(lower, 1, cn + 1), base + cn + 2], axis=1)
     weights = np.stack([np.where(lower, 1.0 - s, 1.0 - t), np.abs(s - t),
                         np.where(lower, t, s)], axis=1)
-    stored = weights != 0.0
+    return cols, weights
+
+
+def _stored(cols, weights, stored, shape) -> sp.csr_matrix:
+    """The CSR matrix of the ``stored`` entries, row by row, of ``_interpolation``'s arrays."""
     indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
-    return sp.csr_matrix((weights[stored], cols[stored], indptr),
-                         shape=(fine.num_nodes, coarse.num_nodes))
+    return sp.csr_matrix((weights[stored], cols[stored], indptr), shape=shape)

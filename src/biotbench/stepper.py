@@ -317,13 +317,16 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
 
     Starting from the previous state, each iterate solves the linear block
     system with the permeability frozen at the preceding iterate, by CG on
-    its pressure Schur complement warm-started from that iterate's p
-    (``linsolve.solve_block``).  The block system is the run's one operator
-    with that iterate's C + tau*B written into its pressure block.  u is
-    eliminated with the run's factor of A, and CG is preconditioned by one
-    factor of C + tau*B + beta*M per step, with B assembled at the step's
-    starting state: nothing carries over from the step before, so a state
-    changed in place between steps gets the step it asks for.  The loop stops
+    its pressure Schur complement (``linsolve.solve_block``), warm-started
+    from a pair (u, p) whose u is consistent with its p: before the first
+    iterate the step's starting p and u = A^-1 (f + D^T p), one back-solve
+    of A per step, and afterwards the preceding iterate, whose u CG
+    carried along.  The block system is the run's one operator with that
+    iterate's C + tau*B written into its pressure block.  u is eliminated
+    with the run's factor of A, and CG is preconditioned by one factor of
+    C + tau*B + beta*M per step, with B assembled at the step's starting
+    state: nothing carries over from the step before, so a state changed
+    in place between steps gets the step it asks for.  The loop stops
     once the scaled residual of the nonlinear step system is below
     ``picard_tol`` or after ``picard_max`` iterates; running into the cap is
     not an error (capped variants are legitimate schemes of their own).
@@ -340,10 +343,10 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
     rhs_u = np.asarray(load_u, dtype=float)
     rhs_p = tau * load_p + matvec(ops.D, state.u) + matvec(ops.C, state.p)
 
-    u_j, p_j = state.u, state.p
-    B_frozen = ops.permeability_stiffness(u_j)
+    B_frozen = ops.permeability_stiffness(state.u)
     a_factor = ops.a_factor()
     s_factor = ops.fixed_stress_factor(B_frozen, tau)
+    u_j, p_j = a_factor.back_solve(rhs_u + rmatvec(ops.D, state.p)), state.p
     iterations = linear_iterations = 0
     residual = math.inf
     for j in range(cfg.picard_max):

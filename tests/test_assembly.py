@@ -612,13 +612,13 @@ def test_pressure_prolongations_live_once_per_mesh_and_only_where_asked_for(monk
     gc.collect()
     cached_before = len(assembly._MESH_DATA)
     built = []
-    real_build = assembly.prolongation
+    real_build = assembly.interior_prolongation
 
-    def counting_build(coarse, fine):
-        built.append(coarse.n)
-        return real_build(coarse, fine)
+    def counting_build(nodes, n):
+        built.append(n // 2)
+        return real_build(nodes, n)
 
-    monkeypatch.setattr(assembly, "prolongation", counting_build)
+    monkeypatch.setattr(assembly, "interior_prolongation", counting_build)
     # a Picard run above the multigrid crossover never asks for the hierarchy
     prob = experiment_42_data()
     mesh = build_structured_mesh(32)

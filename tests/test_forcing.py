@@ -121,6 +121,15 @@ def test_registry_alpha_matches_the_ex43_constructor():
         assert problem_by_name("ex43", alpha=alpha).coeffs == experiment_43_data(alpha).coeffs
 
 
+def test_an_alpha_that_is_not_a_number_is_refused_by_the_coefficients():
+    # the ex43 constructor and the registry pass alpha on as given
+    for alpha in (True, "1"):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            experiment_43_data(alpha)
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            problem_by_name("ex43", alpha=alpha)
+
+
 def test_registry_alpha_reaches_every_experiment():
     for name in ("ex41", "ex42", "ex43"):
         assert problem_by_name(name, alpha=2.5).coeffs.alpha == 2.5

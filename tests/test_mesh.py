@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biotbench import build_structured_mesh
-from biotbench.mesh import prolongation
+from biotbench.mesh import interior_prolongation, prolongation
 from dense_reference import barycentric_eval
 
 
@@ -115,6 +115,19 @@ def test_prolong_restriction_roundtrip():
     ci, cj = np.divmod(np.arange(coarse.num_nodes), coarse.n + 1)
     on_fine = (ci * ratio) * (fine.n + 1) + cj * ratio
     assert np.abs(fine_vals[on_fine] - values).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [18, 24, 32, 64, 128])
+def test_interior_prolongation_is_the_full_one_indexed_down(n):
+    coarse, fine = build_structured_mesh(n // 2), build_structured_mesh(n)
+    full = prolongation(coarse, fine)[:, coarse.interior_nodes]
+    # the Dirichlet rows, and every row, as for a mesh that numbers every node
+    for nodes in (fine.interior_nodes, np.arange(fine.num_nodes)):
+        expected, got = full[nodes], interior_prolongation(nodes, n)
+        assert got.shape == expected.shape
+        for a, b in ((got.data, expected.data), (got.indices, expected.indices),
+                     (got.indptr, expected.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_vector_helpers_roundtrip():

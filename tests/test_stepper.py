@@ -198,6 +198,25 @@ def test_picard_block_solves_take_few_krylov_iterations(make_problem):
     assert 0 < report.linear_iterations <= 20 * block_solves
 
 
+def test_picard_run_back_solves_a_once_per_cg_iteration_and_step(monkeypatch):
+    # each step's warm start is one back-solve, and every later iterate starts
+    # from the pair its predecessor left, so an iterate adds only its CG
+    # iterations; the last one is u0's solve
+    calls = []
+    solve = linsolve.BandedCholesky.solve
+
+    def counting(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(linsolve.BandedCholesky, "solve", counting)
+    prob = experiment_42_data()
+    cfg = StepperConfig(scheme="implicit_picard", tau=2.0**-5, T=1.0, picard_max=10)
+    _, report = run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert report.picard_mean > 1.0
+    assert len(calls) == report.linear_iterations + report.n_steps + 1
+
+
 def test_picard_fixed_point_satisfies_nonlinear_system():
     prob = experiment_42_data()
     mesh = build_structured_mesh(8)
