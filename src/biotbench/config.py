@@ -61,8 +61,8 @@ def _is_count(x):
 @dataclass(frozen=True)
 class SchemeSpec:
     scheme: str
-    picard_max: int = 10
-    picard_tol: float = 1e-9
+    picard_max: int = StepperConfig.picard_max
+    picard_tol: float = StepperConfig.picard_tol
 
     @property
     def label(self) -> str:
@@ -217,6 +217,13 @@ def parse_config(obj) -> ExperimentConfig:
             _expect(check(obj[key]), f"config.{key}", f"expected {desc}")
 
     config = ExperimentConfig(**values)
+    # results are keyed by label, and a pair's also by tau: a repeat would overwrite
+    for key, what, entries in (
+            ("schemes", "label", [s.label for s in config.schemes]),
+            ("pairs", "(label, tau)", [(s.label, tau) for s, tau in config.pairs])):
+        for i, entry in enumerate(entries):
+            _expect(entry not in entries[:i], f"config.{key}[{i}]",
+                    f"repeats the {what} {entry!r} of an earlier entry")
     _check_runs(config)
     return config
 

@@ -157,6 +157,9 @@ def cmd_convergence(config: ExperimentConfig):
     if not config.schemes:
         raise ConfigError("config.schemes", "at least one scheme is required")
     problem = build_problem(config)
+    if not problem.has_exact and config.reference is None:
+        raise ConfigError("config.reference", f"{config.experiment} has no exact "
+                          "solution, so a convergence study needs a reference run")
     levels = _convergence_levels(config)
     study = {}
     reference = _compute_reference(config, problem, study)

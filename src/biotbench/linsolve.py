@@ -35,12 +35,9 @@ solve, in place.  It is verified by the normwise backward error of the
 monolithic system, equilibrated symmetrically by its diagonal, either
 against a fixed tolerance or, for the inner solves of an outer
 iteration, against a forcing term: a fixed fraction of the backward
-error at its warm start.  The equilibration is built from the blocks,
-with no absolute value of the stacked operator.  A Picard run owns one
-block system: its CSR blocks, the stacked operator's pattern and what
-the equilibration reads of A and D are built on the first iterate, and
-later iterates rewrite only the pressure block's values, in place, with
-no sparse constructor.
+error at its warm start.  The monolithic operator is never stacked: its
+residual and equilibration come from the blocks, and a Picard run's
+iterates rewrite only the pressure block's values, in place.
 """
 
 import math
@@ -432,19 +429,17 @@ class _VCycle:
 class BlockSystem:
     """The block operator K = [[A, -D^T], [D, P]] in the unknowns (u, p), P = C + tau*B.
 
-    The blocks a Schur complement solve applies are kept as CSR: A, D, whose
-    transpose is applied by ``rmatvec``, and the pressure block P
-    (``pressure``, the ``CsrArrays`` of its own pattern).  The monolithic K,
-    for the verification residual, is stacked once, with the one transpose
-    of D: its CSR pattern and a mask of the pressure block's slots are fixed
-    from then on.  The equilibration is built from the blocks
-    (``equilibration``), and what it reads of A and D alone is computed here,
-    once.  ``set_pressure_block`` rewrites the pressure values of
-    ``pressure`` and K in place, so a Picard run owns one system
-    (``StepOperators.block_system``) and no iterate stacks or transposes a
-    block or forms a sparse sum.  The pressure block given at construction
-    sets only the pattern and the first values: it is neither kept nor
-    modified, so it may be a matrix that other runs share.
+    The blocks are kept as CSR: A, D, whose transpose is applied by
+    ``rmatvec``, and the pressure block P (``pressure``, the ``CsrArrays`` of
+    its own pattern).  K is never stacked: ``monolithic`` and
+    ``equilibration`` apply and scale it from the blocks, and what the
+    equilibration reads of A and D alone is computed here, once.
+    ``set_pressure_block`` rewrites the values of ``pressure`` in place, so a
+    Picard run owns one system (``StepOperators.block_system``) and no
+    iterate stacks or transposes a block or forms a sparse sum.  The
+    pressure block given at construction sets only the pattern and the
+    first values: it is neither kept nor modified, so it may be a matrix
+    that other runs share.
     """
 
     A: sp.spmatrix
@@ -462,13 +457,6 @@ class BlockSystem:
         self.A, self.D = self.A.tocsr(), self.D.tocsr()
         self.pressure = CsrArrays(pressure.data, pressure.indices, pressure.indptr,
                                   pressure.shape)
-        # with all four blocks in CSR, bmat stacks index arrays instead of
-        # going through COO, and each row keeps its blocks' slot order
-        K = self._K = sp.bmat([[self.A, -self.D.T.tocsr()], [self.D, pressure]], format="csr")
-        K.sum_duplicates()  # at most one slot per diagonal entry
-        # the rows of p are the last slots; in each, D's slots come first
-        self._tail = K.indptr[nu]
-        self._pressure_mask = K.indices[self._tail:] >= nu
         # s_u = |diag A|^(-1/2), |A| s_u and |D| s_u; a zero or non-finite
         # diagonal, and an overflow, are refused by equilibration
         self._abs_D = CsrArrays(np.abs(self.D.data), self.D.indices, self.D.indptr,
@@ -479,9 +467,10 @@ class BlockSystem:
             s_u = 1.0 / np.sqrt(self._abs_diag_A)
             self._displacement_scaling = (s_u, matvec(abs_A, s_u), matvec(self._abs_D, s_u))
 
-    def monolithic(self) -> sp.csr_matrix:
-        """K itself: the same object on every call, with the current values."""
-        return self._K
+    def monolithic(self, u, p) -> np.ndarray:
+        """K (u, p) = [A u - D^T p; D u + P p], applied block by block."""
+        return np.concatenate([matvec(self.A, u) - rmatvec(self.D, p),
+                               matvec(self.D, u) + matvec(self.pressure, p)])
 
     def equilibration(self):
         """The scaling s = |diag K|^(-1/2) and ||EKE||_inf with E = diag(s), from the blocks.
@@ -511,7 +500,6 @@ class BlockSystem:
     def set_pressure_block(self, values):
         """Write new values of the pressure block, in its own slot order, in place."""
         self.pressure.data[:] = values
-        self._K.data[self._tail:][self._pressure_mask] = values
 
 
 def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
@@ -550,17 +538,17 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
     of its updates), once it is at most ``_CG_AIM`` times the target: a
     normwise error bounds p only relative to ||y||, which u dominates, so
     CG aims further than the normwise test needs.  The iterate is then
-    verified by an independent residual of K; a miss, also one that a
-    guess whose u is not consistent leaves, restarts CG from the u
-    consistent with its p, one back-solve of A, and that pair's own
-    residual.  A zero, missing or non-finite diagonal entry, an
+    verified by an independent residual of K (``BlockSystem.monolithic``);
+    a miss, also one that a guess whose u is not consistent leaves,
+    restarts CG from the u consistent with its p, one back-solve of A,
+    and that pair's own residual.  A zero, missing or non-finite diagonal entry, an
     equilibrated norm that overflows, a curvature or preconditioned
     residual that is not positive and finite (the breakdown of CG when S
     or the preconditioner is not SPD), a non-finite error, or ``_CG_MAX``
     iterations without reaching the target raise SolverFailure.
     """
     nu = system.A.shape[0]
-    K, D, P = system.monolithic(), system.D, system.pressure
+    D, P = system.D, system.pressure
     f, g = np.asarray(rhs_u, dtype=float), np.asarray(rhs_p, dtype=float)
     rhs = np.concatenate([f, g])
     if not rhs.any():
@@ -583,7 +571,7 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
                                    _norm(np.divide(p, s_p, out=t))) + norm_b
 
     def backward_error(u, p):  # from an independent residual of K
-        return _norm(s * (rhs - matvec(K, np.concatenate([u, p])))) / scale(u, p)
+        return _norm(s * (rhs - system.monolithic(u, p))) / scale(u, p)
 
     tol = DEFAULT_TOL
     if reduction is not None:  # the forcing term

@@ -176,10 +176,10 @@ class StepOperators:
     Picard path's block system is the run's own and the one operator
     rewritten in place: built on its first iterate and then kept, every
     iterate writes C + tau*B into the values of its pressure block
-    (``block_system``).  A semi-explicit run never builds it.  Apart from
-    that system, whose pressure slots every iterate rewrites, a step reads
-    nothing that an earlier step left here: each starts from its state
-    argument.
+    (``block_system``); K is never stacked.  A semi-explicit run never
+    builds it.  Apart from that system, whose pressure slots every iterate
+    rewrites, a step reads nothing that an earlier step left here: each
+    starts from its state argument.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients,
@@ -225,7 +225,7 @@ class StepOperators:
 
         Built on C's pattern on the first call; every call writes the
         values of C + tau*B (``assembly.pressure_sum``) into the pressure
-        slots of the same operator.
+        block of the same system.
         """
         if self._block is None:
             self._block = BlockSystem(self.A, self.D, self.C)
@@ -250,9 +250,9 @@ def initial_displacement(ops: StepOperators, p0, f0=None) -> np.ndarray:
     return ops.a_factor().solve(rhs)
 
 
-def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
+def semi_explicit_step(ops: StepOperators, state: State, t: float, load_u, load_p,
                        cfg: StepperConfig, guess):
-    """Advance one step with the decoupled, linearized scheme.
+    """Advance one step, to time ``t``, with the decoupled, linearized scheme.
 
     Exactly two sequential SPD solves: the elasticity solve lags the
     pressure by one step, then the flow solve uses the permeability
@@ -270,7 +270,7 @@ def semi_explicit_step(ops: StepOperators, state: State, load_u, load_p,
     p_new, _ = solve_pressure(pressure_sum(ops.C, tau, B), rhs_p, guess,
                               pressure_prolongations(ops.mesh))
 
-    return State(u_new, p_new, state.t + tau), StepReport()
+    return State(u_new, p_new, t), StepReport()
 
 
 def pressure_guess(states) -> np.ndarray:
@@ -311,9 +311,9 @@ def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
     return residual / scale if scale > 0 else residual
 
 
-def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
+def implicit_picard_step(ops: StepOperators, state: State, t: float, load_u, load_p,
                          cfg: StepperConfig):
-    """Advance one step of the implicit Euler scheme via Picard iteration.
+    """Advance one step, to time ``t``, of implicit Euler via Picard iteration.
 
     Starting from the previous state, each iterate solves the linear block
     system with the permeability frozen at the preceding iterate, by CG on
@@ -366,7 +366,7 @@ def implicit_picard_step(ops: StepOperators, state: State, load_u, load_p,
 
     report = StepReport(picard_iterations=iterations, final_picard_residual=residual,
                         linear_iterations=linear_iterations)
-    return State(u_j, p_j, state.t + tau), report
+    return State(u_j, p_j, t), report
 
 
 def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
@@ -408,10 +408,10 @@ def run(mesh: Mesh, coeffs: Coefficients, cfg: StepperConfig, f, g, p0,
         load_u = assemble_load_v(mesh, f, t_n)
         load_p = assemble_load_q(mesh, g, t_n)
         if cfg.scheme == SEMI_EXPLICIT:
-            state, rep = semi_explicit_step(ops, states[-1], load_u, load_p, cfg,
+            state, rep = semi_explicit_step(ops, states[-1], t_n, load_u, load_p, cfg,
                                             pressure_guess(states))
         else:
-            state, rep = implicit_picard_step(ops, states[-1], load_u, load_p, cfg)
+            state, rep = implicit_picard_step(ops, states[-1], t_n, load_u, load_p, cfg)
         states.append(state)
         reports.append(rep)
     wall = time.perf_counter() - tic

@@ -4,7 +4,8 @@ Everything here is deliberately written differently from the library:
 dense matrices, plain element loops, basis gradients obtained by solving
 small linear systems (once per element and mesh), and quadrature
 evaluated from barycentric coordinates.  Slow but simple enough to audit
-by eye.  The one exception is the pair of solver pieces at the end: the
+by eye.  The one exception is the solver pieces at the end: the stacked
+block operator, which the library only applies block by block, the
 block solve through a dense pressure Schur complement, which the
 library's CG on that complement must reproduce, and the multigrid
 V-cycle with its coarse operators formed by scipy's sparse products,
@@ -287,14 +288,27 @@ def div_u_t(problem, x, y, t, delta):
 # the block system through its dense pressure Schur complement
 
 
+def stacked_block_operator(system):
+    """The monolithic K = [[A, -D^T], [D, P]] of a ``linsolve.BlockSystem``, as CSR.
+
+    Stacked here by ``sp.bmat`` from the system's blocks ``A``, ``D`` and
+    ``pressure``, with scipy's own transpose of D: the library applies K
+    block by block and keeps no stacked operator, so the oracles build
+    theirs.
+    """
+    P = system.pressure
+    P = sp.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+    return sp.bmat([[system.A, -system.D.T], [system.D, P]], format="csr")
+
+
 def reference_schur_solve(system, rhs_u, rhs_p):
     """Solve K (u, p) = (f, g) with S = P + D A^-1 D^T formed densely.
 
-    A, D and the pressure block P are read off the dense monolithic K,
-    S is formed with ``np.linalg.solve`` on A, p solves S p = g - D A^-1 f
-    and u is recovered from p as A^-1 (f + D^T p).
+    A, D and the pressure block P are read off the dense monolithic K
+    (``stacked_block_operator``), S is formed with ``np.linalg.solve`` on A,
+    p solves S p = g - D A^-1 f and u is recovered from p as A^-1 (f + D^T p).
     """
-    K = system.monolithic().toarray()
+    K = stacked_block_operator(system).toarray()
     nu = system.A.shape[0]
     A, D, P = K[:nu, :nu], K[nu:, :nu], K[nu:, nu:]
     S = P + D @ np.linalg.solve(A, D.T)

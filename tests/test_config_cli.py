@@ -345,6 +345,7 @@ def test_cmd_sweep_alpha_flags_a_solver_failure_as_blowup():
 
 SEMI = {"scheme": "semi_explicit"}
 PICARD = {"scheme": "implicit_picard"}
+PICARD_TOL = {**PICARD, "picard_tol": 1e-6}
 EX41_N4 = {"experiment": "ex41", "mesh_levels": [4]}
 
 
@@ -429,9 +430,22 @@ SWEEP = base_config(experiment="ex43", schemes=[SEMI, PICARD], mesh_levels=[4],
     ("compare", base_config(), "config.pairs"),
     ("compare", base_config(mesh_levels=[4, 8], pairs=[{"scheme": SEMI, "tau": 0.25}]),
      "config.mesh_levels"),
+    # no exact solution and no reference run: no error column, order or plot to write
+    ("convergence", base_config(**EX41_N4, tau_levels=[0.5, 0.25]), "config.reference"),
+    ("convergence", base_config(experiment="ex43", mesh_levels=[4], tau_levels=[0.5, 0.25]),
+     "config.reference"),
+    # rows, plot series and speed-ups are keyed by the label (and tau), and a
+    # Picard label names only picard_max: a second spec would overwrite the first's
+    ("convergence", base_config(schemes=[PICARD, PICARD_TOL], mesh_levels=[4],
+                                tau_levels=[0.5, 0.25]), "config.schemes[1]"),
+    ("compare", base_config(mesh_levels=[4], pairs=[
+        {"scheme": SEMI, "tau": 0.25}, {"scheme": PICARD, "tau": 0.25},
+        {"scheme": PICARD, "tau": 0.5}, {"scheme": PICARD_TOL, "tau": 0.25}]),
+     "config.pairs[3]"),
 ], ids=["tau-equals-h-one-level", "one-tau-level", "two-mesh-levels", "no-schemes",
         "sweep-no-alphas", "sweep-two-mesh-levels", "compare-no-pairs",
-        "compare-two-mesh-levels"])
+        "compare-two-mesh-levels", "ex41-no-reference", "ex43-no-reference",
+        "repeated-scheme-label", "repeated-pair-label-and-tau"])
 def test_driver_config_errors_exit_2_before_any_run(command, content, path, tmp_path,
                                                     capsys, monkeypatch):
     _config_error_before_any_run(tmp_path, capsys, monkeypatch, content, path,

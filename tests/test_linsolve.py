@@ -16,7 +16,7 @@ from biotbench import cli
 from biotbench.assembly import assemble_mass, pressure_prolongations, pressure_sum
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
-from dense_reference import ProductVCycle, reference_schur_solve
+from dense_reference import ProductVCycle, reference_schur_solve, stacked_block_operator
 
 CO = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
                   permeability=KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75))
@@ -130,20 +130,21 @@ def test_block_matches_dense_inverse_oracle():
     rhs_p = rng.standard_normal(C.shape[0])
     u, p, _ = solve_block(system, rhs_u, rhs_p, *_sweep_factors(A, C + tau * B))
 
-    K = system.monolithic().toarray()
+    K = stacked_block_operator(system).toarray()
     expected = np.linalg.solve(K, np.concatenate([rhs_u, rhs_p]))
     assert np.abs(np.concatenate([u, p]) - expected).max() < 1e-10
 
 
 def test_block_monolithic_layout():
     _, A, C, D, B = _block_parts(2)
-    tau = 0.5
-    K = BlockSystem(A, D, C + tau * B).monolithic().toarray()
-    nu = A.shape[0]
-    assert np.abs(K[:nu, :nu] - A.toarray()).max() == 0.0
-    assert np.abs(K[:nu, nu:] + D.T.toarray()).max() == 0.0
-    assert np.abs(K[nu:, :nu] - D.toarray()).max() == 0.0
-    assert np.abs(K[nu:, nu:] - (C + tau * B).toarray()).max() == 0.0
+    P = C + 0.5 * B
+    system = BlockSystem(A, D, P)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        u, p = rng.standard_normal(A.shape[0]), rng.standard_normal(C.shape[0])
+        # scipy's products run the same compiled kernels, so the same bits
+        expected = np.concatenate([A @ u - D.T @ p, D @ u + P @ p])
+        assert system.monolithic(u, p).tobytes() == expected.tobytes()
 
 
 def test_spd_solve_deterministic():
@@ -164,7 +165,7 @@ def lu_block_solve(system, rhs_u, rhs_p):
 
     This is the direct block solve the Krylov one replaced.
     """
-    K = system.monolithic().tocsc()
+    K = stacked_block_operator(system).tocsc()
     rhs = np.concatenate([rhs_u, rhs_p])
     lu = splu(K)
     x = lu.solve(rhs)
@@ -209,7 +210,7 @@ def _second_picard_system(name, n=8, tau=2.0**-5):
 
 def _backward_error(system, rhs_u, rhs_p, u, p):
     """The equilibrated normwise backward error, from a fresh diagonal and |K|."""
-    K = system.monolithic()
+    K = stacked_block_operator(system)
     s = 1.0 / np.sqrt(np.abs(K.diagonal()))
     b, y = s * np.concatenate([rhs_u, rhs_p]), np.concatenate([u, p]) / s
     norm_K = (s * (abs(K) @ s)).max()
@@ -253,7 +254,7 @@ def test_block_solve_matches_equilibrated_dense_solve(name):
     system, rhs_u, rhs_p, guess, factors = _first_picard_system(name)
     u, p, _ = solve_block(system, rhs_u, rhs_p, *factors, guess)
 
-    K = system.monolithic().toarray()
+    K = stacked_block_operator(system).toarray()
     s = 1.0 / np.sqrt(np.abs(np.diag(K)))
     x = s * np.linalg.solve(s[:, None] * K * s, s * np.concatenate([rhs_u, rhs_p]))
     nu = system.A.shape[0]
@@ -333,15 +334,15 @@ def test_run_block_operator_equals_a_fresh_stack_after_every_rewrite(name):
     rng = np.random.default_rng(11)
     scale = max(np.abs(u0).max(), 1e-3)
     displacements = [u0] + [u0 + scale * rng.standard_normal(u0.size) for _ in range(3)]
-    first = None
     for u in displacements:
         B = ops.permeability_stiffness(u)
         system = ops.block_system(B, tau)
-        K = system.monolithic()
-        first = first or (system, K, K.indices)
-        assert system is first[0] and K is first[1] and K.indices is first[2]
-        assert _same_csr(K, BlockSystem(ops.A, ops.D, ops.C + tau * B).monolithic())
+        fresh = BlockSystem(ops.A, ops.D, ops.C + tau * B)
+        assert _same_csr(system.pressure, ops.C + tau * B)
+        x_u, x_p = rng.standard_normal(u0.size), rng.standard_normal(p0.size)
+        assert system.monolithic(x_u, x_p).tobytes() == fresh.monolithic(x_u, x_p).tobytes()
         # the equilibration built from the blocks follows every rewrite
+        K = stacked_block_operator(system)
         s, norm = system.equilibration()
         assert s.tobytes() == (1.0 / np.sqrt(np.abs(K.diagonal()))).tobytes()
         expected = (s * (abs(K) @ s)).max()
@@ -405,8 +406,8 @@ def test_pressure_sum_keeps_a_slot_that_cancels_as_an_explicit_zero():
         pressure_sum(ops.C, tau, ops.C + tau * B)
 
 
-def test_picard_run_stacks_its_block_operator_once(monkeypatch):
-    stacks, operators = [], []
+def test_picard_run_stacks_no_block_operator(monkeypatch):
+    stacks, systems = [], []
 
     def counting(bmat):
         def stack(*args, **kwargs):
@@ -416,24 +417,21 @@ def test_picard_run_stacks_its_block_operator_once(monkeypatch):
 
     def recording(solve):
         def wrapped(system, *args, **kwargs):
-            out = solve(system, *args, **kwargs)
-            K = system.monolithic()
-            operators.append((id(K), id(K.indices), id(K.indptr)))
-            return out
+            systems.append(system)
+            return solve(system, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(linsolve.sp, "bmat", counting(linsolve.sp.bmat))
+    monkeypatch.setattr(sp, "bmat", counting(sp.bmat))
     monkeypatch.setattr(stepper, "solve_block", recording(stepper.solve_block))
     prob = experiment_42_data()
     mesh = build_structured_mesh(4)
     semi = StepperConfig(scheme="semi_explicit", tau=0.25, T=0.5)
     run(mesh, prob.coeffs, semi, prob.f, prob.g, prob.p0)
-    assert stacks == []  # a semi-explicit run never builds the block operator
-
     picard = StepperConfig(scheme="implicit_picard", tau=0.25, T=0.5, picard_max=3)
     _, report = run(mesh, prob.coeffs, picard, prob.f, prob.g, prob.p0)
-    assert len(operators) == round(report.picard_mean * report.n_steps) > 2
-    assert stacks == [1] and len(set(operators)) == 1
+    assert len(systems) == round(report.picard_mean * report.n_steps) > 2
+    # K is applied from its blocks, and every iterate rewrites the run's one system
+    assert stacks == [] and all(system is systems[0] for system in systems)
 
 
 def test_block_solve_fails_on_a_zero_diagonal():

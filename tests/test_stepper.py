@@ -374,21 +374,19 @@ def test_steps_assemble_one_b_per_iterate_and_transpose_no_d(scheme, monkeypatch
     else:
         assert iterates == round(report.picard_mean * report.n_steps) > 2 * report.n_steps
         assert len(b_calls) == iterates + report.n_steps
-    # only the Picard path's first step transposes D: it stacks the block
-    # operator, with its -D^T, once per run
-    assert after_step[0][1] - before_step[0] == (scheme == "implicit_picard")
-    assert after_step[-1][1] == after_step[0][1]
+    # no step transposes D, the Picard block solves included
+    assert before_step[0] == after_step[-1][1] == 0
 
 
 @pytest.mark.parametrize("scheme", ["semi_explicit", "delay_implicit", "implicit_picard"])
-def test_no_run_transposes_d_but_the_picard_block_stacking(scheme, monkeypatch):
-    # every path applies D^T by linsolve.rmatvec on D, u0 and the delay
-    # path included; only the Picard block operator stacks -D^T, once
+def test_no_run_transposes_d(scheme, monkeypatch):
+    # every path applies D^T by linsolve.rmatvec on D: u0, the delay path
+    # and the Picard block solves, whose K is applied from its blocks
     transposes = _d_transposes(monkeypatch)
     prob = experiment_42_data()
     cfg = StepperConfig(scheme=scheme, tau=2.0**-3, T=1.0)
     run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
-    assert len(transposes) == (scheme == "implicit_picard")
+    assert transposes == []
 
 
 def test_semi_run_computes_the_trig_factors_once_and_the_eight_trig_bits(monkeypatch):
@@ -425,9 +423,9 @@ def test_picard_step_after_an_in_place_change_of_u_equals_one_on_fresh_operators
     ops = StepOperators(mesh, prob.coeffs)
     p0 = mesh.nodal_scalar(prob.p0)
     state = State(initial_displacement(ops, p0, loads(0.0)[0]), p0, 0.0)
-    state, _ = implicit_picard_step(ops, state, *loads(cfg.tau), cfg)
+    state, _ = implicit_picard_step(ops, state, cfg.tau, *loads(cfg.tau), cfg)
     state.u *= 1.5
-    steps = [implicit_picard_step(op, state, *loads(cfg.T), cfg)[0]
+    steps = [implicit_picard_step(op, state, cfg.T, *loads(cfg.T), cfg)[0]
              for op in (ops, StepOperators(mesh, prob.coeffs))]
     assert steps[0].u.tobytes() == steps[1].u.tobytes()
     assert steps[0].p.tobytes() == steps[1].p.tobytes()
@@ -803,6 +801,16 @@ def test_run_with_zero_steps_returns_initial_state():
     assert len(traj) == 1
     assert traj[0].t == 0.0
     assert report.n_steps == 0
+
+
+@pytest.mark.parametrize("scheme", ["semi_explicit", "implicit_picard", "delay_implicit"])
+def test_every_path_stamps_its_states_at_n_tau(scheme):
+    # a sum of ten 0.1s is 0.9999999999999999; every path stamps the n*tau
+    # its loads are evaluated at
+    prob = experiment_42_data()
+    cfg = StepperConfig(scheme=scheme, tau=0.1, T=1.0)
+    traj, _ = run(build_structured_mesh(4), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    assert [state.t for state in traj] == [n * 0.1 for n in range(11)]
 
 
 def test_config_validation():
