@@ -13,6 +13,7 @@ import numpy as np
 
 from .assembly import (Coefficients, assemble_elasticity, assemble_laplace,
                        assemble_mass, assemble_pressure_mass)
+from .linsolve import matvec
 from .mesh import Mesh, prolongation
 
 
@@ -60,7 +61,8 @@ class NormCalculator:
     A norm is the square root of a sum of quadratic forms v·(X v), read
     from ``_FORMS``: X is one of A, C, L (Laplace) and M (mass), and v is
     u, p or one component of u.  Each matrix is assembled on first use
-    and kept.
+    and kept, and applied by ``linsolve.matvec``: A is a scipy CSR matrix,
+    the others are ``linsolve.CsrArrays``.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients):
@@ -75,7 +77,7 @@ class NormCalculator:
             if name not in self._cache:
                 self._cache[name] = _BUILDERS[name](self.mesh, self.coeffs)
             vec = np.asarray(parts[vector], dtype=float)[part]
-            total += float(vec @ (self._cache[name] @ vec))
+            total += float(vec @ matvec(self._cache[name], vec))
         return math.sqrt(max(total, 0.0))
 
 

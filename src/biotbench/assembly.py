@@ -26,12 +26,15 @@ crossover on, the pressure space's multigrid hierarchy
 (``pressure_prolongations``, built on its first request): per level the
 prolongation, ``mesh.interior_prolongation``, and the Galerkin map, a
 sparse map from the values of any operator on the level's pattern to
-those of its coarsening P^T A P on the next one.  C and every B(u)
-share the scalar plan's pattern, and every sum of them keeps it
-(``pressure_sum``), so the map replaces two sparse products per level
-and step.  The load vectors evaluate the forcing
-once per mesh edge, on those midpoints, and take the values to the
-nodes by one sparse product with the load map, whose entry (i, e) is the
+those of its coarsening P^T A P on the next one.  C, M, L and every
+B(u) are ``linsolve.CsrArrays``: values on the scalar plan's own
+read-only index arrays, with no scipy matrix around them.  Every sum of
+them keeps that pattern (``pressure_sum``), so the map replaces two
+sparse products per level and step.  A and D are scipy CSR matrices
+with their own copies of their plans' index arrays.  The load vectors
+evaluate the forcing once per mesh edge, on those midpoints, and take
+the values to the nodes by one sparse product with the load map, whose
+entry (i, e) is the
 sum of |T|/6 over the elements T sharing edge e, at the rows of e's
 endpoints i; the displacement load applies it to the (edges x 2) values
 at once, which gives its interleaved dofs.  A plan fixes the CSR pattern
@@ -45,7 +48,7 @@ bit-identical to those of a plain COO assembly.
 
 B(u) is the one operator that changes with the state, so it costs two
 sparse products per call (``linsolve.matvec``, scipy's compiled kernel)
-and builds no element matrices.  The
+and builds no element matrices and no scipy matrix.  The
 dilatation map (elements x interior displacement dofs, entries
 b/(2|T|) and c/(2|T|)) gives the elementwise divergence of u, and the
 permeability gives the element weights kappa/(4|T|).  The B map has one
@@ -64,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import matvec
+from .linsolve import CsrArrays, matvec, same_pattern
 from .mesh import Mesh, interior_prolongation, structured_interior_index
 from .permeability import PermeabilityModel, check_finite_fields
 
@@ -203,7 +206,8 @@ class _ScatterPlan:
     (E, r, c) element matrices listed in ``perm`` at the positions where
     the nondecreasing ``slots`` equals k, added in the order in which
     scipy's COO to CSR conversion adds them.  Entries in a dropped
-    Dirichlet row or column are not listed.
+    Dirichlet row or column are not listed.  Every array is read-only:
+    the operators assembled on the plan share ``indices`` and ``indptr``.
     """
 
     perm: np.ndarray
@@ -258,10 +262,10 @@ def _build_plan(mesh: Mesh, rows, cols) -> _ScatterPlan:
     out_indptr = np.zeros(n_rows + 1, dtype=np.int32)
     np.cumsum(np.bincount(slot_rows[keep], minlength=n_rows), out=out_indptr[1:])
     slots = np.repeat(np.arange(np.count_nonzero(keep)), counts[keep])
-    for arr in (perm, slots):
+    indices = slot_cols[keep].astype(np.int32)
+    for arr in (perm, slots, indices, out_indptr):
         arr.flags.writeable = False
-    return _ScatterPlan(perm=perm, slots=slots,
-                        indices=slot_cols[keep].astype(np.int32), indptr=out_indptr,
+    return _ScatterPlan(perm=perm, slots=slots, indices=indices, indptr=out_indptr,
                         shape=(n_rows, n_cols))
 
 
@@ -275,40 +279,41 @@ def _plan(mesh: Mesh, rows, cols) -> _ScatterPlan:
     return plan
 
 
-def _csr(plan: _ScatterPlan, data) -> sp.csr_matrix:
-    """A CSR matrix on the plan's pattern, with its own copies of the index arrays."""
-    mat = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
-    mat.has_canonical_format = True
-    return mat
-
-
-def _scatter(mesh: Mesh, local, rows="scalar", cols="scalar"):
-    """Sum (E, r, c) local matrices into a CSR matrix between two P1 spaces.
+def _scatter(mesh: Mesh, local, rows="scalar", cols="scalar") -> CsrArrays:
+    """Sum (E, r, c) local matrices into a CSR operator between two P1 spaces.
 
     ``rows`` and ``cols`` name the spaces ("scalar" or "vector"); the
     Dirichlet dofs are dropped.  The mesh's cached scatter
     plan fixes the pattern, and one weighted ``np.bincount`` adds each
     slot's addends in the order scipy's COO to CSR conversion would, so
     the result equals ``coo_matrix(...).tocsr()`` restricted and sorted,
-    bit for bit.
+    bit for bit.  The values lie on the plan's own index arrays.
     """
     plan = _plan(mesh, rows, cols)
-    return _csr(plan, np.bincount(plan.slots, weights=local.ravel()[plan.perm],
-                                  minlength=plan.indices.size))
+    return CsrArrays(np.bincount(plan.slots, weights=local.ravel()[plan.perm],
+                                 minlength=plan.indices.size),
+                     plan.indices, plan.indptr, plan.shape)
 
 
-def pressure_sum(X, w, Y) -> sp.csr_matrix:
+def _scipy_csr(op: CsrArrays) -> sp.csr_matrix:
+    """A scipy CSR matrix of op's values, with its own copies of the index arrays."""
+    mat = sp.csr_matrix((op.data, op.indices.copy(), op.indptr.copy()), shape=op.shape)
+    mat.has_canonical_format = True
+    return mat
+
+
+def pressure_sum(X, w, Y) -> CsrArrays:
     """X + w*Y for two CSR operators on one pattern, as C, M and every B(u) are.
 
-    The values X.data + w*Y.data on X's index arrays, which the sum shares:
-    a slot whose values cancel stays an explicit zero, so every
-    pressure-space operator keeps the scalar plan's pattern.  Operators
-    on different patterns raise ValueError.
+    The ``CsrArrays`` of the values X.data + w*Y.data on X's index arrays,
+    which the sum shares: a slot whose values cancel stays an explicit
+    zero, so every pressure-space operator keeps the scalar plan's
+    pattern.  Operators on different patterns (``linsolve.same_pattern``)
+    raise ValueError.
     """
-    if X.shape != Y.shape or not (np.array_equal(X.indptr, Y.indptr)
-                                  and np.array_equal(X.indices, Y.indices)):
+    if X.shape != Y.shape or not same_pattern(X, Y):
         raise ValueError("the terms of a pressure sum lie on different patterns")
-    return sp.csr_matrix((X.data + w * Y.data, X.indices, X.indptr), shape=X.shape)
+    return CsrArrays(X.data + w * Y.data, X.indices, X.indptr, X.shape)
 
 
 def _permeability_map(mesh: Mesh):
@@ -422,8 +427,8 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
     interior nodal values on the mesh with n/2^(k+1) cells per side to
     the values of their P1 interpolant at the interior nodes of the one
     with n/2^k.  Level 0's fine pattern is the scalar plan's, which C and
-    every B(u) are assembled on, held as the plan's own index arrays,
-    which ``_pattern`` makes read-only.  Each level's Galerkin map carries
+    every B(u) are assembled on, held as the plan's own read-only index
+    arrays.  Each level's Galerkin map carries
     an operator's values on it down to the next pattern: the per-step
     coarse operators cost one sparse matrix-vector product per level.
     The hierarchy halves n while n is even and its half has at least
@@ -455,7 +460,7 @@ def pressure_prolongations(mesh: Mesh) -> tuple:
 
 
 def assemble_elasticity(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
-    """Stiffness of the linear elastic form a; SPD after elimination."""
+    """Stiffness of the linear elastic form a, a scipy CSR matrix; SPD after elimination."""
     b, c, area = triangle_geometry(mesh)
     E = mesh.num_triangles
     # Voigt strain-displacement matrix rows (e_xx, e_yy, gamma_xy), 6 local dofs
@@ -470,31 +475,33 @@ def assemble_elasticity(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
                      [lam, lam + 2 * mu, 0.0],
                      [0.0, 0.0, mu]])
     local = np.einsum("eki,kl,elj,e->eij", B, Dmat, B, area, optimize=True)
-    return _scatter(mesh, local, rows="vector", cols="vector")
+    return _scipy_csr(_scatter(mesh, local, rows="vector", cols="vector"))
 
 
-def assemble_pressure_mass(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
-    """Consistent P1 mass matrix scaled by 1/M (the form c)."""
-    return assemble_mass(mesh) * (1.0 / coeffs.M)
+def assemble_pressure_mass(mesh: Mesh, coeffs: Coefficients) -> CsrArrays:
+    """Consistent P1 mass matrix scaled by 1/M (the form c), on the scalar plan's pattern."""
+    mass = assemble_mass(mesh)
+    return CsrArrays(mass.data * (1.0 / coeffs.M), mass.indices, mass.indptr, mass.shape)
 
 
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Unscaled consistent P1 mass matrix (exact integration)."""
+def assemble_mass(mesh: Mesh) -> CsrArrays:
+    """Unscaled consistent P1 mass matrix (exact integration), on the scalar plan's pattern."""
     _, _, area = triangle_geometry(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * base
     return _scatter(mesh, local)
 
 
-def assemble_laplace(mesh: Mesh) -> sp.csr_matrix:
-    """Unit-coefficient P1 stiffness (grad-grad), used for the H1-type norms."""
+def assemble_laplace(mesh: Mesh) -> CsrArrays:
+    """Unit-coefficient P1 stiffness (grad-grad), used for the H1-type norms, on the
+    scalar plan's pattern."""
     data = _mesh_data(mesh)
     _, _, area = data.geometry
     return _scatter(mesh, data.grad_grad / (4.0 * area)[:, None, None])
 
 
 def assemble_coupling(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
-    """Rectangular coupling operator: d(u,q) = q^T D u on nodal vectors."""
+    """Rectangular coupling operator, a scipy CSR matrix: d(u,q) = q^T D u on nodal vectors."""
     b, c, area = triangle_geometry(mesh)
     E = mesh.num_triangles
     # int_T (div u) q dx = (area/3) sum_i q_i * sum_j (b_j u_jx + c_j u_jy)/(2 area)
@@ -502,21 +509,22 @@ def assemble_coupling(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
     local[:, :, 0::2] = b[:, None, :] / 6.0
     local[:, :, 1::2] = c[:, None, :] / 6.0
     local *= coeffs.alpha
-    return _scatter(mesh, local, cols="vector")
+    return _scipy_csr(_scatter(mesh, local, cols="vector"))
 
 
 def assemble_permeability_stiffness(mesh: Mesh, coeffs: Coefficients,
-                                    u_interior) -> sp.csr_matrix:
+                                    u_interior) -> CsrArrays:
     """Stiffness of b(u; ., .) with the mobility frozen at the given displacement.
 
-    The dilatation of a P1 displacement is constant per element, so the
-    permeability is evaluated exactly once per element; no quadrature
-    choice arises.
+    The values on the scalar plan's pattern, read off the element weights
+    by the B map.  The dilatation of a P1 displacement is constant per
+    element, so the permeability is evaluated exactly once per element;
+    no quadrature choice arises.
     """
     _, _, area = triangle_geometry(mesh)
     kappa = coeffs.mobility(element_divergence(mesh, u_interior))
     plan, bmap = _permeability_map(mesh)
-    return _csr(plan, matvec(bmap, kappa / (4.0 * area)))
+    return CsrArrays(matvec(bmap, kappa / (4.0 * area)), plan.indices, plan.indptr, plan.shape)
 
 
 def _load_map(mesh: Mesh) -> sp.csr_matrix:

@@ -18,10 +18,12 @@ expression.  The V-cycle's coarse operators are read off the operator's
 own values through the hierarchy's per-mesh Galerkin maps, one
 matrix-vector product per level, and the solve's products with CSR
 operators go through ``matvec``, scipy's compiled kernel without its
-Python dispatch: a pressure solve builds no sparse matrix but its
-coarsest level's.  Each SPD solve, direct or iterative, is verified post
-hoc by the normwise backward error of an independent matrix-vector
-residual (``NormwiseError``), with iterative refinement; its residuals
+Python dispatch.  Every pressure-space operator is a ``CsrArrays``, values
+on the scalar plan's read-only pattern, so a pressure solve builds no
+scipy matrix but the CSC of the one operator it factors (``_csc``).
+Each SPD solve, direct or iterative, is verified post hoc by the
+normwise backward error of an independent matrix-vector residual
+(``NormwiseError``), with iterative refinement; its residuals
 go through ``matvec`` and its norms through one dot product and square
 root (``_norm``).  The coupled two-by-two block systems of the
 implicit/Picard path are solved by ``solve_block``: u is eliminated with
@@ -42,7 +44,6 @@ iterates rewrite only the pressure block's values, in place.
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,13 +74,34 @@ class SolverFailure(RuntimeError):
         self.error = error
 
 
-class CsrArrays(NamedTuple):
-    """A CSR operator as the arrays ``matvec`` reads, with no scipy matrix around them."""
+@dataclass(frozen=True, slots=True, eq=False)
+class CsrArrays:
+    """A CSR operator as the arrays ``matvec`` reads, with no scipy matrix around them.
+
+    Every pressure-space operator is one: C, M, L, each B(u) and each
+    ``assembly.pressure_sum`` are values on the scalar scatter plan's own
+    read-only ``indptr`` and ``indices``.  It has no arithmetic, so
+    ``C + B`` or ``tau * B`` raise TypeError; sums go through
+    ``assembly.pressure_sum``.  ``scipy.sparse.csr_matrix((op.data,
+    op.indices, op.indptr), shape=op.shape, copy=True)`` is the operator
+    as a scipy matrix of its own.
+    """
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple
+
+
+def same_pattern(X, Y) -> bool:
+    """Whether two CSR operators have one pattern: the same index arrays, or equal ones.
+
+    Operators on the scalar plan's pattern hold its arrays themselves, so
+    they pass on identity; other arrays are compared value by value.
+    """
+    if X.indptr is Y.indptr and X.indices is Y.indices:
+        return True
+    return np.array_equal(X.indptr, Y.indptr) and np.array_equal(X.indices, Y.indices)
 
 
 def matvec(op, x, out=None) -> np.ndarray:
@@ -158,9 +180,11 @@ class NormwiseError:
 class SpdFactorization:
     """Cached direct factorization of a sparse SPD operator.
 
-    The operator is factored by this module's ``splu``, in symmetric mode
+    The operator is CSR, a ``CsrArrays`` or a scipy CSR matrix, kept as
+    given.  It is factored by this module's ``splu``, in symmetric mode
     and with diagonal pivots only (an SPD operator needs no partial
-    pivoting), or, given a half-bandwidth ``kd``, by its
+    pivoting), on the one scipy matrix SuperLU needs, its CSC
+    (``_csc``), or, given a half-bandwidth ``kd``, by its
     ``cholesky_banded``, each looked up when
     the factor is built: every factor of every scheme passes through
     these two names, and through here.  ``built`` counts the factors
@@ -176,10 +200,10 @@ class SpdFactorization:
 
     def __init__(self, op, kd=None):
         SpdFactorization.built += 1
-        self.op = op.tocsr()
+        self.op = op
         try:
             if kd is None:
-                self._lu = splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A",
+                self._lu = splu(_csc(op), permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             else:
                 self._lu = cholesky_banded(self.op, kd)
@@ -220,6 +244,18 @@ class SpdFactorization:
     def back_solve(self, rhs):
         """Triangular solves with the factors alone, unverified (a preconditioner step)."""
         return self._lu.solve(rhs)
+
+
+def _csc(op) -> sp.csc_matrix:
+    """The CSR ``op`` as a scipy CSC matrix, by the compiled kernel scipy's ``tocsc``
+    calls, so the same arrays as ``op.tocsc()``."""
+    n_row, n_col = op.shape
+    idx = np.promote_types(op.indptr.dtype, op.indices.dtype)
+    indptr, indices = np.empty(n_col + 1, dtype=idx), np.empty(op.indices.size, dtype=idx)
+    data = np.empty(op.data.size)
+    _sparsetools.csr_tocsc(n_row, n_col, op.indptr.astype(idx, copy=False),
+                           op.indices.astype(idx, copy=False), op.data, indptr, indices, data)
+    return sp.csc_matrix((data, indices, indptr), shape=op.shape)
 
 
 class BandedCholesky:
@@ -306,12 +342,13 @@ def solve_spd(op, rhs) -> np.ndarray:
 def solve_pressure(op, rhs, guess, levels):
     """Solve a per-step pressure operator C + tau*B(u), verified as ``SpdFactorization.solve``.
 
-    ``op`` is CSR, taken as it is, explicit zeros included.  ``levels``
-    is the multigrid hierarchy of its space, one ``assembly.MultigridLevel``
-    per level, finest first (``assembly.pressure_prolongations``).  With
-    no level the operator is factored by this module's ``splu`` and solved
-    by ``solve_spd``.  Otherwise op's index arrays must be the finest
-    level's pattern (ValueError before anything is factored), and it is
+    ``op`` is a ``CsrArrays`` (``assembly.pressure_sum``), taken as it
+    is, explicit zeros included.  ``levels`` is the multigrid hierarchy
+    of its space, one ``assembly.MultigridLevel`` per level, finest first
+    (``assembly.pressure_prolongations``).  With no level the operator is
+    factored by this module's ``splu`` and solved by ``solve_spd``.
+    Otherwise op's pattern must be the finest level's (``same_pattern``,
+    ValueError before anything is factored), and it is
     solved by CG from the warm start ``guess``, preconditioned by one
     multigrid V-cycle (``_VCycle``) on its own values; its coarsest level
     is factored by ``splu``.  So each call makes exactly one factor, and
@@ -334,8 +371,7 @@ def solve_pressure(op, rhs, guess, levels):
     """
     if not levels:
         return solve_spd(op, rhs), 0
-    fine = levels[0].fine
-    if not (np.array_equal(op.indptr, fine.indptr) and np.array_equal(op.indices, fine.indices)):
+    if not same_pattern(op, levels[0].fine):
         raise ValueError("pressure operator is not on the multigrid hierarchy's pattern")
     precondition = _VCycle(op.data, levels)
     rhs = np.asarray(rhs, dtype=float)
@@ -406,8 +442,7 @@ class _VCycle:
                                  np.empty(n), np.empty(m), np.empty(m)))
             data = matvec(level.galerkin, data)
         coarse, n = levels[-1].coarse, levels[-1].P.shape[1]
-        self._coarse = SpdFactorization(sp.csr_matrix((data, coarse.indices, coarse.indptr),
-                                                      shape=(n, n)))
+        self._coarse = SpdFactorization(CsrArrays(data, coarse.indices, coarse.indptr, (n, n)))
 
     def __call__(self, b, x, level=0):
         """Write the cycle applied to ``b`` into ``x``, and return ``x``."""
@@ -437,26 +472,24 @@ class BlockSystem:
     ``set_pressure_block`` rewrites the values of ``pressure`` in place, so a
     Picard run owns one system (``StepOperators.block_system``) and no
     iterate stacks or transposes a block or forms a sparse sum.  The
-    pressure block given at construction sets only the pattern and the
-    first values: it is neither kept nor modified, so it may be a matrix
-    that other runs share.
+    pressure block given at construction, a canonical CSR operator such as
+    C, sets the pattern, whose index arrays ``pressure`` shares, and the
+    first values, which it copies: the given operator is not modified, so
+    it may be one that other runs share.
     """
 
     A: sp.spmatrix
     D: sp.spmatrix
-    C_plus_tauB: InitVar[sp.spmatrix]
+    C_plus_tauB: InitVar[CsrArrays]
 
     def __post_init__(self, C_plus_tauB):
-        # a canonical copy: its slot order is the order set_pressure_block writes in
-        pressure = C_plus_tauB.tocsr(copy=True)
-        pressure.sum_duplicates()
-        nu, np_ = self.A.shape[0], pressure.shape[0]
-        if self.A.shape != (nu, nu) or pressure.shape != (np_, np_) \
+        nu, np_ = self.A.shape[0], C_plus_tauB.shape[0]
+        if self.A.shape != (nu, nu) or C_plus_tauB.shape != (np_, np_) \
                 or self.D.shape != (np_, nu):
             raise ValueError("inconsistent block dimensions")
         self.A, self.D = self.A.tocsr(), self.D.tocsr()
-        self.pressure = CsrArrays(pressure.data, pressure.indices, pressure.indptr,
-                                  pressure.shape)
+        self.pressure = CsrArrays(C_plus_tauB.data.copy(), C_plus_tauB.indices,
+                                  C_plus_tauB.indptr, C_plus_tauB.shape)
         # s_u = |diag A|^(-1/2), |A| s_u and |D| s_u; a zero or non-finite
         # diagonal, and an overflow, are refused by equilibration
         self._abs_D = CsrArrays(np.abs(self.D.data), self.D.indices, self.D.indptr,

@@ -167,9 +167,10 @@ class StepOperators:
     displacement solve, every semi-explicit step and, on the Picard path,
     every elimination of u in the Schur complement CG of
     ``linsolve.solve_block``, which the fixed-stress factor
-    preconditions.  Every pressure-space operator is formed by
-    ``assembly.pressure_sum`` on the pattern C, M and every B(u) share, a
-    slot that cancels kept as an explicit zero.  The pressure operator
+    preconditions.  Every pressure-space operator is a
+    ``linsolve.CsrArrays`` formed by ``assembly.pressure_sum`` on the
+    scalar plan's pattern, which C, M and every B(u) share, a slot that
+    cancels kept as an explicit zero.  The pressure operator
     changes with u, so no step keeps it: the semi-explicit step solves
     C + tau*B(u) by the same call the delay path makes, and the Picard path
     refactorizes the fixed-stress C + beta*M + tau*B(u) per step.  The

@@ -189,6 +189,16 @@ def eight_trig_forcing(coeffs):
     return f, g
 
 
+def scipy_csr(op):
+    """A pressure-space operator (``linsolve.CsrArrays``) as a scipy CSR matrix.
+
+    The matrix owns copies of op's arrays, so an oracle may add, scale,
+    index or modify it as scipy allows, and the library's operator and
+    the scalar plan it shares are left as they are.
+    """
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape, copy=True)
+
+
 def unconstrained(mesh):
     """The mesh with no Dirichlet node, on which the library assembles the full-space operators.
 
@@ -296,9 +306,8 @@ def stacked_block_operator(system):
     block by block and keeps no stacked operator, so the oracles build
     theirs.
     """
-    P = system.pressure
-    P = sp.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
-    return sp.bmat([[system.A, -system.D.T], [system.D, P]], format="csr")
+    return sp.bmat([[system.A, -system.D.T], [system.D, scipy_csr(system.pressure)]],
+                   format="csr")
 
 
 def reference_schur_solve(system, rhs_u, rhs_p):

@@ -14,7 +14,7 @@ from biotbench.assembly import (assemble_elasticity, assemble_laplace, assemble_
                                 assemble_pressure_mass)
 from biotbench.config import SchemeSpec
 from biotbench.experiments import simulate
-from dense_reference import dense_mass, restrict_dense
+from dense_reference import dense_mass, restrict_dense, scipy_csr
 
 CO = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
                   permeability=KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75))
@@ -89,8 +89,8 @@ def test_each_norm_is_the_root_of_its_quadratic_forms_bit_for_bit():
     rng = np.random.default_rng(5)
     u = rng.standard_normal(mesh.num_displacement_dofs)
     p = rng.standard_normal(mesh.num_pressure_dofs)
-    A, C = assemble_elasticity(mesh, CO), assemble_pressure_mass(mesh, CO)
-    L, M = assemble_laplace(mesh), assemble_mass(mesh)
+    A, C = assemble_elasticity(mesh, CO), scipy_csr(assemble_pressure_mass(mesh, CO))
+    L, M = scipy_csr(assemble_laplace(mesh)), scipy_csr(assemble_mass(mesh))
 
     def form(X, v):
         return float(v @ (X @ v))

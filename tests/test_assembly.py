@@ -17,7 +17,7 @@ from biotbench.mesh import prolongation
 from dense_reference import (dense_coupling, dense_elasticity, dense_load_q,
                              dense_load_v, dense_mass,
                              dense_permeability_stiffness, restrict_dense,
-                             unconstrained)
+                             scipy_csr, unconstrained)
 
 KC = KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75)
 
@@ -49,13 +49,13 @@ def test_operators_match_dense_reference(n):
     A = assemble_elasticity(free, co).toarray()
     assert np.abs(A - dense_elasticity(mesh, co.lam, co.mu)).max() < 1e-12
 
-    C = assemble_pressure_mass(free, co).toarray()
+    C = scipy_csr(assemble_pressure_mass(free, co)).toarray()
     assert np.abs(C - dense_mass(mesh, 1.0 / co.M)).max() < 1e-12
 
     D = assemble_coupling(free, co).toarray()
     assert np.abs(D - dense_coupling(mesh, co.alpha)).max() < 1e-12
 
-    B = assemble_permeability_stiffness(free, co, mesh.extend_vector(u)).toarray()
+    B = scipy_csr(assemble_permeability_stiffness(free, co, mesh.extend_vector(u))).toarray()
     assert np.abs(B - dense_permeability_stiffness(mesh, co, u)).max() < 1e-12
 
 
@@ -78,8 +78,8 @@ def test_symmetry_and_positive_definiteness(n):
     co = unit_coeffs()
     rng = np.random.default_rng(77)
     u = rng.standard_normal(mesh.num_displacement_dofs)
-    for op in (assemble_elasticity(mesh, co), assemble_pressure_mass(mesh, co),
-               assemble_permeability_stiffness(mesh, co, u)):
+    for op in (assemble_elasticity(mesh, co), scipy_csr(assemble_pressure_mass(mesh, co)),
+               scipy_csr(assemble_permeability_stiffness(mesh, co, u))):
         dense = op.toarray()
         assert np.abs(dense - dense.T).max() < 1e-12
         assert np.linalg.eigvalsh(dense).min() > 0.0
@@ -108,7 +108,7 @@ def test_pressure_mass_entry_sum_is_domain_measure_over_M():
     for M in (1.0, 2.0, 7e9):
         co = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=M, kappa_over_nu=1.0,
                           permeability=KC)
-        C_full = assemble_pressure_mass(free, co)
+        C_full = scipy_csr(assemble_pressure_mass(free, co))
         assert abs(C_full.sum() - 1.0 / M) < 1e-12
 
 
@@ -116,8 +116,8 @@ def test_pressure_mass_ratio_in_M(mesh2):
     co1 = unit_coeffs()
     co2 = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=2.0, kappa_over_nu=1.0,
                        permeability=KC)
-    C1 = assemble_pressure_mass(mesh2, co1).toarray()
-    C2 = assemble_pressure_mass(mesh2, co2).toarray()
+    C1 = scipy_csr(assemble_pressure_mass(mesh2, co1)).toarray()
+    C2 = scipy_csr(assemble_pressure_mass(mesh2, co2)).toarray()
     assert np.abs(C1 - 2.0 * C2).max() < 1e-14
 
 
@@ -148,8 +148,8 @@ def test_constant_permeability_gives_laplace_stencil():
     mesh = build_structured_mesh(2)
     co = unit_coeffs(Constant(kappa=1.0))
     u = np.zeros(mesh.num_displacement_dofs)
-    B_full = assemble_permeability_stiffness(unconstrained(mesh), co,
-                                             mesh.extend_vector(u)).toarray()
+    B_full = scipy_csr(assemble_permeability_stiffness(unconstrained(mesh), co,
+                                                       mesh.extend_vector(u))).toarray()
     center = 4  # node (1,1)
     row = B_full[center]
     assert row[center] == pytest.approx(4.0, abs=1e-13)
@@ -162,8 +162,8 @@ def test_constant_permeability_gives_laplace_stencil():
 def test_zero_displacement_freezes_kappa_at_zero(mesh2):
     co = unit_coeffs()
     u0 = np.zeros(mesh2.num_displacement_dofs)
-    B = assemble_permeability_stiffness(mesh2, co, u0).toarray()
-    L = assemble_laplace(mesh2).toarray()
+    B = scipy_csr(assemble_permeability_stiffness(mesh2, co, u0)).toarray()
+    L = scipy_csr(assemble_laplace(mesh2)).toarray()
     assert np.abs(B - co.permeability.eval(0.0) * L).max() < 1e-13
 
 
@@ -171,12 +171,12 @@ def test_permeability_stiffness_coercivity_window():
     mesh = build_structured_mesh(4)
     co = unit_coeffs()
     lo, hi = (co.kappa_over_nu * b for b in co.permeability.bounds())
-    L = assemble_laplace(mesh)
+    L = scipy_csr(assemble_laplace(mesh))
     rng = np.random.default_rng(123)
     for _ in range(100):
         u = 3.0 * rng.standard_normal(mesh.num_displacement_dofs)
         p = rng.standard_normal(mesh.num_pressure_dofs)
-        B = assemble_permeability_stiffness(mesh, co, u)
+        B = scipy_csr(assemble_permeability_stiffness(mesh, co, u))
         ratio = (p @ (B @ p)) / (p @ (L @ p))
         assert lo - 1e-12 <= ratio <= hi + 1e-12
 
@@ -204,7 +204,7 @@ def test_stiffness_depends_on_u_only_through_element_divergence():
     for _ in range(5):
         u = rng.standard_normal(mesh.num_displacement_dofs)
         weights = co.mobility(element_divergence(mesh, u))
-        B = assemble_permeability_stiffness(free, co, mesh.extend_vector(u)).toarray()
+        B = scipy_csr(assemble_permeability_stiffness(free, co, mesh.extend_vector(u))).toarray()
         B_from_div = dense_laplace(mesh, weight_per_element=weights)
         assert np.abs(B - B_from_div).max() < 1e-13
 
@@ -243,9 +243,9 @@ def test_load_drops_boundary_entries(mesh2):
 def test_assembled_matrices_have_sorted_unique_columns():
     mesh = build_structured_mesh(4)
     co = unit_coeffs()
-    for op in (assemble_elasticity(mesh, co), assemble_pressure_mass(mesh, co),
-               assemble_coupling(mesh, co), assemble_laplace(mesh),
-               assemble_mass(mesh)):
+    for op in (assemble_elasticity(mesh, co), scipy_csr(assemble_pressure_mass(mesh, co)),
+               assemble_coupling(mesh, co), scipy_csr(assemble_laplace(mesh)),
+               scipy_csr(assemble_mass(mesh))):
         assert op.has_sorted_indices
         indptr, indices = op.indptr, op.indices
         for r in range(op.shape[0]):
@@ -326,7 +326,7 @@ def test_operators_equal_coo_assembly_bit_for_bit(n, dirichlet, monkeypatch):
 
     def recording_scatter(mesh, local, rows="scalar", cols="scalar"):
         mat = real_scatter(mesh, local, rows, cols)
-        scattered.append((coo_scatter(mesh, local, rows, cols), mat.copy()))
+        scattered.append((coo_scatter(mesh, local, rows, cols), scipy_csr(mat)))
         return mat
 
     monkeypatch.setattr(assembly, "_scatter", recording_scatter)
@@ -505,7 +505,7 @@ def test_scatter_plans_live_once_per_mesh_and_space_pair(monkeypatch):
     del kept, maps
 
     # a caller editing a returned matrix in place leaves the shared plan intact
-    L = assemble_laplace(mesh)
+    L = scipy_csr(assemble_laplace(mesh))
     expected = L.copy()
     L.indices[:] = 0
     L.indptr[:] = 0

@@ -16,7 +16,8 @@ from biotbench import cli
 from biotbench.assembly import assemble_mass, pressure_prolongations, pressure_sum
 from biotbench.linsolve import SpdFactorization
 from biotbench.stepper import StepOperators
-from dense_reference import ProductVCycle, reference_schur_solve, stacked_block_operator
+from dense_reference import (ProductVCycle, reference_schur_solve, scipy_csr,
+                             stacked_block_operator)
 
 CO = Coefficients(lam=1.0, mu=1.0, alpha=1.0, M=1.0, kappa_over_nu=1.0,
                   permeability=KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75))
@@ -40,7 +41,7 @@ def test_laplace_residual_below_tolerance():
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(L.shape[0])
     x = solve_spd(L, rhs)
-    assert np.linalg.norm(L @ x - rhs) / np.linalg.norm(rhs) <= 1e-12
+    assert np.linalg.norm(scipy_csr(L) @ x - rhs) / np.linalg.norm(rhs) <= 1e-12
 
 
 def test_zero_rhs_gives_zero_without_solving():
@@ -79,11 +80,11 @@ def test_solver_failure_carries_residual():
 def _block_parts(n=2):
     mesh = build_structured_mesh(n)
     A = assemble_elasticity(mesh, CO)
-    C = assemble_pressure_mass(mesh, CO)
+    C = scipy_csr(assemble_pressure_mass(mesh, CO))
     D = assemble_coupling(mesh, CO)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(mesh.num_displacement_dofs)
-    B = assemble_permeability_stiffness(mesh, CO, u)
+    B = scipy_csr(assemble_permeability_stiffness(mesh, CO, u))
     return mesh, A, C, D, B
 
 
@@ -191,9 +192,9 @@ def _first_picard_system(name, n=8, tau=2.0**-5):
     p0 = mesh.nodal_scalar(prob.p0)
     u0 = initial_displacement(ops, p0, assemble_load_v(mesh, prob.f, 0.0))
     B = ops.permeability_stiffness(u0)
-    system = BlockSystem(ops.A, ops.D, ops.C + tau * B)
+    system = BlockSystem(ops.A, ops.D, scipy_csr(ops.C) + tau * scipy_csr(B))
     rhs_u = assemble_load_v(mesh, prob.f, tau)
-    rhs_p = tau * assemble_load_q(mesh, prob.g, tau) + ops.D @ u0 + ops.C @ p0
+    rhs_p = tau * assemble_load_q(mesh, prob.g, tau) + ops.D @ u0 + scipy_csr(ops.C) @ p0
     factors = (ops.a_factor(), ops.fixed_stress_factor(B, tau))
     guess = (ops.a_factor().back_solve(rhs_u + linsolve.rmatvec(ops.D, p0)), p0)
     return system, rhs_u, rhs_p, guess, factors
@@ -205,7 +206,8 @@ def _second_picard_system(name, n=8, tau=2.0**-5):
     first = solve_block(system, rhs_u, rhs_p, *factors, guess)[:2]
     ops = StepOperators(build_structured_mesh(n), PROBLEMS[name]().coeffs)
     B = ops.permeability_stiffness(first[0])
-    return BlockSystem(ops.A, ops.D, ops.C + tau * B), rhs_u, rhs_p, first, factors
+    return (BlockSystem(ops.A, ops.D, scipy_csr(ops.C) + tau * scipy_csr(B)), rhs_u, rhs_p,
+            first, factors)
 
 
 def _backward_error(system, rhs_u, rhs_p, u, p):
@@ -337,8 +339,8 @@ def test_run_block_operator_equals_a_fresh_stack_after_every_rewrite(name):
     for u in displacements:
         B = ops.permeability_stiffness(u)
         system = ops.block_system(B, tau)
-        fresh = BlockSystem(ops.A, ops.D, ops.C + tau * B)
-        assert _same_csr(system.pressure, ops.C + tau * B)
+        fresh = BlockSystem(ops.A, ops.D, scipy_csr(ops.C) + tau * scipy_csr(B))
+        assert _same_csr(system.pressure, scipy_csr(ops.C) + tau * scipy_csr(B))
         x_u, x_p = rng.standard_normal(u0.size), rng.standard_normal(p0.size)
         assert system.monolithic(x_u, x_p).tobytes() == fresh.monolithic(x_u, x_p).tobytes()
         # the equilibration built from the blocks follows every rewrite
@@ -366,21 +368,21 @@ def test_in_place_pressure_sums_equal_scipy_sums():
     prob = experiment_42_data()
     mesh = build_structured_mesh(8)
     ops = StepOperators(mesh, prob.coeffs)
-    C = ops.C.copy()
+    C = scipy_csr(ops.C)
     rng = np.random.default_rng(2)
     B = ops.permeability_stiffness(1e-2 * rng.standard_normal(mesh.num_displacement_dofs))
     tau = 2.0**-5
     op = pressure_sum(ops.C, tau, B)
-    _on_pattern_of(op, C, C.toarray() + tau * B.toarray())
+    _on_pattern_of(op, C, C.toarray() + tau * scipy_csr(B).toarray())
     # where no slot cancels, scipy's sum has the same pattern and bits
-    assert _same_csr(op, ops.C + tau * B)
+    assert _same_csr(op, scipy_csr(ops.C) + tau * scipy_csr(B))
 
     # the fixed-stress operator is the nested sum (C + beta*M) + tau*B
     co = prob.coeffs
-    M = assemble_mass(mesh).toarray()
+    M = scipy_csr(assemble_mass(mesh)).toarray()
     beta = co.alpha**2 / (2.0 * (co.lam + co.mu))
     _on_pattern_of(ops.fixed_stress_factor(B, tau).op, C,
-                   (C.toarray() + beta * M) + tau * B.toarray())
+                   (C.toarray() + beta * M) + tau * scipy_csr(B).toarray())
     # the sums leave C, which a study shares, as it was
     assert _same_csr(ops.C, C)
 
@@ -388,22 +390,22 @@ def test_in_place_pressure_sums_equal_scipy_sums():
 def test_pressure_sum_keeps_a_slot_that_cancels_as_an_explicit_zero():
     mesh = build_structured_mesh(4)
     ops = StepOperators(mesh, CO)
-    C = ops.C.copy()
+    C = scipy_csr(ops.C)
     tau = 0.5  # a power of two, so tau * (-2 c) is exactly -c
     B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
     B.data[7] = -2.0 * ops.C.data[7]
-    dense = C.toarray() + tau * B.toarray()
+    dense = C.toarray() + tau * scipy_csr(B).toarray()
     assert np.count_nonzero(dense) == C.nnz - 1
     op = pressure_sum(ops.C, tau, B)
     # the cancelled slot is stored as an explicit 0.0, every other one is the dense sum's
     _on_pattern_of(op, C, dense)
-    assert op.nnz == C.nnz and op.data[7] == 0.0
+    assert scipy_csr(op).nnz == C.nnz and op.data[7] == 0.0
     assert _same_csr(ops.C, C)
     # a factorization sees it too: csc_matrix keeps explicit zeros
-    assert sp.csc_matrix(op).nnz == C.nnz
+    assert sp.csc_matrix(scipy_csr(op)).nnz == C.nnz
     # a term on another pattern, such as scipy's pruned sum, is refused
     with pytest.raises(ValueError, match="different patterns"):
-        pressure_sum(ops.C, tau, ops.C + tau * B)
+        pressure_sum(ops.C, tau, scipy_csr(ops.C) + tau * scipy_csr(B))
 
 
 def test_picard_run_stacks_no_block_operator(monkeypatch):
@@ -576,7 +578,7 @@ def test_a_is_banded_while_its_band_is_small_and_pressure_operators_never(n, fac
     ops.a_factor()
     B = ops.permeability_stiffness(np.zeros(mesh.num_displacement_dofs))
     np_ = mesh.num_pressure_dofs
-    _, iterations = linsolve.solve_pressure(ops.C + 0.25 * B, np.ones(np_),
+    _, iterations = linsolve.solve_pressure(scipy_csr(ops.C) + 0.25 * scipy_csr(B), np.ones(np_),
                                             np.zeros(np_),
                                             pressure_prolongations(mesh))
     ops.fixed_stress_factor(B, 0.25)
@@ -606,7 +608,8 @@ def _pressure_system(name, n, steps=3, tau=2.0**-5):
         u_new = ops.a_factor().solve(assemble_load_v(mesh, prob.f, k * tau)
                                      + linsolve.rmatvec(ops.D, p))
         B = ops.permeability_stiffness(u_new)
-        rhs = tau * assemble_load_q(mesh, prob.g, k * tau) + ops.C @ p - ops.D @ (u_new - u)
+        rhs = (tau * assemble_load_q(mesh, prob.g, k * tau) + scipy_csr(ops.C) @ p
+               - ops.D @ (u_new - u))
         op = pressure_sum(ops.C, tau, B)
         if k == steps + 1:
             return mesh, op, rhs, p
@@ -614,6 +617,7 @@ def _pressure_system(name, n, steps=3, tau=2.0**-5):
 
 
 def _normwise_backward_error(op, x, rhs):
+    op = scipy_csr(op)
     norm_op = abs(op).sum(axis=1).max()
     return np.linalg.norm(op @ x - rhs) / (norm_op * np.linalg.norm(x) + np.linalg.norm(rhs))
 
@@ -649,7 +653,7 @@ def test_multigrid_pressure_solve_returns_a_warm_start_that_passes_as_it_is(fact
 
 
 def _faulty(op, fault):
-    op = op.copy()
+    op = scipy_csr(op)
     diagonal = op.indices == np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     if fault == "nan-diagonal":
         op.data[np.flatnonzero(diagonal)[5]] = np.nan
@@ -720,7 +724,7 @@ def test_matvec_gives_the_bits_of_scipy_products(index_dtype):
     mesh, op, _, _ = _pressure_system("ex42", 32, steps=0)
     level = pressure_prolongations(mesh)[0]
     rng = np.random.default_rng(4)
-    for A in (op, level.P, level.R):
+    for A in (scipy_csr(op), level.P, level.R):
         A = A.copy()
         # assigned, since scipy's constructor casts indices that fit to int32
         A.indices, A.indptr = A.indices.astype(index_dtype), A.indptr.astype(index_dtype)
@@ -751,6 +755,19 @@ def test_matvec_gives_the_bits_of_scipy_products(index_dtype):
             linsolve.rmatvec(A, x[:-1])
         with pytest.raises(ValueError, match="output of shape"):
             linsolve.rmatvec(A, x, out=out[:-1])
+
+
+def test_an_operator_of_values_has_no_arithmetic_to_fall_back_on():
+    # as a tuple, C + B would concatenate and 2 * B repeat, silently
+    mesh = build_structured_mesh(4)
+    C = assemble_pressure_mass(mesh, CO)
+    B = assemble_permeability_stiffness(mesh, CO, np.zeros(mesh.num_displacement_dofs))
+    assert isinstance(B, linsolve.CsrArrays)
+    tau = 2.0**-5
+    for combine in (lambda: C + B, lambda: 2 * B, lambda: tau * B):
+        with pytest.raises(TypeError):
+            combine()
+    assert pressure_sum(C, tau, B).data.tobytes() == (C.data + tau * B.data).tobytes()
 
 
 def _check_mapped_levels(op, levels):
@@ -804,10 +821,10 @@ def test_multigrid_pressure_solve_takes_explicit_zeros_and_refuses_another_patte
     mesh, op, rhs, guess = _pressure_system("ex42", 32, steps=0)
     levels = pressure_prolongations(mesh)
     # an explicit zero in a symmetric pair of off-diagonal slots
-    stored = op.copy()
+    stored = scipy_csr(op)
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     stored.data[((rows == 0) & (op.indices == 1)) | ((rows == 1) & (op.indices == 0))] = 0.0
-    assert np.count_nonzero(stored.data != op.data) == 2 and stored.nnz == op.nnz
+    assert np.count_nonzero(stored.data != op.data) == 2 and stored.nnz == scipy_csr(op).nnz
     x, steps = linsolve.solve_pressure(stored, rhs, guess, levels)
     lu = SpdFactorization(stored).solve(rhs)
     assert steps > 0 and np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
@@ -815,7 +832,7 @@ def test_multigrid_pressure_solve_takes_explicit_zeros_and_refuses_another_patte
     # anything is factored: the same operator without its zeros, and one
     # with an entry outside the pattern
     factors.clear()
-    outside = op.tolil()
+    outside = scipy_csr(op).tolil()
     outside[0, op.shape[0] - 1] = outside[op.shape[0] - 1, 0] = 1e-3
     for other in (sp.csr_matrix(stored.toarray()), outside.tocsr()):
         with pytest.raises(ValueError, match="not on the multigrid hierarchy's pattern"):

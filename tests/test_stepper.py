@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed as sp_compressed
 
 from biotbench import (Coefficients, Constant, KozenyCarman, SolverFailure, State,
                        StepperConfig, assemble_load_q, assemble_load_v,
@@ -10,13 +11,14 @@ from biotbench import (Coefficients, Constant, KozenyCarman, SolverFailure, Stat
                        experiment_42_data, experiment_43_data, implicit_picard_step,
                        initial_displacement, run, solve_spd, tau_bound_diagnostic,
                        with_coefficients)
-from biotbench import forcing, linsolve, stepper
+from biotbench import assembly, forcing, linsolve, stepper
 from biotbench.assembly import (assemble_coupling, assemble_mass,
-                                assemble_permeability_stiffness, assemble_pressure_mass)
+                                assemble_permeability_stiffness, assemble_pressure_mass,
+                                pressure_sum)
 from biotbench.stepper import StepOperators, picard_residual
 from dense_reference import (dense_coupling, dense_elasticity, dense_mass,
                              dense_permeability_stiffness, eight_trig_forcing,
-                             restrict_dense)
+                             restrict_dense, scipy_csr)
 
 KC = KozenyCarman(kappa0=1.0, rho0=0.5, c_s=-0.75, C_s=0.75)
 
@@ -128,8 +130,8 @@ def test_decoupled_pressure_path_is_nonlinear_heat_step():
     u_elastic = solve_spd(assemble_elasticity(mesh, co), Fv)
     assert np.abs(traj[1].u - u_elastic).max() < 1e-12
 
-    C = assemble_pressure_mass(mesh, co)
-    B = assemble_permeability_stiffness(mesh, co, u_elastic)
+    C = scipy_csr(assemble_pressure_mass(mesh, co))
+    B = scipy_csr(assemble_permeability_stiffness(mesh, co, u_elastic))
     Gq = assemble_load_q(mesh, prob.g, tau)
     p0 = mesh.nodal_scalar(prob.p0)
     p_heat = solve_spd((C + tau * B).tocsr(), tau * Gq + C @ p0)
@@ -229,7 +231,7 @@ def test_picard_fixed_point_satisfies_nonlinear_system():
     ops = StepOperators(mesh, prob.coeffs)
     rhs_u = assemble_load_v(mesh, prob.f, tau)
     rhs_p = tau * assemble_load_q(mesh, prob.g, tau) + ops.D @ traj[0].u \
-        + ops.C @ traj[0].p
+        + scipy_csr(ops.C) @ traj[0].p
     B = ops.permeability_stiffness(traj[1].u)
     res = picard_residual(ops, B, traj[1].u, traj[1].p, rhs_u, rhs_p, tau)
     assert res <= 2e-10
@@ -556,7 +558,7 @@ def test_semi_and_delay_paths_factor_byte_identical_pressure_operators_with_expl
     # interior edge tau*B = -C exactly, and the sum keeps the slot as a zero
     mesh = build_structured_mesh(4)
     tau = 0.25
-    C = assemble_pressure_mass(mesh, coeffs())
+    C = scipy_csr(assemble_pressure_mass(mesh, coeffs()))
     co = coeffs(model=Constant(kappa=C[0, 1] / tau))
     prob = experiment_42_data()
     n_p = mesh.num_pressure_dofs
@@ -584,7 +586,7 @@ def test_semi_and_delay_paths_factor_byte_identical_pressure_operators_with_expl
     factors.around = None
     mesh = build_structured_mesh(32)
     tau = 2.0**-4
-    C = assemble_pressure_mass(mesh, coeffs())
+    C = scipy_csr(assemble_pressure_mass(mesh, coeffs()))
     co = coeffs(model=Constant(kappa=C[0, 1] / tau))
     solve = stepper.solve_pressure
     solves, runs = [], []
@@ -604,7 +606,7 @@ def test_semi_and_delay_paths_factor_byte_identical_pressure_operators_with_expl
         assert a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
     assert len(solves) == 2 * cfg.n_steps
     for op, rhs, x, steps in solves:
-        assert op.nnz == C.nnz and (op.data == 0.0).any() and steps > 0
+        assert scipy_csr(op).nnz == C.nnz and (op.data == 0.0).any() and steps > 0
         lu = linsolve.SpdFactorization(op).solve(rhs)
         assert np.linalg.norm(x - lu) <= 1e-10 * np.linalg.norm(lu)
 
@@ -617,9 +619,9 @@ def test_every_pressure_space_operator_lies_on_the_pattern_of_c(n, factors, monk
     # fewer slots than C, one that keeps it has C's index arrays
     mesh = build_structured_mesh(n)
     tau = 2.0**-4
-    C = assemble_pressure_mass(mesh, coeffs())
+    C = scipy_csr(assemble_pressure_mass(mesh, coeffs()))
     beta = 1.0 / 4.0  # alpha^2 / (2*(lam + mu))
-    stabilized = C + beta * assemble_mass(mesh)
+    stabilized = C + beta * scipy_csr(assemble_mass(mesh))
     n_p = mesh.num_pressure_dofs
     prob = experiment_42_data()
     operators = []
@@ -665,6 +667,97 @@ def test_every_pressure_space_operator_lies_on_the_pattern_of_c(n, factors, monk
                      (False, "implicit_picard", "factor")} | (
         {(True, "semi_explicit", "factor"), (True, "delay_implicit", "factor")}
         if n < 24 else set())
+
+
+def test_one_run_keeps_every_pressure_space_operator_on_the_plans_own_arrays(monkeypatch):
+    # C, M, every B(u), every sum, the block system's pressure block and the
+    # hierarchy's finest pattern share the scalar plan's index arrays
+    # themselves, which nobody can write
+    mesh = build_structured_mesh(32)
+    plan = assembly._plan(mesh, "scalar", "scalar")
+    assert not plan.indptr.flags.writeable and not plan.indices.flags.writeable
+    seen = []
+
+    def recorded(fn, kind):
+        def wrapped(*args, **kwargs):
+            op = fn(*args, **kwargs)
+            seen.append((kind, op))
+            return op
+        return wrapped
+
+    for name in ("assemble_pressure_mass", "assemble_mass", "assemble_permeability_stiffness",
+                 "pressure_sum"):
+        monkeypatch.setattr(stepper, name, recorded(getattr(stepper, name), name))
+    solve_block = stepper.solve_block
+
+    def recorded_block_solve(system, *args, **kwargs):
+        seen.append(("block", system.pressure))
+        return solve_block(system, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "solve_block", recorded_block_solve)
+    prob = experiment_42_data()
+    tau = 2.0**-5
+    for scheme in ("semi_explicit", "delay_implicit", "implicit_picard"):
+        run(mesh, prob.coeffs, StepperConfig(scheme=scheme, tau=tau, T=2 * tau, picard_max=3),
+            prob.f, prob.g, prob.p0)
+    assert {kind for kind, _ in seen} == {"assemble_pressure_mass", "assemble_mass",
+                                          "assemble_permeability_stiffness", "pressure_sum",
+                                          "block"}
+    for _, op in seen:
+        assert isinstance(op, linsolve.CsrArrays)
+        assert op.indptr is plan.indptr and op.indices is plan.indices
+    fine = assembly.pressure_prolongations(mesh)[0].fine
+    assert fine.indptr is plan.indptr and fine.indices is plan.indices
+
+    # equal index arrays that are other objects still pass, by value; a
+    # sum or a multigrid solve on another pattern is refused
+    C = assemble_pressure_mass(mesh, prob.coeffs)
+    copied = linsolve.CsrArrays(C.data, C.indices.copy(), C.indptr.copy(), C.shape)
+    assert pressure_sum(C, 1.0, copied).data.tobytes() == (C.data + C.data).tobytes()
+    pruned = scipy_csr(C)
+    pruned.data[1] = 0.0
+    pruned.eliminate_zeros()
+    assert pruned.shape == C.shape
+    for X, Y in ((C, pruned), (pruned, C)):
+        with pytest.raises(ValueError, match="different patterns"):
+            pressure_sum(X, tau, Y)
+    rhs = np.ones(C.shape[0])
+    with pytest.raises(ValueError, match="not on the multigrid hierarchy's pattern"):
+        linsolve.solve_pressure(pruned, rhs, rhs, assembly.pressure_prolongations(mesh))
+
+
+@pytest.mark.parametrize("scheme, name, n", [("implicit_picard", "ex43", 16),
+                                             ("semi_explicit", "ex43", 16),
+                                             ("semi_explicit", "ex42", 32)])
+def test_a_step_builds_one_scipy_matrix_the_csc_superlu_factors(scheme, name, n, monkeypatch):
+    # below the multigrid crossover the one matrix is the CSC of the LU
+    # (semi) or of the fixed-stress factor (Picard), above it the coarsest
+    # level's; every other pressure-space operator is values on the plan's
+    # pattern; the first step builds the mesh's maps, so it is not counted
+    built, per_step = [], []
+    init = sp_compressed._cs_matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.format)
+
+    def counted(step):
+        def wrapped(*args, **kwargs):
+            before = len(built)
+            result = step(*args, **kwargs)
+            per_step.append(built[before:])
+            return result
+        return wrapped
+
+    monkeypatch.setattr(sp_compressed._cs_matrix, "__init__", counting)
+    for step in ("semi_explicit_step", "implicit_picard_step"):
+        monkeypatch.setattr(stepper, step, counted(getattr(stepper, step)))
+    prob = experiment_43_data(1.0) if name == "ex43" else experiment_42_data()
+    tau = 2.0**-5
+    run(build_structured_mesh(n), prob.coeffs, StepperConfig(scheme=scheme, tau=tau, T=4 * tau),
+        prob.f, prob.g, prob.p0)
+    assert len(per_step) == 4
+    assert per_step[1:] == [["csc"]] * 3
 
 
 def test_delay_path_factors_through_stepper_splu(factors, monkeypatch):
