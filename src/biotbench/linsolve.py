@@ -39,7 +39,9 @@ against a fixed tolerance or, for the inner solves of an outer
 iteration, against a forcing term: a fixed fraction of the backward
 error at its warm start.  The monolithic operator is never stacked: its
 residual and equilibration come from the blocks, and a Picard run's
-iterates rewrite only the pressure block's values, in place.
+iterates rewrite only the pressure block's values, in place.  Its
+products with A, D and D^T do not read that block, so the system keeps
+each by value and a Picard iterate forms each once.
 """
 
 import math
@@ -70,8 +72,11 @@ class SolverFailure(RuntimeError):
     """A linear solve did not reach the requested normwise backward error."""
 
     def __init__(self, message, error=float("nan")):
-        super().__init__(f"{message} (achieved backward error {error:.3e})")
+        super().__init__(message, error)  # both kept in args, so the error pickles whole
         self.error = error
+
+    def __str__(self):
+        return f"{self.args[0]} (achieved backward error {self.error:.3e})"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -468,14 +473,15 @@ class BlockSystem:
     ``rmatvec``, and the pressure block P (``pressure``, the ``CsrArrays`` of
     its own pattern).  K is never stacked: ``monolithic`` and
     ``equilibration`` apply and scale it from the blocks, and what the
-    equilibration reads of A and D alone is computed here, once.
+    equilibration reads of A and D alone is computed and checked here, once.
     ``set_pressure_block`` rewrites the values of ``pressure`` in place, so a
     Picard run owns one system (``StepOperators.block_system``) and no
     iterate stacks or transposes a block or forms a sparse sum.  The
-    pressure block given at construction, a canonical CSR operator such as
-    C, sets the pattern, whose index arrays ``pressure`` shares, and the
-    first values, which it copies: the given operator is not modified, so
-    it may be one that other runs share.
+    products with A, D and D^T, which do not read P, are kept by value
+    (``product``).  The pressure block given at construction, a canonical
+    CSR operator such as C, sets the pattern, whose index arrays
+    ``pressure`` shares, and the first values, which it copies: the given
+    operator is not modified, so it may be one that other runs share.
     """
 
     A: sp.spmatrix
@@ -494,38 +500,52 @@ class BlockSystem:
         # diagonal, and an overflow, are refused by equilibration
         self._abs_D = CsrArrays(np.abs(self.D.data), self.D.indices, self.D.indptr,
                                 self.D.shape)
-        self._abs_diag_A = np.abs(self.A.diagonal())
+        d = np.abs(self.A.diagonal())
+        self._diagonal_A_ok = bool(np.all((d > 0.0) & (d < np.inf)))
         abs_A = CsrArrays(np.abs(self.A.data), self.A.indices, self.A.indptr, self.A.shape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s_u = 1.0 / np.sqrt(self._abs_diag_A)
+            s_u = 1.0 / np.sqrt(d)
             self._displacement_scaling = (s_u, matvec(abs_A, s_u), matvec(self._abs_D, s_u))
+        self._kept = {}  # block -> (bytes of x, its product with x)
+
+    def product(self, block, x) -> np.ndarray:
+        """A x, D^T x or D x for ``block`` "A", "DT" or "D", read-only; each block keeps
+        its last product under x's bytes, so a vector changed in place is multiplied anew."""
+        key, kept = x.tobytes(), self._kept.get(block)
+        if kept is None or kept[0] != key:
+            y = rmatvec(self.D, x) if block == "DT" else matvec(getattr(self, block), x)
+            y.flags.writeable = False
+            self._kept[block] = kept = (key, y)
+        return kept[1]
+
+    def products(self, u, p):
+        """(A u, D^T p, D u): the products of K (u, p) that do not read P (``product``)."""
+        return self.product("A", u), self.product("DT", p), self.product("D", u)
 
     def monolithic(self, u, p) -> np.ndarray:
         """K (u, p) = [A u - D^T p; D u + P p], applied block by block."""
-        return np.concatenate([matvec(self.A, u) - rmatvec(self.D, p),
-                               matvec(self.D, u) + matvec(self.pressure, p)])
+        return _stacked(*self.products(u, p), matvec(self.pressure, p))
 
     def equilibration(self):
         """The scaling s = |diag K|^(-1/2) and ||EKE||_inf with E = diag(s), from the blocks.
 
-        |diag K| is [|diag A|; |diag P|], and ||EKE||_inf is the largest entry
-        of s * (|K| s), whose rows are s_u * (|A| s_u + |D|^T s_p) and
-        s_p * (|D| s_u + |P| s_p): |A| s_u and |D| s_u are fixed with A, so a
-        call makes one product with |D|^T and one with |P|.  A zero, missing
-        or non-finite diagonal entry, or a norm that is not finite, raise
-        SolverFailure.  Returns (s, ||EKE||_inf).
+        |diag K| is [|diag A|; |diag P|], and ||EKE||_inf is the larger of
+        the largest entries of s * (|K| s) in u's rows, s_u * (|A| s_u +
+        |D|^T s_p), and in p's, s_p * (|D| s_u + |P| s_p): |A| s_u and |D| s_u
+        are fixed with A, so a call makes one product with |D|^T and one with
+        |P|.  A zero, missing or non-finite diagonal entry, or a norm that
+        is not finite, raise SolverFailure.  Returns (s, ||EKE||_inf).
         """
         s_u, abs_A_s, abs_D_s = self._displacement_scaling
         P = self.pressure
-        d = np.concatenate([self._abs_diag_A, np.abs(_diagonal(P))])
-        if not np.all((d > 0.0) & (d < np.inf)):
+        d = np.abs(_diagonal(P))
+        if not (self._diagonal_A_ok and np.all((d > 0.0) & (d < np.inf))):
             raise SolverFailure("block operator has a zero or non-finite diagonal")
-        s_p = 1.0 / np.sqrt(d[s_u.size:])
+        s_p = 1.0 / np.sqrt(d)
         abs_P = CsrArrays(np.abs(P.data), P.indices, P.indptr, P.shape)
         with np.errstate(over="ignore"):  # reported just below
-            rows = np.concatenate([s_u * (abs_A_s + rmatvec(self._abs_D, s_p)),
-                                   s_p * (abs_D_s + matvec(abs_P, s_p))])
-        norm = float(rows.max())
+            norm = float(np.maximum((s_u * (abs_A_s + rmatvec(self._abs_D, s_p))).max(),
+                                    (s_p * (abs_D_s + matvec(abs_P, s_p))).max()))
         if not math.isfinite(norm):
             raise SolverFailure("equilibrated block operator is not finite")
         return np.concatenate([s_u, s_p]), norm
@@ -533,6 +553,11 @@ class BlockSystem:
     def set_pressure_block(self, values):
         """Write new values of the pressure block, in its own slot order, in place."""
         self.pressure.data[:] = values
+
+
+def _stacked(Au, DTp, Du, Pp) -> np.ndarray:
+    """K (u, p) = [A u - D^T p; D u + P p] from its four block products."""
+    return np.concatenate([Au - DTp, Du + Pp])
 
 
 def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
@@ -564,7 +589,9 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
     ``DEFAULT_TOL`` or, given a ``reduction``, against the forcing term
     max(DEFAULT_TOL, reduction * e0), where e0 is the backward error of the
     starting pair itself: an inner solve of an outer iteration then does
-    only the work the outer residual needs.
+    only the work the outer residual needs.  e0 and CG's start share one
+    P p, and take A u, D^T p and D u from a preceding verification at the
+    same values (``BlockSystem.product``).
 
     CG stops on its recursive residual, the pressure rows' residual
     scaled as in the equilibrated error (u's rows carry only the rounding
@@ -603,19 +630,20 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
         return norm_K * math.hypot(_norm(np.divide(u, s_u, out=t_u)),
                                    _norm(np.divide(p, s_p, out=t))) + norm_b
 
-    def backward_error(u, p):  # from an independent residual of K
-        return _norm(s * (rhs - system.monolithic(u, p))) / scale(u, p)
+    def backward_error(Kx, u, p):  # from an independent residual K x of K
+        return _norm(s * (rhs - Kx)) / scale(u, p)
 
+    Pp = matvec(P, p)  # the starting pair's, for e0 and the CG start alike
     tol = DEFAULT_TOL
     if reduction is not None:  # the forcing term
-        tol = max(tol, reduction * backward_error(u, p))
+        tol = max(tol, reduction * backward_error(_stacked(*system.products(u, p), Pp), u, p))
     iterations, rz = 0, 0.0
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
         while True:
             # a (re)start: the residual of S p = g - D A^-1 f at the pair (u, p)
             start = iterations
-            np.subtract(g, matvec(D, u, out=r), out=r)
-            np.subtract(r, matvec(P, p, out=t), out=r)
+            np.subtract(g, system.product("D", u), out=r)
+            np.subtract(r, Pp, out=r)
             while iterations < _CG_MAX and \
                     _norm(np.multiply(s_p, r, out=t)) > _CG_AIM * tol * scale(u, p):
                 z = s_factor.back_solve(r)
@@ -636,12 +664,12 @@ def solve_block(system: BlockSystem, rhs_u, rhs_p, a_factor: SpdFactorization,
                 np.add(u, np.multiply(step, w, out=t_u), out=u)
                 np.subtract(r, np.multiply(step, q, out=t), out=r)
                 iterations += 1
-            error = backward_error(u, p)
+            error = backward_error(system.monolithic(u, p), u, p)
             if error <= tol:
                 return u, p, iterations
             if not math.isfinite(error) or iterations >= _CG_MAX or iterations == start:
                 raise SolverFailure("block solve failed", error)
-            u = a_factor.back_solve(f + rmatvec(D, p))
+            u, Pp = a_factor.back_solve(f + system.product("DT", p)), matvec(P, p)
 
 
 def _norm(v) -> float:

@@ -20,6 +20,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,9 +179,9 @@ class StepOperators:
     rewritten in place: built on its first iterate and then kept, every
     iterate writes C + tau*B into the values of its pressure block
     (``block_system``); K is never stacked.  A semi-explicit run never
-    builds it.  Apart from that system, whose pressure slots every iterate
-    rewrites, a step reads nothing that an earlier step left here: each
-    starts from its state argument.
+    builds it.  Apart from that system, whose products are kept by value,
+    a step reads nothing that an earlier step left here: each starts from
+    its state argument.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients,
@@ -195,7 +196,6 @@ class StepOperators:
                             lambda: assemble_elasticity(mesh, coeffs))
         self.C = shared.get(("C", coeffs.M), lambda: assemble_pressure_mass(mesh, coeffs))
         self.D = shared.get(("D", coeffs.alpha), lambda: assemble_coupling(mesh, coeffs))
-        self._block = None
 
     def a_factor(self) -> SpdFactorization:
         """A's factor, banded while its band is small (``linsolve.factor_banded``)."""
@@ -221,17 +221,15 @@ class StepOperators:
                                 lambda: pressure_sum(self.C, beta, mass))
         return SpdFactorization(pressure_sum(stabilized, tau, B))
 
-    def block_system(self, B, tau) -> BlockSystem:
-        """The run's block system [[A, -D^T], [D, C + tau*B]], with B's values written in.
+    @cached_property
+    def block(self) -> BlockSystem:
+        """The run's block system [[A, -D^T], [D, P]], built on C's pattern on first use."""
+        return BlockSystem(self.A, self.D, self.C)
 
-        Built on C's pattern on the first call; every call writes the
-        values of C + tau*B (``assembly.pressure_sum``) into the pressure
-        block of the same system.
-        """
-        if self._block is None:
-            self._block = BlockSystem(self.A, self.D, self.C)
-        self._block.set_pressure_block(pressure_sum(self.C, tau, B).data)
-        return self._block
+    def block_system(self, B, tau) -> BlockSystem:
+        """``block`` with the values of C + tau*B (``assembly.pressure_sum``) written in."""
+        self.block.set_pressure_block(pressure_sum(self.C, tau, B).data)
+        return self.block
 
     def permeability_stiffness(self, u):
         return assemble_permeability_stiffness(self.mesh, self.coeffs, u)
@@ -297,11 +295,12 @@ def picard_residual(ops: StepOperators, B, u, p, rhs_u, rhs_p,
     against material constants whose block scales differ by many orders of
     magnitude, where plain division by the right-hand side norm would sit
     far above floating-point resolution; for unit-scale coefficients both
-    normalizations agree up to a small factor.
+    normalizations agree up to a small factor.  A u, D^T p and D u come from
+    the run's block system (``BlockSystem.products``), which the block
+    solve that returned (u, p) filled in its verification, so only C p and
+    tau*B p are formed here.
     """
-    Au = matvec(ops.A, u)
-    DTp = rmatvec(ops.D, p)
-    Du = matvec(ops.D, u)
+    Au, DTp, Du = ops.block.products(u, p)
     Cp = matvec(ops.C, p)
     Bp = tau * matvec(B, p)
     r_u = Au - DTp - rhs_u
@@ -323,7 +322,9 @@ def implicit_picard_step(ops: StepOperators, state: State, t: float, load_u, loa
     iterate the step's starting p and u = A^-1 (f + D^T p), one back-solve
     of A per step, and afterwards the preceding iterate, whose u CG
     carried along.  The block system is the run's one operator with that
-    iterate's C + tau*B written into its pressure block.  u is eliminated
+    iterate's C + tau*B written into its pressure block; it keeps the
+    products A u, D^T p and D u that an iterate's verification forms, for
+    its nonlinear residual and the next iterate's start.  u is eliminated
     with the run's factor of A, and CG is preconditioned by one factor of
     C + tau*B + beta*M per step, with B assembled at the step's starting
     state: nothing carries over from the step before, so a state changed
@@ -485,10 +486,11 @@ def tau_bound_diagnostic(coeffs: Coefficients, p_bound: float) -> float:
     bound, L_b the mobility Lipschitz constant and c_a estimated by the
     shear modulus.  The constants are analysis-style estimates only; the
     returned value is advisory and never gates execution.  A model without
-    displacement dependence returns infinity (no restriction).
+    displacement dependence returns infinity (no restriction).  A
+    ``p_bound`` that is not a finite number > 0 raises ValueError.
     """
-    if p_bound <= 0:
-        raise ValueError("p_bound must be positive")
+    if not (is_finite_number(p_bound) and p_bound > 0):
+        raise ValueError(f"p_bound must be a finite number > 0, got {p_bound!r}")
     c_a = coeffs.mu
     c_b = coeffs.kappa_over_nu * coeffs.permeability.bounds()[0]
     L_b = coeffs.kappa_over_nu * coeffs.permeability.lipschitz_constant()

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -75,6 +76,14 @@ def test_solver_failure_carries_residual():
     op = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises((SolverFailure, RuntimeError)):
         solve_spd(op, np.array([1.0, 2.0]))
+
+
+def test_solver_failure_survives_pickling():
+    # a sweep worker sends an exception raised outside its try to the parent pickled
+    err = pickle.loads(pickle.dumps(SolverFailure("block solve failed", 1.5e-3)))
+    assert type(err) is SolverFailure
+    assert err.error == 1.5e-3
+    assert str(err) == "block solve failed (achieved backward error 1.500e-03)"
 
 
 def _block_parts(n=2):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -217,6 +218,90 @@ def test_picard_run_back_solves_a_once_per_cg_iteration_and_step(monkeypatch):
     _, report = run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
     assert report.picard_mean > 1.0
     assert len(calls) == report.linear_iterations + report.n_steps + 1
+
+
+def test_a_picard_iterate_applies_a_d_and_dt_once(monkeypatch):
+    # the run's own A and D, found by identity, in every product the package
+    # makes; an iterate's verification serves its nonlinear residual and the
+    # next iterate's start, so per iterate A is applied once, and D and D^T
+    # outside CG once each (CG applies each once per iteration)
+    made, counts, back_solves = {}, Counter(), []
+    for name in ("assemble_elasticity", "assemble_coupling"):
+        def recorded(*args, build=getattr(stepper, name), name=name):
+            made[name] = build(*args)
+            return made[name]
+        monkeypatch.setattr(stepper, name, recorded)
+
+    def counted(apply, transposed):
+        def wrapped(op, x, out=None):
+            if op is made.get("assemble_elasticity"):
+                counts["A"] += 1
+            if op is made.get("assemble_coupling"):
+                counts["DT" if transposed else "D"] += 1
+            return apply(op, x, out)
+        return wrapped
+
+    matvec, rmatvec, solve = linsolve.matvec, linsolve.rmatvec, linsolve.BandedCholesky.solve
+    for module in (linsolve, stepper):
+        monkeypatch.setattr(module, "matvec", counted(matvec, False))
+        monkeypatch.setattr(module, "rmatvec", counted(rmatvec, True))
+    monkeypatch.setattr(linsolve.BandedCholesky, "solve",
+                        lambda self, rhs: back_solves.append(1) or solve(self, rhs))
+    prob = experiment_42_data()
+    cfg = StepperConfig(scheme="implicit_picard", tau=2.0**-5, T=1.0, picard_max=10)
+    _, report = run(build_structured_mesh(8), prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+    steps, cg = report.n_steps, report.linear_iterations
+    iterates = round(report.picard_mean * steps)
+    assert iterates > 2 * steps
+    # A's back-solves beyond CG's, each step's start and u0's are restarts
+    restarts = len(back_solves) - cg - steps - 1
+    # plus u0's verification
+    assert iterates + 1 <= counts["A"] <= iterates + restarts + 1
+    # plus, per step, D u_(n-1) of its right-hand side and D u at its start
+    assert iterates <= counts["D"] - cg <= iterates + 2 * steps + restarts
+    # plus, per step, D^T p_(n-1) of its start, and D^T p0 of u0's
+    assert iterates <= counts["DT"] - cg <= iterates + steps + 1 + restarts
+
+
+def _fresh_product(system, block, x):
+    """``BlockSystem.product`` with nothing kept: every product formed anew."""
+    if block == "DT":
+        return linsolve.rmatvec(system.D, x)
+    return linsolve.matvec(system.A if block == "A" else system.D, x)
+
+
+@pytest.mark.parametrize("name", ["ex41", "ex42", "ex43-alpha1", "ex43-alpha4"])
+def test_kept_block_products_change_no_bit_of_a_picard_run(name, monkeypatch):
+    # the oracle forms every product with A, D and D^T afresh
+    prob = {"ex41": experiment_41_data, "ex42": experiment_42_data,
+            "ex43-alpha1": lambda: experiment_43_data(1.0),
+            "ex43-alpha4": lambda: experiment_43_data(4.0)}[name]()
+    mesh = build_structured_mesh(16)
+    step = stepper.implicit_picard_step
+
+    def run_by_step(picard_max):
+        reports = []
+
+        def recorded(*args):
+            state, report = step(*args)
+            reports.append((report.picard_iterations, report.linear_iterations))
+            return state, report
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "implicit_picard_step", recorded)
+            cfg = StepperConfig(scheme="implicit_picard", tau=2.0**-5, T=prob.T,
+                                picard_max=picard_max)
+            trajectory, _ = run(mesh, prob.coeffs, cfg, prob.f, prob.g, prob.p0)
+        return trajectory, reports
+
+    for picard_max in (1, 2, 10):
+        got, reports = run_by_step(picard_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(linsolve.BlockSystem, "product", _fresh_product)
+            expected, oracle_reports = run_by_step(picard_max)
+        assert reports == oracle_reports
+        assert all(a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
+                   for a, b in zip(got, expected, strict=True))
 
 
 def test_picard_fixed_point_satisfies_nonlinear_system():
@@ -986,3 +1071,10 @@ def test_tau_bound_diagnostic():
 
     with pytest.raises(ValueError):
         tau_bound_diagnostic(prob.coeffs, p_bound=0.0)
+
+
+@pytest.mark.parametrize("p_bound", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "1.0",
+                                     None])
+def test_tau_bound_diagnostic_refuses_a_bound_that_is_not_a_finite_positive_number(p_bound):
+    with pytest.raises(ValueError, match="p_bound"):
+        tau_bound_diagnostic(experiment_42_data().coeffs, p_bound=p_bound)
